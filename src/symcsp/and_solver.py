@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, ProposedSolution, StructureError
-from .coloring import DEFAULT_DELTA, EXHAUSTIVE_CAP, build_coloring_family
+from .core import DisjointSets, Instance, ProposedSolution, StructureError
+from .coloring import DEFAULT_DELTA, build_coloring_family
 from .flow import WeightedHypergraph, solve_mis_vw
 
 
@@ -179,48 +179,35 @@ class FlipClassHypergraph:
 
     hypergraph: WeightedHypergraph
     class_map: tuple
-    coloring: frozenset
 
 
 def build_flip_class_hypergraph(inst: AndInstance, alpha, l1) -> FlipClassHypergraph:
     l1 = frozenset(l1)
-    parent = {v: v for v in l1}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = DisjointSets(l1)
     for c in inst.clauses:
         if not c.in_p:
             continue
         members = [v for v, _ in c.req if v in l1]
         for u in members[1:]:
-            ru, rv = find(members[0]), find(u)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
+            sets.union(members[0], u)
 
-    roots = sorted({find(v) for v in l1})
-    index = {r: i for i, r in enumerate(roots)}
-    classes = [set() for _ in roots]
-    for v in l1:
-        classes[index[find(v)]].add(v)
+    classes = sets.groups()
+    index = {v: i for i, cls in enumerate(classes) for v in cls}
 
-    weights = [0] * len(roots)
+    weights = [0] * len(classes)
     for c in inst.clauses:
         if not c.in_p:
             continue
         members = [v for v, _ in c.req if v in l1]
         if members:
-            weights[index[find(members[0])]] += 1
+            weights[index[members[0]]] += 1
 
     edges = []
     for c in inst.clauses:
         if c.in_p:
             continue
         if satisfied_by_flipping(c, alpha, l1):
-            touched = frozenset(index[find(v)] for v, _ in c.req if v in l1)
+            touched = frozenset(index[v] for v, _ in c.req if v in l1)
             if not touched:
                 raise StructureError(
                     "clause outside the proposal satisfied by flipping nothing; "
@@ -228,8 +215,8 @@ def build_flip_class_hypergraph(inst: AndInstance, alpha, l1) -> FlipClassHyperg
                 )
             edges.append(touched)
 
-    hg = WeightedHypergraph(len(roots), tuple(edges), tuple(weights))
-    return FlipClassHypergraph(hg, tuple(frozenset(c) for c in classes), l1)
+    hg = WeightedHypergraph(len(classes), tuple(edges), tuple(weights))
+    return FlipClassHypergraph(hg, tuple(frozenset(c) for c in classes))
 
 
 @dataclass
@@ -247,7 +234,6 @@ def solve_satisfiable_p(
     mode: str = "exhaustive",
     seed: int | None = None,
     delta: float = DEFAULT_DELTA,
-    cap: int = EXHAUSTIVE_CAP,
     deadline=None,
     stats: AndSolveStats | None = None,
 ) -> tuple:
@@ -267,7 +253,7 @@ def solve_satisfiable_p(
     r = inst.max_arity()
     budget = min(len(free), max(0, r * inst.k))
     family = build_coloring_family(
-        len(free), budget, budget, mode=mode, seed=seed, delta=delta, cap=cap
+        len(free), budget, budget, mode=mode, seed=seed, delta=delta
     )
 
     base_value = instance_value(inst, alpha)
@@ -308,7 +294,6 @@ def branch_solve(
     mode: str = "exhaustive",
     seed: int | None = None,
     delta: float = DEFAULT_DELTA,
-    cap: int = EXHAUSTIVE_CAP,
     deadline=None,
     stats: AndSolveStats | None = None,
     _depth: int = 0,
@@ -338,7 +323,7 @@ def branch_solve(
         best_value = -1
         for a in (0, 1):
             child = assign_value(inst, v, a)
-            cand = branch_solve(child, mode, seed, delta, cap, deadline, stats, _depth + 1)
+            cand = branch_solve(child, mode, seed, delta, deadline, stats, _depth + 1)
             value = instance_value(inst, cand)
             if value > best_value or (value == best_value and cand < best):
                 best_value, best = value, cand
@@ -351,7 +336,7 @@ def branch_solve(
         # the proposal; return it rather than an arbitrary fallback.
         stats.fallbacks += 1
         return alpha
-    return solve_satisfiable_p(renorm, alpha, mode, seed, delta, cap, deadline, stats)
+    return solve_satisfiable_p(renorm, alpha, mode, seed, delta, deadline, stats)
 
 
 def solve_and(
@@ -360,11 +345,10 @@ def solve_and(
     mode: str = "exhaustive",
     seed: int | None = None,
     delta: float = DEFAULT_DELTA,
-    cap: int = EXHAUSTIVE_CAP,
     deadline=None,
 ):
     """Library entry point; returns (assignment, stats)."""
     stats = AndSolveStats()
     inst = and_instance_from(instance, proposed)
-    out = branch_solve(inst, mode, seed, delta, cap, deadline, stats)
+    out = branch_solve(inst, mode, seed, delta, deadline, stats)
     return out, stats

@@ -231,11 +231,13 @@ def _mincsp_fpt_generic(r: int, counts) -> bool:
     return False
 
 
-def classify(r: int, counts, validate: bool | None = None) -> ClassificationVerdict:
+def classify(r: int, counts) -> ClassificationVerdict:
     """Place the language on the tractable/W1-hard side, with certificate.
 
-    validate=None runs the generic cross-checks when r is small enough to
-    afford them; validate=True forces them (raises on oversized r).
+    The verdict is a pattern match on the canonical count set.  For
+    r <= VALIDATION_MAX_ARITY it is cross-checked against the generic
+    minimum-cost tractability test, and a disagreement raises
+    InternalConsistencyError; larger arities are not cross-checked.
     """
     lang = SymmetricLanguage(r, frozenset(counts))
     canon = normalize_language(r, lang.counts)
@@ -254,11 +256,7 @@ def classify(r: int, counts, validate: bool | None = None) -> ClassificationVerd
     else:
         verdict = ClassificationVerdict(LABEL_W1, CERT_MINCSP)
 
-    if validate is None:
-        validate = r <= VALIDATION_MAX_ARITY
-    if validate:
-        if r > VALIDATION_MAX_ARITY + 2:
-            raise StructureError(f"generic validation not affordable at arity {r}")
+    if r <= VALIDATION_MAX_ARITY:
         generic_fpt = _mincsp_fpt_generic(r, lang.counts)
         expected_fpt = verdict.label != LABEL_W1 or verdict.certificate in (
             CERT_AE,

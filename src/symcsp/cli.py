@@ -26,7 +26,7 @@ from .core import (
     satisfied_set,
 )
 from .coloring import DEFAULT_DELTA
-from .cut_solver import CutEdge, CutGraph, CutInstance, cut_improve, satisfied_edges
+from .cut_solver import CutEdge, CutGraph, cut_improve, cut_value, satisfied_edges, split_components
 from .flow import WeightedHypergraph, solve_mis_vw
 from .reductions import (
     MulticoloredISInstance,
@@ -97,30 +97,39 @@ def _graph_from_json(obj):
         p = frozenset(i for i, r in enumerate(rows) if r["in_P"])
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad graph object: {e}")
-    return CutInstance(CutGraph(n, edges), p, k)
+    if k < 0:
+        raise SchemaError("k must be nonnegative")
+    return CutGraph(n, edges), p, k
 
 
 def cmd_solve(args):
     obj = _read_json(args.input)
     deadline = Deadline(args.time_limit_ms)
     if "edges" in obj and "clauses" not in obj:
-        ci = _graph_from_json(obj)
-        mask, value, stats = cut_improve(
-            ci,
-            mode=args.coloring,
-            seed=args.seed,
-            delta=args.delta,
-            q_override=args.q_override,
-            deadline=deadline,
-        )
+        graph, p_ids, k = _graph_from_json(obj)
+        # each connected component is solved on its own, keeping its sides
+        mask, recurse_steps, timed_out = 0, 0, False
+        for ci, verts in split_components(graph, range(graph.num_vertices), p_ids, k):
+            sub_mask, _, stats = cut_improve(
+                ci,
+                mode=args.coloring,
+                seed=args.seed,
+                delta=args.delta,
+                q_override=args.q_override,
+                deadline=deadline,
+            )
+            for i, v in enumerate(verts):
+                mask |= ((sub_mask >> i) & 1) << v
+            recurse_steps += stats.recurse_steps
+            timed_out = timed_out or stats.timed_out
         _write(
             args,
             {
-                "side": [(mask >> v) & 1 for v in range(ci.graph.num_vertices)],
-                "value": value,
-                "satisfied": sorted(satisfied_edges(ci.graph, mask)),
-                "recurse_steps": stats.recurse_steps,
-                "timeout": stats.timed_out,
+                "side": [(mask >> v) & 1 for v in range(graph.num_vertices)],
+                "value": cut_value(graph, mask),
+                "satisfied": sorted(satisfied_edges(graph, mask)),
+                "recurse_steps": recurse_steps,
+                "timeout": timed_out,
             },
         )
         return EXIT_OK
@@ -330,7 +339,8 @@ def _verify_cut(args):
         report = oracle.brute_force_cut(
             ci.graph.num_vertices, triples, types, ci.p_ids, ci.k
         )
-        _, value, _ = cut_improve(ci, mode="exhaustive", q_override=args.q_override or 8)
+        q = 8 if args.q_override is None else args.q_override
+        _, value, _ = cut_improve(ci, mode="exhaustive", q_override=q)
         if value != report.global_value:
             failures += 1
     return failures

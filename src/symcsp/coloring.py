@@ -31,11 +31,6 @@ class ColoringFamily:
     b: int
     mode: str
     colorings: tuple
-    seed: int | None = None
-    delta: float | None = None
-
-    def as_bit_vectors(self):
-        return [tuple((m >> i) & 1 for i in range(self.n)) for m in self.colorings]
 
 
 def success_probability(a: int, b: int) -> float:
@@ -57,13 +52,12 @@ def build_coloring_family(
     mode: str = "exhaustive",
     seed: int | None = None,
     delta: float = DEFAULT_DELTA,
-    cap: int = EXHAUSTIVE_CAP,
 ) -> ColoringFamily:
     if not (0 <= a <= n and 0 <= b <= n):
         raise StructureError(f"need 0 <= a,b <= n, got a={a} b={b} n={n}")
     if mode == "exhaustive":
-        if 2 ** n > cap:
-            raise GuardError(f"exhaustive family of 2^{n} colorings exceeds cap {cap}")
+        if 2 ** n > EXHAUSTIVE_CAP:
+            raise GuardError(f"exhaustive family of 2^{n} colorings exceeds cap {EXHAUSTIVE_CAP}")
         return ColoringFamily(n, a, b, mode, tuple(range(2 ** n)))
     if mode != "random":
         raise StructureError(f"unknown coloring mode {mode!r}")
@@ -81,7 +75,7 @@ def build_coloring_family(
             if rng.random() < p1:
                 mask |= 1 << i
         colorings.append(mask)
-    return ColoringFamily(n, a, b, mode, tuple(colorings), seed=seed, delta=delta)
+    return ColoringFamily(n, a, b, mode, tuple(colorings))
 
 
 def verify_covering(family: ColoringFamily, limit_n: int = 12) -> bool:

@@ -71,22 +71,11 @@ class SymmetricLanguage:
     def reflected_counts(self) -> frozenset:
         return frozenset(self.arity - x for x in self.counts)
 
-    def is_canonical(self) -> bool:
-        return _char_vector(self.arity, self.counts) <= _char_vector(
-            self.arity, self.reflected_counts()
-        )
-
     def is_and_family(self) -> bool:
         return self.counts == frozenset({0}) or self.counts == frozenset({self.arity})
 
     def is_ae_family(self) -> bool:
         return self.counts == frozenset({0, self.arity})
-
-    def is_le1_family(self) -> bool:
-        return self.counts in (
-            frozenset({0, 1}),
-            frozenset({self.arity - 1, self.arity}),
-        )
 
 
 def normalize_language(r: int, counts: Iterable[int]) -> SymmetricLanguage:
@@ -181,12 +170,6 @@ class Instance:
     def is_ae_family(self) -> bool:
         return all(c.language.is_ae_family() for c in self.clauses)
 
-    def clause_by_id(self, cid: int) -> Clause:
-        for c in self.clauses:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
 
 @dataclass(frozen=True)
 class ProposedSolution:
@@ -235,10 +218,6 @@ def neighborhood_distance(a_ids: Iterable, b_ids: Iterable) -> int:
 
 def is_good(instance: Instance, a: Assignment, reference_value: int) -> bool:
     return len(satisfied_set(instance, a)) >= reference_value
-
-
-def assignment_lex_key(a: Assignment) -> tuple:
-    return tuple(a)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +325,37 @@ def instance_to_json(instance: Instance, proposed: ProposedSolution) -> dict:
 def dumps_canonical(obj) -> str:
     """Deterministic JSON used by the CLI: sorted keys, newline-terminated."""
     return json.dumps(obj, sort_keys=True, separators=(",", ": ")) + "\n"
+
+
+class DisjointSets:
+    """Union-find over comparable elements, with path halving.
+
+    The root of every set is its smallest member, so ``find`` names a set by
+    its minimum and ``groups`` lists the sets in order of smallest member.
+    Solvers rely on that order for deterministic output.
+    """
+
+    def __init__(self, elements: Iterable = ()):
+        self._parent = {x: x for x in elements}
+
+    def find(self, x):
+        parent = self._parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self._parent[max(rx, ry)] = min(rx, ry)
+
+    def groups(self) -> list:
+        """Every set as a sorted list, in order of smallest member."""
+        out = {}
+        for x in sorted(self._parent):
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
 
 
 class Deadline:

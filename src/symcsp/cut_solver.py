@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import (
+    DisjointSets,
     GuardError,
     Instance,
     ProposedSolution,
@@ -66,46 +67,23 @@ class CutGraph:
             if e.etype not in (0, 1):
                 raise StructureError(f"edge {e.id} type must be 0 or 1")
 
-    def adjacency(self):
-        adj = [[] for _ in range(self.num_vertices)]
+    def components(self, vertices) -> list:
+        """Connected components of the subgraph induced on `vertices`, each
+        sorted, in order of smallest member."""
+        inside = set(vertices)
+        sets = DisjointSets(inside)
         for e in self.edges:
-            if e.u != e.v:
-                adj[e.u].append((e.v, e.id))
-                adj[e.v].append((e.u, e.id))
-        return adj
+            if e.u in inside and e.v in inside:
+                sets.union(e.u, e.v)
+        return sets.groups()
 
     def is_connected(self) -> bool:
-        n = self.num_vertices
-        if n <= 1:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == n
+        return len(self.components(range(self.num_vertices))) <= 1
 
 
 def side_connected(graph: CutGraph, vertices) -> bool:
     """Is the induced subgraph on `vertices` connected (marked edges count)?"""
-    vs = set(vertices)
-    if not vs:
-        return False
-    adj = graph.adjacency()
-    start = min(vs)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if v in vs and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(vs)
+    return len(graph.components(vertices)) == 1
 
 
 def satisfied_edges(graph: CutGraph, mask: int) -> frozenset:
@@ -181,6 +159,23 @@ def _edge_type_of_clause(c) -> int:
     return 1 if same_neg else 0
 
 
+def split_components(graph: CutGraph, vertices, p_ids, k: int) -> list:
+    """One (CutInstance, vertex_list) per connected component of the
+    subgraph induced on `vertices`, in order of smallest vertex;
+    vertex_list[i] is the vertex of `graph` that component vertex i is."""
+    components = []
+    for verts in graph.components(vertices):
+        index = {v: i for i, v in enumerate(verts)}
+        edges = tuple(
+            CutEdge(e.id, index[e.u], index[e.v], e.etype)
+            for e in graph.edges
+            if e.u in index
+        )
+        sub = CutGraph(len(verts), edges)
+        components.append((CutInstance(sub, frozenset(e.id for e in edges) & p_ids, k), verts))
+    return components
+
+
 def csp_to_cut(instance: Instance, proposed: ProposedSolution):
     """Split into connected CutInstances plus a variable back-map.
 
@@ -189,42 +184,13 @@ def csp_to_cut(instance: Instance, proposed: ProposedSolution):
     of graph vertex i.
     """
     proposed.validate_against(instance)
-    typed = [(c.id, c.scope[0], c.scope[1], _edge_type_of_clause(c)) for c in instance.clauses]
-
-    parent = list(range(instance.num_vars))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, u, v, _ in typed:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
-    used = set()
-    for _, u, v, _ in typed:
-        used.add(u)
-        used.add(v)
-    groups = {}
-    for v in sorted(used):
-        groups.setdefault(find(v), []).append(v)
-
-    components = []
-    for root in sorted(groups):
-        verts = groups[root]
-        index = {v: i for i, v in enumerate(verts)}
-        edges = tuple(
-            CutEdge(eid, index[u], index[v], t)
-            for eid, u, v, t in typed
-            if find(u) == root
-        )
-        graph = CutGraph(len(verts), edges)
-        p_ids = frozenset(e.id for e in edges) & proposed.clause_ids
-        components.append((CutInstance(graph, p_ids, proposed.k), verts))
-
+    edges = []
+    for c in instance.clauses:
+        t = _edge_type_of_clause(c)
+        edges.append(CutEdge(c.id, c.scope[0], c.scope[1], t))
+    graph = CutGraph(instance.num_vars, tuple(edges))
+    used = {v for e in edges for v in (e.u, e.v)}
+    components = split_components(graph, used, proposed.clause_ids, proposed.k)
     isolated = [v for v in range(instance.num_vars) if v not in used]
     return components, isolated
 
@@ -487,7 +453,6 @@ def find_kq_cut_colorcoding(
     mode: str = "exhaustive",
     seed: int | None = None,
     delta: float = DEFAULT_DELTA,
-    cap: int = EXHAUSTIVE_CAP,
 ):
     """Edge-coloring search: drop color-0 edges, then try pairwise minimum
     cuts between surviving components."""
@@ -497,33 +462,16 @@ def find_kq_cut_colorcoding(
     a = min(m, 6 * q + 2)
     b = min(m, k)
     if mode == "exhaustive":
-        family = build_coloring_family(m, a, b, mode=mode, cap=cap)
+        family = build_coloring_family(m, a, b, mode=mode)
     else:
-        family = _family_for(m, a, b, seed, delta, cap)
+        family = _family_for(m, a, b, seed, delta)
     arcs = [(e.u, e.v) for e in edges if e.u != e.v]
     for coloring in family.colorings:
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, e in enumerate(edges):
-            if (coloring >> i) & 1 and e.u != e.v:
-                ru, rv = find(e.u), find(e.v)
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-        comps = {}
-        for v in range(n):
-            comps.setdefault(find(v), []).append(v)
-        roots = sorted(comps)
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                value, side = _mincut_between(
-                    n, arcs, comps[roots[i]], comps[roots[j]]
-                )
+        kept = CutGraph(n, tuple(e for i, e in enumerate(edges) if (coloring >> i) & 1))
+        comps = kept.components(range(n))
+        for i in range(len(comps)):
+            for j in range(i + 1, len(comps)):
+                value, side = _mincut_between(n, arcs, comps[i], comps[j])
                 if value > k:
                     continue
                 mask = 0
@@ -542,7 +490,6 @@ def find_kq_cut(
     mode: str = "exhaustive",
     seed: int | None = None,
     delta: float = DEFAULT_DELTA,
-    cap: int = EXHAUSTIVE_CAP,
 ):
     """A cut with <= k crossing edges, both sides connected, both sides
     holding >= q unmarked edges, if one exists.
@@ -553,7 +500,7 @@ def find_kq_cut(
     """
     if graph.num_vertices <= 14:
         return find_kq_cut_enumeration(graph, marked, k, q)
-    return find_kq_cut_colorcoding(graph, marked, k, q, mode, seed, delta, cap)
+    return find_kq_cut_colorcoding(graph, marked, k, q, mode, seed, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +545,6 @@ class _Ctx:
     mode: str
     seed: int | None
     delta: float
-    cap: int
     deadline: object
     stats: CutStats
 
@@ -642,16 +588,15 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
     return table
 
 
-def _family_for(n, a, b, seed, delta, cap):
+def _family_for(n, a, b, seed, delta):
     """Coloring family for a covering requirement: exhaustive enumeration
     whenever it is no larger than the Monte-Carlo family (it carries the
     guarantee deterministically), the seeded random family otherwise."""
     size = randomized_family_size(a, b, delta)
-    if 2 ** n <= min(size, cap):
-        return build_coloring_family(n, a, b, mode="exhaustive", cap=cap)
+    if 2 ** n <= min(size, EXHAUSTIVE_CAP):
+        return build_coloring_family(n, a, b, mode="exhaustive")
     return build_coloring_family(
-        n, a, b, mode="random", seed=seed if seed is not None else 0,
-        delta=delta, cap=cap,
+        n, a, b, mode="random", seed=seed if seed is not None else 0, delta=delta
     )
 
 
@@ -678,10 +623,7 @@ def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:
         _table_update(table, (fbits0, k2), ti.a_mask, base_value, 0)
 
     big_side = (ti.k_prime + 1) * (2 * ctx.q + 2)
-    family = _family_for(
-        n, min(n, big_side), min(n, ctx.k_global), ctx.seed, ctx.delta, ctx.cap
-    )
-    adj = ti.graph.adjacency()
+    family = _family_for(n, min(n, big_side), min(n, ctx.k_global), ctx.seed, ctx.delta)
     by_id = {e.id: e for e in ti.graph.edges}
     for coloring in family.colorings:
         if ctx.deadline is not None and ctx.deadline.expired():
@@ -692,22 +634,8 @@ def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:
         if not ones:
             continue
         oneset = set(ones)
-        comp_of = {}
-        comps = []
-        for s in ones:
-            if s in comp_of:
-                continue
-            comp = {s}
-            stack = [s]
-            comp_of[s] = len(comps)
-            while stack:
-                u = stack.pop()
-                for v, _ in adj[u]:
-                    if v in oneset and v not in comp_of:
-                        comp_of[v] = len(comps)
-                        comp.add(v)
-                        stack.append(v)
-            comps.append(sorted(comp))
+        comps = ti.graph.components(ones)
+        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
 
         gains = []
         for comp in comps:
@@ -857,19 +785,8 @@ def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
 
     # contract uncut agreed edges, mark cut ones, kept as a matching by
     # contracting the outer endpoints of adjacent marked pairs
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    sets = DisjointSets(range(n))
+    find, union = sets.find, sets.union
     side = lambda v: (ti.a_mask >> v) & 1
     marked = set(ti.marked)
     by_id = {e.id: e for e in ti.graph.edges}
@@ -969,9 +886,7 @@ def solve_terminal(ti: TerminalInstance, ctx: _Ctx) -> dict:
                 len(satisfied_edges(ti.graph, ti.a_mask)), 0,
             )
         return table
-    cut = find_kq_cut(
-        ti.graph, ti.marked, ctx.k_global, ctx.q, ctx.mode, ctx.seed, ctx.delta, ctx.cap
-    )
+    cut = find_kq_cut(ti.graph, ti.marked, ctx.k_global, ctx.q, ctx.mode, ctx.seed, ctx.delta)
     if cut is None:
         return solve_terminal_no_kqcut(ti, ctx)
     ctx.stats.kq_cuts_found += 1
@@ -989,7 +904,6 @@ def cut_improve(
     mode: str = "exhaustive",
     seed: int | None = None,
     delta: float = DEFAULT_DELTA,
-    cap: int = EXHAUSTIVE_CAP,
     q_override: int | None = None,
     deadline=None,
     force_mincsp: str | None = None,
@@ -1015,7 +929,6 @@ def cut_improve(
         mode=mode,
         seed=seed,
         delta=delta,
-        cap=cap,
         deadline=deadline,
         stats=stats,
     )
@@ -1035,7 +948,6 @@ def solve_2ae(
     mode: str = "exhaustive",
     seed: int | None = None,
     delta: float = DEFAULT_DELTA,
-    cap: int = EXHAUSTIVE_CAP,
     q_override: int | None = None,
     deadline=None,
 ):
@@ -1047,9 +959,7 @@ def solve_2ae(
     solved = []
     stats = []
     for ci, verts in components:
-        mask, _, st = cut_improve(
-            ci, mode, seed, delta, cap, q_override, deadline
-        )
+        mask, _, st = cut_improve(ci, mode, seed, delta, q_override, deadline)
         solved.append((mask, verts))
         stats.append(st)
     return assemble_assignment(instance.num_vars, solved), stats

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GuardError, Instance, ProposedSolution
+from .core import GuardError, Instance
 from .flow import WeightedHypergraph, selection_objective
 
 IMPROVE_GUARD_VARS = 24
@@ -87,10 +87,6 @@ def neighborhood_optima(instance: Instance, k: int, p_ids, guard: int = 16):
     return [
         _assignment_of(int(i), n) for i in np.nonzero(near & (values == nmax))[0]
     ]
-
-
-def brute_force_improve_report(instance: Instance, proposed: ProposedSolution):
-    return brute_force_improve(instance, proposed.k, proposed.clause_ids)
 
 
 def brute_force_mincsp(instance: Instance, guard: int = IMPROVE_GUARD_VARS) -> tuple:

@@ -91,9 +91,7 @@ def validate_paired_cut(src: PairedMinCutInstance) -> None:
         raise StructureError("paths must partition the edge set (arc-disjoint)")
 
 
-def generate_paired_cut(
-    seed: int, l: int, max_path_len: int = 4, shared_vertices: bool = True
-) -> PairedMinCutInstance:
+def generate_paired_cut(seed: int, l: int, max_path_len: int = 4) -> PairedMinCutInstance:
     """Random valid source: 2l rank-increasing st-paths over a shared
     intermediate pool, with a random perfect edge pairing."""
     rng = random.Random(seed)
@@ -107,14 +105,8 @@ def generate_paired_cut(
     pool = list(range(2, 2 + pool_size))
     edges = []
     paths = []
-    next_fresh = 2 + pool_size
     for length in lengths:
-        hops = length - 1
-        if shared_vertices:
-            inner = sorted(rng.sample(pool, hops))
-        else:
-            inner = list(range(next_fresh, next_fresh + hops))
-            next_fresh += hops
+        inner = sorted(rng.sample(pool, length - 1))
         route = [s] + inner + [t]
         path = []
         for a, b in zip(route, route[1:]):

@@ -164,3 +164,45 @@ def test_time_limit_returns_best_so_far(tmp_path):
     )
     assert out["timeout"] is True
     assert isinstance(out["assignment"], list)
+
+
+def test_solve_disconnected_graph_splits_components(tmp_path):
+    # a type-1 triangle (at most 2 of 3 satisfiable), a type-0 edge and an
+    # isolated vertex: each component is solved on its own
+    rows = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 0)]
+    graph = {
+        "num_vertices": 6,
+        "k": 1,
+        "edges": [{"u": u, "v": v, "type": t, "in_P": True} for u, v, t in rows],
+    }
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    out = json.loads(run_cli("solve", "--input", str(path)))
+    assert out["value"] == 3 and len(out["side"]) == 6
+    assert out["satisfied"] == sorted(
+        i for i, (u, v, t) in enumerate(rows) if (out["side"][u] != out["side"][v]) == t
+    )
+
+    csp = {
+        "mode": "sym", "r": 2, "S": [0, 2], "num_vars": 6, "k": 1,
+        "clauses": [
+            {"neg": [0, t], "scope": [u, v], "in_P": True} for u, v, t in rows
+        ],
+    }
+    path.write_text(json.dumps(csp))
+    assert json.loads(run_cli("solve", "--input", str(path)))["value"] == out["value"]
+
+
+def test_verify_honours_q_override_zero(monkeypatch, capsys):
+    from symcsp import cli
+
+    seen = []
+    real = cli.cut_improve
+
+    def spy(ci, **kwargs):
+        seen.append(kwargs["q_override"])
+        return real(ci, **kwargs)
+
+    monkeypatch.setattr(cli, "cut_improve", spy)
+    assert cli.main(["verify", "--suite", "cut", "--count", "2", "--q-override", "0"]) == 0
+    assert seen == [0, 0]

@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symcsp.core import Instance, ProposedSolution, StructureError, SymmetricLanguage, Clause, satisfied_set
+from symcsp.core import Instance, ProposedSolution, StructureError, SymmetricLanguage, Clause, DisjointSets, satisfied_set
 from symcsp.cut_solver import (
     CutEdge,
     CutGraph,
@@ -68,7 +70,6 @@ def make_ctx(g, k, q, mode="exhaustive", seed=0):
         mode=mode,
         seed=seed,
         delta=2.0 ** -20,
-        cap=1 << 16,
         deadline=None,
         stats=CutStats(),
     )
@@ -474,3 +475,53 @@ def test_loops_are_fixed_contributions():
     # the want-uncut loop always counts, the want-cut loop never does
     assert value == 2
     assert 1 in satisfied_edges(g, mask) and 2 not in satisfied_edges(g, mask)
+
+
+@st.composite
+def _multigraph_and_subset(draw):
+    """Multigraph with self-loops, parallel edges and isolated vertices, plus
+    an arbitrary vertex subset."""
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=14))
+    g = CutGraph(n, tuple(CutEdge(i, u, v, i % 2) for i, (u, v) in enumerate(pairs)))
+    return g, draw(st.lists(vertex, unique=True))
+
+
+def _bfs_components(graph, vertices):
+    inside = set(vertices)
+    adj = {v: set() for v in inside}
+    for e in graph.edges:
+        if e.u in inside and e.v in inside:
+            adj[e.u].add(e.v)
+            adj[e.v].add(e.u)
+    seen, comps = set(), []
+    for s in sorted(inside):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp, frontier = [s], [s]
+        while frontier:
+            frontier = [v for u in frontier for v in adj[u] if v not in seen]
+            seen.update(frontier)
+            comp.extend(frontier)
+        comps.append(sorted(set(comp)))
+    return comps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multigraph_and_subset())
+def test_components_match_bfs_reference(case):
+    g, subset = case
+    comps = g.components(subset)
+    assert comps == _bfs_components(g, subset)
+    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+    assert all(c == sorted(c) for c in comps)
+
+    sets = DisjointSets(range(g.num_vertices))
+    for e in g.edges:
+        sets.union(e.u, e.v)
+    assert sets.groups() == _bfs_components(g, range(g.num_vertices))
+    for comp in sets.groups():
+        assert all(sets.find(v) == comp[0] for v in comp)
+    assert g.is_connected() == (len(sets.groups()) <= 1)
