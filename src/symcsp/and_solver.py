@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DisjointSets, Instance, ProposedSolution, StructureError
-from .coloring import DEFAULT_DELTA, build_coloring_family
+from .core import (
+    DEFAULT_DELTA, DisjointSets, Instance, ProposedSolution, SolveContext, StructureError,
+)
+from .coloring import build_coloring_family
 from .flow import WeightedHypergraph, solve_mis_vw
 
 
@@ -219,30 +221,12 @@ def build_flip_class_hypergraph(inst: AndInstance, alpha, l1) -> FlipClassHyperg
     return FlipClassHypergraph(hg, tuple(frozenset(c) for c in classes))
 
 
-@dataclass
-class AndSolveStats:
-    colorings_tried: int = 0
-    branches: int = 0
-    fallbacks: int = 0
-    max_depth: int = 0
-    timed_out: bool = False
-
-
-def solve_satisfiable_p(
-    inst: AndInstance,
-    alpha,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    delta: float = DEFAULT_DELTA,
-    deadline=None,
-    stats: AndSolveStats | None = None,
-) -> tuple:
+def solve_satisfiable_p(inst: AndInstance, alpha, ctx: SolveContext) -> tuple:
     """Best flip of alpha found across the coloring family.
 
     Requires alpha to satisfy the proposed set and the instance to be
     renormalized (proposal == satisfied set of alpha).
     """
-    stats = stats if stats is not None else AndSolveStats()
     free = sorted(set(range(inst.num_vars)) - {v for v, _ in inst.fixed})
     pos = {v: i for i, v in enumerate(free)}
     relevant_mask = 0
@@ -253,16 +237,16 @@ def solve_satisfiable_p(
     r = inst.max_arity()
     budget = min(len(free), max(0, r * inst.k))
     family = build_coloring_family(
-        len(free), budget, budget, mode=mode, seed=seed, delta=delta
+        len(free), budget, budget, ctx.mode, ctx.seed, ctx.delta
     )
 
     base_value = instance_value(inst, alpha)
     best_value = base_value
     best = tuple(alpha)
     seen = set()
+    poll = ctx.deadline is not None
     for mask in family.colorings:
-        if deadline is not None and deadline.expired():
-            stats.timed_out = True
+        if poll and ctx.expired():
             break
         key = mask & relevant_mask
         if key in seen:
@@ -272,7 +256,7 @@ def solve_satisfiable_p(
         if not l1:
             continue
         fch = build_flip_class_hypergraph(inst, alpha, l1)
-        stats.colorings_tried += 1
+        ctx.colorings_tried += 1
         if len(fch.hypergraph.hyperedges) == 0:
             continue
         if base_value + len(fch.hypergraph.hyperedges) < best_value:
@@ -289,41 +273,26 @@ def solve_satisfiable_p(
     return best
 
 
-def branch_solve(
-    inst: AndInstance,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    delta: float = DEFAULT_DELTA,
-    deadline=None,
-    stats: AndSolveStats | None = None,
-    _depth: int = 0,
-) -> tuple:
+def branch_solve(inst: AndInstance, ctx: SolveContext, _depth: int = 0) -> tuple:
     """Full solve of a conjunction-family improvement instance.
 
     On promise-satisfying inputs (in exhaustive mode) the output satisfies
     at least as many clauses as any assignment whose satisfied set is within
     k of the proposal.
     """
-    stats = stats if stats is not None else AndSolveStats()
-    stats.max_depth = max(stats.max_depth, _depth)
-    if deadline is not None and deadline.expired():
-        stats.timed_out = True
-        stats.fallbacks += 1
-        return fallback_assignment(inst)
-    if inst.k < 0:
-        stats.fallbacks += 1
+    ctx.max_depth = max(ctx.max_depth, _depth)
+    if ctx.expired() or inst.k < 0:
+        ctx.fallbacks += 1
         return fallback_assignment(inst)
     v = find_branch_variable(inst)
     if v is not None:
         if inst.k == 0:
-            stats.fallbacks += 1
+            ctx.fallbacks += 1
             return fallback_assignment(inst)
-        stats.branches += 1
         best = None
         best_value = -1
         for a in (0, 1):
-            child = assign_value(inst, v, a)
-            cand = branch_solve(child, mode, seed, delta, deadline, stats, _depth + 1)
+            cand = branch_solve(assign_value(inst, v, a), ctx, _depth + 1)
             value = instance_value(inst, cand)
             if value > best_value or (value == best_value and cand < best):
                 best_value, best = value, cand
@@ -334,9 +303,9 @@ def branch_solve(
         # The proposal-satisfier overshoots the proposal by more than k, so it
         # already beats every assignment whose satisfied set is within k of
         # the proposal; return it rather than an arbitrary fallback.
-        stats.fallbacks += 1
+        ctx.fallbacks += 1
         return alpha
-    return solve_satisfiable_p(renorm, alpha, mode, seed, delta, deadline, stats)
+    return solve_satisfiable_p(renorm, alpha, ctx)
 
 
 def solve_and(
@@ -347,8 +316,6 @@ def solve_and(
     delta: float = DEFAULT_DELTA,
     deadline=None,
 ):
-    """Library entry point; returns (assignment, stats)."""
-    stats = AndSolveStats()
-    inst = and_instance_from(instance, proposed)
-    out = branch_solve(inst, mode, seed, delta, deadline, stats)
-    return out, stats
+    """Library entry point; returns (assignment, SolveContext)."""
+    ctx = SolveContext(mode, seed, delta, deadline)
+    return branch_solve(and_instance_from(instance, proposed), ctx), ctx

@@ -26,7 +26,10 @@ from .core import (
     satisfied_set,
 )
 from .coloring import DEFAULT_DELTA
-from .cut_solver import CutEdge, CutGraph, cut_improve, cut_value, satisfied_edges, split_components
+from .cut_solver import (
+    CutEdge, CutGraph, cut_improve, cut_value, satisfied_edges, solve_2ae,
+    solve_components, split_components,
+)
 from .flow import WeightedHypergraph, solve_mis_vw
 from .reductions import (
     MulticoloredISInstance,
@@ -108,43 +111,41 @@ def cmd_solve(args):
     if "edges" in obj and "clauses" not in obj:
         graph, p_ids, k = _graph_from_json(obj)
         # each connected component is solved on its own, keeping its sides
-        mask, recurse_steps, timed_out = 0, 0, False
-        for ci, verts in split_components(graph, range(graph.num_vertices), p_ids, k):
-            sub_mask, _, stats = cut_improve(
-                ci,
-                mode=args.coloring,
-                seed=args.seed,
-                delta=args.delta,
-                q_override=args.q_override,
-                deadline=deadline,
-            )
+        solved, run = solve_components(
+            split_components(graph, range(graph.num_vertices), p_ids, k),
+            mode=args.coloring,
+            seed=args.seed,
+            delta=args.delta,
+            q_override=args.q_override,
+            deadline=deadline,
+        )
+        mask = 0
+        for sub_mask, verts in solved:
             for i, v in enumerate(verts):
                 mask |= ((sub_mask >> i) & 1) << v
-            recurse_steps += stats.recurse_steps
-            timed_out = timed_out or stats.timed_out
         _write(
             args,
             {
                 "side": [(mask >> v) & 1 for v in range(graph.num_vertices)],
                 "value": cut_value(graph, mask),
                 "satisfied": sorted(satisfied_edges(graph, mask)),
-                "recurse_steps": recurse_steps,
-                "timeout": timed_out,
+                "recurse_steps": run.recurse_steps,
+                "timeout": run.timed_out,
             },
         )
         return EXIT_OK
 
     instance, proposed = instance_from_json(obj)
-    lang = instance.homogeneous_language()
-    verdicts = {classifier.classify(c.language.arity, c.language.counts).label
-                for c in instance.clauses}
+    # one verdict per distinct language, in order of first appearance
+    languages = dict.fromkeys(c.language for c in instance.clauses)
+    verdicts = {classifier.classify(lang.arity, lang.counts).label for lang in languages}
     algo = args.algo
     if algo == "auto":
         if verdicts <= {"Trivial"}:
             algo = "trivial"
         elif instance.is_and_family() and verdicts <= {"Trivial", "FPT_rAND"}:
             algo = "and"
-        elif lang is not None and classifier.classify(lang.arity, lang.counts).label == "FPT_2AE":
+        elif len(languages) == 1 and verdicts == {"FPT_2AE"}:
             algo = "cut"
         elif args.force_oracle:
             algo = "oracle"
@@ -158,21 +159,19 @@ def cmd_solve(args):
     if algo == "trivial":
         assignment = (0,) * instance.num_vars
     elif algo == "and":
-        assignment, stats = solve_and(
+        assignment, run = solve_and(
             instance, proposed, mode=args.coloring, seed=args.seed,
             delta=args.delta, deadline=deadline,
         )
-        out["timeout"] = stats.timed_out
-        out["colorings_tried"] = stats.colorings_tried
+        out["timeout"] = run.timed_out
+        out["colorings_tried"] = run.colorings_tried
     elif algo == "cut":
-        from .cut_solver import solve_2ae
-
-        assignment, stats_list = solve_2ae(
+        assignment, run = solve_2ae(
             instance, proposed, mode=args.coloring, seed=args.seed,
             delta=args.delta, q_override=args.q_override, deadline=deadline,
         )
-        out["timeout"] = any(s.timed_out for s in stats_list)
-        out["recurse_steps"] = sum(s.recurse_steps for s in stats_list)
+        out["timeout"] = run.timed_out
+        out["recurse_steps"] = run.recurse_steps
     elif algo == "oracle":
         if not args.force_oracle and "W1_Hard" in verdicts:
             raise GuardError(

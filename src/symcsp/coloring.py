@@ -4,9 +4,10 @@ A family over a universe of size n covers (a, b) when for every pair of
 disjoint sets A, B with |A| <= a and |B| <= b some member colors all of A
 with 1 and all of B with 0.  Exhaustive mode emits every coloring (complete
 by construction, capped); randomized mode draws Monte-Carlo colorings whose
-per-pair failure probability is at most delta.  The derandomized splitter
-construction is deliberately not reimplemented; consumers depend only on
-the covering contract, which both modes realize.
+per-pair failure probability is at most delta, unless emitting every
+coloring is no larger.  The derandomized splitter construction is
+deliberately not reimplemented; consumers depend only on the covering
+contract, which both modes realize.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import GuardError, StructureError
+from .core import DEFAULT_DELTA, GuardError, StructureError
 
 EXHAUSTIVE_CAP = 1 << 16
-DEFAULT_DELTA = 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -53,20 +53,25 @@ def build_coloring_family(
     seed: int | None = None,
     delta: float = DEFAULT_DELTA,
 ) -> ColoringFamily:
+    """All 2^n colorings (capped) in exhaustive mode, and in random mode
+    whenever that is no larger than the seeded Monte-Carlo family."""
     if not (0 <= a <= n and 0 <= b <= n):
         raise StructureError(f"need 0 <= a,b <= n, got a={a} b={b} n={n}")
+    if mode == "random":
+        if seed is None:
+            raise StructureError("randomized mode requires a seed")
+        if not (0.0 < delta < 1.0):
+            raise StructureError("delta must lie in (0, 1)")
+        size = randomized_family_size(a, b, delta)
+        if 2 ** n <= min(size, EXHAUSTIVE_CAP):
+            mode = "exhaustive"
+    elif mode != "exhaustive":
+        raise StructureError(f"unknown coloring mode {mode!r}")
     if mode == "exhaustive":
         if 2 ** n > EXHAUSTIVE_CAP:
             raise GuardError(f"exhaustive family of 2^{n} colorings exceeds cap {EXHAUSTIVE_CAP}")
         return ColoringFamily(n, a, b, mode, tuple(range(2 ** n)))
-    if mode != "random":
-        raise StructureError(f"unknown coloring mode {mode!r}")
-    if seed is None:
-        raise StructureError("randomized mode requires a seed")
-    if not (0.0 < delta < 1.0):
-        raise StructureError("delta must lie in (0, 1)")
     rng = random.Random(seed)
-    size = randomized_family_size(a, b, delta)
     p1 = a / (a + b) if a + b > 0 else 0.0
     colorings = []
     for _ in range(size):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 Assignment = tuple | list  # bit vector indexed by variable
+DEFAULT_DELTA = 2.0 ** -20  # failure probability of a Monte-Carlo coloring family
 
 
 class SymCSPError(Exception):
@@ -156,13 +157,6 @@ class Instance:
     @property
     def size(self) -> int:
         return max(self.num_vars, len(self.clauses))
-
-    def homogeneous_language(self):
-        """The shared language if all clauses agree, else None."""
-        langs = {c.language for c in self.clauses}
-        if len(langs) == 1:
-            return next(iter(langs))
-        return None
 
     def is_and_family(self) -> bool:
         return all(c.language.is_and_family() for c in self.clauses)
@@ -359,7 +353,7 @@ class DisjointSets:
 
 
 class Deadline:
-    """Cooperative time limit; solvers poll it in their outer loops."""
+    """Cooperative time limit; solvers poll it through SolveContext.expired."""
 
     def __init__(self, limit_ms: float | None):
         import time
@@ -370,3 +364,43 @@ class Deadline:
     def expired(self) -> bool:
         return self._expires is not None and self._clock() >= self._expires
 
+
+@dataclass
+class SolveContext:
+    """Settings and counters of one solve, shared by both pipelines.
+
+    ``mode`` selects the coloring families ("exhaustive" or "random"); random
+    families are drawn from ``seed`` (None means 0) with per-pair failure
+    probability ``delta``.  ``expired`` is the one deadline poll.
+    """
+
+    mode: str = "exhaustive"
+    seed: int | None = 0
+    delta: float = DEFAULT_DELTA
+    deadline: Deadline | None = None
+    colorings_tried: int = 0
+    fallbacks: int = 0
+    max_depth: int = 0
+    recurse_steps: int = 0
+    kq_cuts_found: int = 0
+    no_cut_solves: int = 0
+    matching_checks: int = 0
+    timed_out: bool = False
+
+    def __post_init__(self):
+        if self.seed is None:
+            self.seed = 0
+
+    def expired(self) -> bool:
+        """Poll the deadline; once it has passed, the solve is timed out."""
+        if self.deadline is not None and self.deadline.expired():
+            self.timed_out = True
+        return self.timed_out
+
+    def add(self, other: SolveContext) -> None:
+        """Fold in the counters of a solve on another component."""
+        for name in ("colorings_tried", "fallbacks", "recurse_steps",
+                     "kq_cuts_found", "no_cut_solves", "matching_checks"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.max_depth = max(self.max_depth, other.max_depth)
+        self.timed_out = self.timed_out or other.timed_out

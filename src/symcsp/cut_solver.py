@@ -29,19 +29,16 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import (
+    DEFAULT_DELTA,
     DisjointSets,
     GuardError,
     Instance,
     ProposedSolution,
+    SolveContext,
     StructureError,
     SymmetricLanguage,
 )
-from .coloring import (
-    DEFAULT_DELTA,
-    EXHAUSTIVE_CAP,
-    build_coloring_family,
-    randomized_family_size,
-)
+from .coloring import build_coloring_family
 from .flow import FlowNetwork, max_flow_min_cut
 
 ENUM_VERTEX_GUARD = 20
@@ -389,7 +386,7 @@ def mincsp_2ae_minimum(graph: CutGraph, force: str | None = None) -> tuple:
     raise AssertionError("unreachable")
 
 
-def edge_to_vertex_solution(ci: CutInstance, force: str | None = None) -> tuple:
+def edge_to_vertex_solution(ci: CutInstance) -> tuple:
     """Align the proposal with a vertex partition.
 
     Finds a partition satisfying a largest satisfiable subset of the
@@ -398,7 +395,7 @@ def edge_to_vertex_solution(ci: CutInstance, force: str | None = None) -> tuple:
     """
     sub_edges = tuple(e for e in ci.graph.edges if e.id in ci.p_ids)
     sub = CutGraph(ci.graph.num_vertices, sub_edges)
-    mask, _ = mincsp_2ae_minimum(sub, force)
+    mask, _ = mincsp_2ae_minimum(sub)
     return mask, 3 * ci.k
 
 
@@ -445,26 +442,15 @@ def find_kq_cut_enumeration(graph: CutGraph, marked, k: int, q: int):
     return None
 
 
-def find_kq_cut_colorcoding(
-    graph: CutGraph,
-    marked,
-    k: int,
-    q: int,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    delta: float = DEFAULT_DELTA,
-):
+def find_kq_cut_colorcoding(graph: CutGraph, marked, k: int, q: int, ctx: SolveContext):
     """Edge-coloring search: drop color-0 edges, then try pairwise minimum
     cuts between surviving components."""
     edges = graph.edges
     m = len(edges)
     n = graph.num_vertices
-    a = min(m, 6 * q + 2)
-    b = min(m, k)
-    if mode == "exhaustive":
-        family = build_coloring_family(m, a, b, mode=mode)
-    else:
-        family = _family_for(m, a, b, seed, delta)
+    family = build_coloring_family(
+        m, min(m, 6 * q + 2), min(m, k), ctx.mode, ctx.seed, ctx.delta
+    )
     arcs = [(e.u, e.v) for e in edges if e.u != e.v]
     for coloring in family.colorings:
         kept = CutGraph(n, tuple(e for i, e in enumerate(edges) if (coloring >> i) & 1))
@@ -482,15 +468,7 @@ def find_kq_cut_colorcoding(
     return None
 
 
-def find_kq_cut(
-    graph: CutGraph,
-    marked,
-    k: int,
-    q: int,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    delta: float = DEFAULT_DELTA,
-):
+def find_kq_cut(graph: CutGraph, marked, k: int, q: int, ctx: SolveContext):
     """A cut with <= k crossing edges, both sides connected, both sides
     holding >= q unmarked edges, if one exists.
 
@@ -500,7 +478,7 @@ def find_kq_cut(
     """
     if graph.num_vertices <= 14:
         return find_kq_cut_enumeration(graph, marked, k, q)
-    return find_kq_cut_colorcoding(graph, marked, k, q, mode, seed, delta)
+    return find_kq_cut_colorcoding(graph, marked, k, q, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -527,26 +505,11 @@ class TerminalInstance:
 
 
 @dataclass
-class CutStats:
-    recurse_steps: int = 0
-    kq_cuts_found: int = 0
-    no_cut_solves: int = 0
-    stalls: int = 0
-    matching_checks: int = 0
-    colorings_tried: int = 0
-    timed_out: bool = False
-
-
-@dataclass
 class _Ctx:
     k_global: int
     q: int
     q_literal: bool
-    mode: str
-    seed: int | None
-    delta: float
-    deadline: object
-    stats: CutStats
+    solve: SolveContext
 
 
 def _table_update(table, key, mask, value, delta):
@@ -557,11 +520,6 @@ def _table_update(table, key, mask, value, delta):
 
 def _terminal_bits(terminals, mask):
     return tuple((mask >> t) & 1 for t in terminals)
-
-
-def _marked_consistent(graph, marked, mask):
-    crossing = crossing_edges(graph, mask)
-    return marked <= crossing
 
 
 def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
@@ -579,25 +537,13 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
         delta = len(sat ^ p)
         if delta > ti.k_prime:
             continue
-        if not _marked_consistent(ti.graph, ti.marked, mask):
+        if not ti.marked <= crossing_edges(ti.graph, mask):
             continue
         fbits = _terminal_bits(ti.terminals, mask)
         value = len(sat)
         for k2 in range(delta, ti.k_prime + 1):
             _table_update(table, (fbits, k2), mask, value, delta)
     return table
-
-
-def _family_for(n, a, b, seed, delta):
-    """Coloring family for a covering requirement: exhaustive enumeration
-    whenever it is no larger than the Monte-Carlo family (it carries the
-    guarantee deterministically), the seeded random family otherwise."""
-    size = randomized_family_size(a, b, delta)
-    if 2 ** n <= min(size, EXHAUSTIVE_CAP):
-        return build_coloring_family(n, a, b, mode="exhaustive")
-    return build_coloring_family(
-        n, a, b, mode="random", seed=seed if seed is not None else 0, delta=delta
-    )
 
 
 def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:
@@ -609,8 +555,9 @@ def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:
     member, with label-0 neighborhoods, selected under the closeness budget
     by a gain/loss knapsack equivalent to guessing per-component deltas.
     """
-    ctx.stats.no_cut_solves += 1
-    if ctx.mode == "exhaustive":
+    run = ctx.solve
+    run.no_cut_solves += 1
+    if run.mode == "exhaustive":
         return solve_terminal_direct(ti, ctx)
 
     n = ti.graph.num_vertices
@@ -623,13 +570,14 @@ def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:
         _table_update(table, (fbits0, k2), ti.a_mask, base_value, 0)
 
     big_side = (ti.k_prime + 1) * (2 * ctx.q + 2)
-    family = _family_for(n, min(n, big_side), min(n, ctx.k_global), ctx.seed, ctx.delta)
+    family = build_coloring_family(
+        n, min(n, big_side), min(n, ctx.k_global), run.mode, run.seed, run.delta
+    )
     by_id = {e.id: e for e in ti.graph.edges}
     for coloring in family.colorings:
-        if ctx.deadline is not None and ctx.deadline.expired():
-            ctx.stats.timed_out = True
+        if run.expired():
             break
-        ctx.stats.colorings_tried += 1
+        run.colorings_tried += 1
         ones = [v for v in range(n) if (coloring >> v) & 1]
         if not ones:
             continue
@@ -718,7 +666,7 @@ def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:
                 value = base_value + base_g + best[0]
                 delta = base_w + best[2]
                 assert value == cut_value(ti.graph, mask)
-                if _marked_consistent(ti.graph, ti.marked, mask):
+                if ti.marked <= crossing_edges(ti.graph, mask):
                     _table_update(table, (fbits, k2), mask, value, delta)
     return table
 
@@ -738,7 +686,7 @@ def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
     """Solve the side of the balanced cut with fewer terminals, then contract
     or mark every edge of that side all returned solutions agree on.
     Returns (reduced TerminalInstance, LiftLog)."""
-    ctx.stats.recurse_steps += 1
+    ctx.solve.recurse_steps += 1
     n = ti.graph.num_vertices
     inside = [v for v in range(n) if (cut_mask >> v) & 1]
     outside = [v for v in range(n) if not (cut_mask >> v) & 1]
@@ -844,7 +792,7 @@ def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
     new_marked = frozenset(marked)
     reduced = TerminalInstance(new_graph, new_mask, ti.k_prime, new_terms, new_marked)
 
-    ctx.stats.matching_checks += 1
+    ctx.solve.matching_checks += 1
     assert is_matching_with_parallels(new_graph, new_marked)
 
     unmarked_before = sum(1 for e in ti.graph.edges if e.id not in ti.marked)
@@ -852,8 +800,6 @@ def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
     drop = unmarked_before - unmarked_after
     if ctx.q_literal:
         assert drop >= unmarked_in_l - ctx.q // 2
-    if drop < 1:
-        ctx.stats.stalls += 1
     log = LiftLog(
         tuple(new_index[find(v)] for v in range(n)), value_offset, drop < 1
     )
@@ -876,8 +822,7 @@ def lift_table(ti: TerminalInstance, red_table: dict, log: LiftLog) -> dict:
 
 def solve_terminal(ti: TerminalInstance, ctx: _Ctx) -> dict:
     """Terminal-problem dispatcher: recurse while a balanced cut exists."""
-    if ctx.deadline is not None and ctx.deadline.expired():
-        ctx.stats.timed_out = True
+    if ctx.solve.expired():
         table = {}
         fbits = _terminal_bits(ti.terminals, ti.a_mask)
         for k2 in range(0, ti.k_prime + 1):
@@ -886,10 +831,10 @@ def solve_terminal(ti: TerminalInstance, ctx: _Ctx) -> dict:
                 len(satisfied_edges(ti.graph, ti.a_mask)), 0,
             )
         return table
-    cut = find_kq_cut(ti.graph, ti.marked, ctx.k_global, ctx.q, ctx.mode, ctx.seed, ctx.delta)
+    cut = find_kq_cut(ti.graph, ti.marked, ctx.k_global, ctx.q, ctx.solve)
     if cut is None:
         return solve_terminal_no_kqcut(ti, ctx)
-    ctx.stats.kq_cuts_found += 1
+    ctx.solve.kq_cuts_found += 1
     reduced, log = recurse_step(ti, cut, ctx)
     if log.stalled:
         # only reachable with an overridden balanced-cut threshold: the
@@ -906,32 +851,21 @@ def cut_improve(
     delta: float = DEFAULT_DELTA,
     q_override: int | None = None,
     deadline=None,
-    force_mincsp: str | None = None,
 ):
     """Best partition for one connected cut-improvement instance.
 
-    Returns (mask, value, stats).  On promise-satisfying inputs in
+    Returns (mask, value, SolveContext).  On promise-satisfying inputs in
     exhaustive mode the mask maximizes the satisfied edge set.
     """
-    stats = CutStats()
+    run = SolveContext(mode, seed, delta, deadline)
     core_edges = tuple(e for e in ci.graph.edges if e.u != e.v)
     if not core_edges:
-        return 0, cut_value(ci.graph, 0), stats
+        return 0, cut_value(ci.graph, 0), run
     core = CutGraph(ci.graph.num_vertices, core_edges)
     core_ci = CutInstance(core, ci.p_ids & {e.id for e in core_edges}, ci.k)
-    a_mask, k3 = edge_to_vertex_solution(core_ci, force_mincsp)
-    k_glob = k3
-    q = q_override if q_override is not None else literal_q(k_glob)
-    ctx = _Ctx(
-        k_global=k_glob,
-        q=q,
-        q_literal=q_override is None,
-        mode=mode,
-        seed=seed,
-        delta=delta,
-        deadline=deadline,
-        stats=stats,
-    )
+    a_mask, k3 = edge_to_vertex_solution(core_ci)
+    q = q_override if q_override is not None else literal_q(k3)
+    ctx = _Ctx(k_global=k3, q=q, q_literal=q_override is None, solve=run)
     ti = TerminalInstance(core, a_mask, k3, (), frozenset())
     table = solve_terminal(ti, ctx)
     best_mask, best_value = a_mask, cut_value(ci.graph, a_mask)
@@ -939,7 +873,28 @@ def cut_improve(
         value = cut_value(ci.graph, mask)
         if value > best_value or (value == best_value and mask < best_mask):
             best_mask, best_value = mask, value
-    return best_mask, best_value, stats
+    return best_mask, best_value, run
+
+
+def solve_components(
+    components,
+    mode: str = "exhaustive",
+    seed: int | None = None,
+    delta: float = DEFAULT_DELTA,
+    q_override: int | None = None,
+    deadline=None,
+):
+    """`cut_improve` on each (CutInstance, vertex_list) pair.
+
+    Returns ([(mask, vertex_list)], SolveContext summed over the components).
+    """
+    total = SolveContext(mode, seed, delta, deadline)
+    solved = []
+    for ci, verts in components:
+        mask, _, run = cut_improve(ci, mode, seed, delta, q_override, deadline)
+        solved.append((mask, verts))
+        total.add(run)
+    return solved, total
 
 
 def solve_2ae(
@@ -953,13 +908,8 @@ def solve_2ae(
 ):
     """Library entry point for homogeneous two-variable all-equal instances.
 
-    Returns (assignment, per-component stats list).
+    Returns (assignment, SolveContext summed over the components).
     """
     components, _ = csp_to_cut(instance, proposed)
-    solved = []
-    stats = []
-    for ci, verts in components:
-        mask, _, st = cut_improve(ci, mode, seed, delta, q_override, deadline)
-        solved.append((mask, verts))
-        stats.append(st)
-    return assemble_assignment(instance.num_vars, solved), stats
+    solved, run = solve_components(components, mode, seed, delta, q_override, deadline)
+    return assemble_assignment(instance.num_vars, solved), run

@@ -55,7 +55,6 @@ def max_flow_min_cut(net: FlowNetwork) -> tuple:
     n, s, t = net.num_nodes, net.source, net.sink
     to, cap, adj = net.to, net.cap, net.adj
     total = 0
-    INF = 1 << 62
     while True:
         level = [-1] * n
         level[s] = 0
@@ -69,28 +68,32 @@ def max_flow_min_cut(net: FlowNetwork) -> tuple:
                     queue.append(v)
         if level[t] < 0:
             break
+        # blocking flow along current arcs; the path is an explicit stack of
+        # arc ids, so long networks cannot exhaust the call stack
         it = [0] * n
-
-        def dfs(u, pushed):
-            if u == t:
-                return pushed
-            while it[u] < len(adj[u]):
-                aid = adj[u][it[u]]
-                v = to[aid]
-                if cap[aid] > 0 and level[v] == level[u] + 1:
-                    got = dfs(v, min(pushed, cap[aid]))
-                    if got > 0:
-                        cap[aid] -= got
-                        cap[aid ^ 1] += got
-                        return got
-                it[u] += 1
-            return 0
-
+        path = []
+        u = s
         while True:
-            pushed = dfs(s, INF)
-            if pushed == 0:
+            if u == t:
+                pushed = min(cap[aid] for aid in path)
+                for aid in path:
+                    cap[aid] -= pushed
+                    cap[aid ^ 1] += pushed
+                total += pushed
+                path.clear()
+                u = s
+            arcs, i, next_level = adj[u], it[u], level[u] + 1
+            while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == next_level):
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif not path:
                 break
-            total += pushed
+            else:  # dead end: retreat past the arc that led here
+                u = to[path.pop() ^ 1]
+                it[u] += 1
 
     side = set([s])
     queue = deque([s])

@@ -19,12 +19,13 @@ from symcsp.and_solver import (
     satisfied_by_flipping,
     solve_and,
     solve_satisfiable_p,
-    AndSolveStats,
 )
 from symcsp.core import (
     Clause,
+    Deadline,
     Instance,
     ProposedSolution,
+    SolveContext,
     StructureError,
     and_language,
     satisfied_set,
@@ -226,9 +227,9 @@ def test_branch_depth_bounded():
     rng = random.Random(24)
     for _ in range(40):
         inst, prop = gen_and_instance(rng.randrange(10 ** 6))
-        stats = AndSolveStats()
+        stats = SolveContext()
         ai = and_instance_from(inst, prop)
-        branch_solve(ai, stats=stats)
+        branch_solve(ai, stats)
         assert stats.max_depth <= prop.k + 1
 
 
@@ -290,3 +291,18 @@ def test_fallback_assignment_respects_fixed_values():
     ai = and_instance_from(inst, prop)
     child = assign_value(ai, 1, 1)
     assert fallback_assignment(child) == (0, 1, 0)
+
+
+def test_random_mode_seed_none_means_zero():
+    for seed in range(12):
+        inst, prop = gen_and_instance(seed)
+        out0, run0 = solve_and(inst, prop, mode="random", seed=0)
+        out_none, run_none = solve_and(inst, prop, mode="random", seed=None)
+        assert run_none.seed == 0
+        assert (out_none, run_none.colorings_tried) == (out0, run0.colorings_tried)
+
+
+def test_zero_deadline_marks_context_timed_out():
+    inst, prop = gen_and_instance(4)
+    out, run = solve_and(inst, prop, deadline=Deadline(0))
+    assert run.timed_out and run.fallbacks >= 1 and len(out) == inst.num_vars

@@ -206,3 +206,21 @@ def test_verify_honours_q_override_zero(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cut_improve", spy)
     assert cli.main(["verify", "--suite", "cut", "--count", "2", "--q-override", "0"]) == 0
     assert seen == [0, 0]
+
+
+def test_long_odd_cycle_exits_with_guard_not_traceback(tmp_path):
+    # 1,501 type-1 edges in one cycle: the minimum-cost pass runs max-flows
+    # along paths far deeper than the interpreter's recursion limit
+    n = 1501
+    graph = {
+        "num_vertices": n,
+        "k": 1,
+        "edges": [{"u": i, "v": (i + 1) % n, "type": 1, "in_P": True} for i in range(n)],
+    }
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(graph))
+    proc = subprocess.run(
+        BASE + ["solve", "--input", str(path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr[-500:]
+    assert proc.stderr.startswith("guard: ") and "Traceback" not in proc.stderr

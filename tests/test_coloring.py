@@ -97,3 +97,14 @@ def test_degenerate_bias():
     fam = build_coloring_family(5, 0, 3, "random", seed=1)
     assert all(m == 0 for m in fam.colorings)
     assert verify_covering(fam)
+
+
+def test_random_mode_enumerates_when_no_larger():
+    # (a, b) = (2, 2) needs ceil(ln(1/delta) / 2^-4) random draws
+    delta = 2.0 ** -20
+    size = randomized_family_size(2, 2, delta)
+    assert 2 ** 7 <= size < 2 ** 8
+    small = build_coloring_family(7, 2, 2, "random", seed=3, delta=delta)
+    assert small.mode == "exhaustive" and small.colorings == tuple(range(2 ** 7))
+    large = build_coloring_family(8, 2, 2, "random", seed=3, delta=delta)
+    assert large.mode == "random" and len(large.colorings) == size

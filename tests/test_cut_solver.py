@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcsp.core import Instance, ProposedSolution, StructureError, SymmetricLanguage, Clause, DisjointSets, satisfied_set
+from symcsp.core import Deadline, Instance, ProposedSolution, SolveContext, StructureError, SymmetricLanguage, Clause, DisjointSets, satisfied_set
+from symcsp import cut_solver
 from symcsp.cut_solver import (
     CutEdge,
     CutGraph,
     CutInstance,
-    CutStats,
     TerminalInstance,
     _Ctx,
     assemble_assignment,
@@ -67,11 +67,7 @@ def make_ctx(g, k, q, mode="exhaustive", seed=0):
         k_global=k,
         q=q,
         q_literal=False,
-        mode=mode,
-        seed=seed,
-        delta=2.0 ** -20,
-        deadline=None,
-        stats=CutStats(),
+        solve=SolveContext(mode=mode, seed=seed, delta=2.0 ** -20),
     )
 
 
@@ -233,7 +229,7 @@ def test_find_kq_cut_bridge():
     rng = random.Random(33)
     g = _dumbbell_graph(rng, 5, 5, 1)
     marked = frozenset()
-    mask = find_kq_cut(g, marked, 2, 8)
+    mask = find_kq_cut(g, marked, 2, 8, SolveContext())
     assert mask is not None
     assert kq_cut_conditions(g, marked, mask, 2, 8)
 
@@ -241,12 +237,12 @@ def test_find_kq_cut_bridge():
 def test_find_kq_cut_none_on_clique():
     rows = [(u, v, 1) for u, v in combinations(range(5), 2)]
     g = graph(5, rows)
-    assert find_kq_cut(g, frozenset(), 3, 1) is None
+    assert find_kq_cut(g, frozenset(), 3, 1, SolveContext()) is None
 
 
 def test_find_kq_cut_single_edge():
     g = graph(2, [(0, 1, 0)])
-    assert find_kq_cut(g, frozenset(), 1, 1) is None
+    assert find_kq_cut(g, frozenset(), 1, 1, SolveContext()) is None
 
 
 def test_find_kq_cut_colorcoding_agrees_with_enumeration():
@@ -257,7 +253,7 @@ def test_find_kq_cut_colorcoding_agrees_with_enumeration():
         k, q = 2, rng.randint(2, 6)
         enum = find_kq_cut_enumeration(g, frozenset(), k, q)
         color = find_kq_cut_colorcoding(
-            g, frozenset(), k, q, mode="random", seed=1, delta=1e-6
+            g, frozenset(), k, q, SolveContext(mode="random", seed=1, delta=1e-6)
         )
         assert (enum is None) == (color is None)
         if color is not None:
@@ -386,7 +382,7 @@ def test_recurse_step_surface():
         a_mask = rep0.global_witness[0]
         ti = TerminalInstance(g, a_mask, k, (), frozenset())
         ctx = make_ctx(g, k, 6)
-        cut = find_kq_cut(g, frozenset(), k, 6)
+        cut = find_kq_cut(g, frozenset(), k, 6, ctx.solve)
         if cut is None:
             continue
         reduced, log = recurse_step(ti, cut, ctx)
@@ -460,12 +456,32 @@ def test_solve_2ae_randomized_mode():
         assert len(satisfied_set(inst, a)) >= rep.neighborhood_value, seed
 
 
-def test_cut_improve_with_forced_compression_preprocessing():
-    for seed in range(25):
-        ci = gen_cut_instance(seed, max_vertices=8)
-        rep = oracle_of(ci.graph, ci.p_ids, ci.k)
-        _, value, _ = cut_improve(ci, q_override=8, force_mincsp="compression")
-        assert value == rep.global_value, seed
+def test_cut_improve_with_forced_compression_preprocessing(monkeypatch):
+    # from 12 vertices on the minimum-cost pass takes the iterative
+    # compression path by itself; brute force is made unreachable to show it
+    def no_brute(graph, k):
+        raise AssertionError("brute-force minimum-cost pass used")
+
+    monkeypatch.setattr(cut_solver, "mincsp_2ae_bruteforce", no_brute)
+    rng = random.Random(40)
+    checked = 0
+    for trial in range(10):
+        if trial % 2:
+            g = _dumbbell_graph(rng, 6, 6, rng.randint(1, 2))
+        else:
+            g = _random_connected_graph(rng, rng.randint(12, 13), rng.randint(0, 8))
+        k = rng.randint(1, 3)
+        rep0 = oracle_of(g, frozenset(), 10 ** 9)
+        p = set(satisfied_edges(g, rep0.global_witness[0]))
+        for eid in rng.sample([e.id for e in g.edges], rng.randint(0, k)):
+            p ^= {eid}
+        rep = oracle_of(g, frozenset(p), k)
+        if not rep.promise_holds or rep.neighborhood_value != rep.global_value:
+            continue
+        _, value, _ = cut_improve(CutInstance(g, frozenset(p), k), q_override=8)
+        assert value == rep.global_value, trial
+        checked += 1
+    assert checked >= 5
 
 
 def test_loops_are_fixed_contributions():
@@ -525,3 +541,17 @@ def test_components_match_bfs_reference(case):
     for comp in sets.groups():
         assert all(sets.find(v) == comp[0] for v in comp)
     assert g.is_connected() == (len(sets.groups()) <= 1)
+
+
+def test_solve_2ae_random_mode_seed_none_means_zero():
+    for seed in range(6):
+        inst, prop = gen_2ae_instance(seed)
+        a0, run0 = solve_2ae(inst, prop, mode="random", seed=0, q_override=2)
+        a_none, run_none = solve_2ae(inst, prop, mode="random", seed=None, q_override=2)
+        assert a_none == a0 and run_none == run0
+
+
+def test_zero_deadline_marks_summed_context_timed_out():
+    inst, prop = gen_2ae_instance(4)
+    a, run = solve_2ae(inst, prop, deadline=Deadline(0))
+    assert run.timed_out and len(a) == inst.num_vars

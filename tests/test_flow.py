@@ -156,3 +156,15 @@ def test_hypergraph_validation():
         WeightedHypergraph(2, (frozenset({5}),), (0, 0))
     with pytest.raises(StructureError):
         WeightedHypergraph(2, (), (0,))
+
+
+def test_long_path_network():
+    # one augmenting path through 5,000 nodes, well past the recursion
+    # limit; the residual-reachable side stops at the first bottleneck
+    n = 5000
+    net = FlowNetwork(n, 0, n - 1)
+    for u in range(n - 1):
+        net.add_arc(u, u + 1, 2 if u in (1234, 3000) else 5)
+    value, side = max_flow_min_cut(net)
+    assert value == 2
+    assert side == frozenset(range(1235))
