@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .core import (
     DEFAULT_DELTA,
     DisjointSets,
@@ -37,11 +39,19 @@ from .core import (
     SolveContext,
     StructureError,
     SymmetricLanguage,
+    VerificationError,
 )
 from .coloring import build_coloring_family
 from .flow import FlowNetwork, max_flow_min_cut
 
 ENUM_VERTEX_GUARD = 20
+KERNEL_BLOCK = 1 << 14
+
+
+def _require(holds: bool, what: str) -> None:
+    """An internal invariant; unlike ``assert``, kept under ``python -O``."""
+    if not holds:
+        raise VerificationError(f"cut solver invariant violated: {what}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,35 @@ def cut_value(graph: CutGraph, mask: int) -> int:
         crossed = ((mask >> e.u) ^ (mask >> e.v)) & 1
         total += crossed == e.etype
     return total
+
+
+def partition_blocks(graph: CutGraph, masks: range, a_mask: int = 0, marked=frozenset()):
+    """Score the partitions in `masks` in ascending numpy blocks of at most
+    KERNEL_BLOCK.  Yields per block the masks, their crossing counts, `cut_value`s,
+    distances to `a_mask` (satisfied-set symmetric difference sizes) and
+    whether they cut every marked edge.  Guarded at ENUM_VERTEX_GUARD vertices."""
+    if graph.num_vertices > ENUM_VERTEX_GUARD:
+        raise GuardError(f"partition enumeration guarded at {ENUM_VERTEX_GUARD} vertices")
+    n_type0 = sum(1 for e in graph.edges if e.etype == 0)
+    a_crossed = [((a_mask >> e.u) ^ (a_mask >> e.v)) & 1 for e in graph.edges]
+    for lo in range(0, len(masks), KERNEL_BLOCK):
+        part = masks[lo:lo + KERNEL_BLOCK]
+        block = np.arange(part.start, part.stop, part.step, dtype=np.int64)
+        bits = [((block >> v) & 1).astype(np.int8) for v in range(graph.num_vertices)]
+        crossing = np.zeros(len(block), dtype=np.int32)
+        value = np.full(len(block), n_type0, dtype=np.int32)
+        delta = np.full(len(block), sum(a_crossed), dtype=np.int32)
+        marked_cut = np.ones(len(block), dtype=bool)
+        for e, a_cut in zip(graph.edges, a_crossed):
+            # crossing an edge satisfies it iff it wants to be cut, and moves
+            # it away from a_mask iff a_mask leaves it uncut
+            crossed = bits[e.u] ^ bits[e.v]
+            crossing += crossed
+            value += crossed if e.etype else -crossed
+            delta += -crossed if a_cut else crossed
+            if e.id in marked:
+                marked_cut &= crossed == 1
+        yield block, crossing, value, delta, marked_cut
 
 
 def is_matching_with_parallels(graph: CutGraph, marked) -> bool:
@@ -217,38 +256,31 @@ def assemble_assignment(num_vars: int, solved_components) -> tuple:
 
 
 def mincsp_2ae_bruteforce(graph: CutGraph, k: int):
-    best = None
-    n = graph.num_vertices
-    for mask in range(0, 1 << max(n - 1, 0)):
-        cost = len(graph.edges) - cut_value(graph, mask)
-        if best is None or cost < best[1]:
-            best = (mask, cost)
-    if best is not None and best[1] <= k:
-        return best
-    return None
+    # the first mask of the highest value: (value, -mask) is largest
+    blocks = partition_blocks(graph, range(1 << max(graph.num_vertices - 1, 0)))
+    value, neg_mask = max((int(v.max()), -int(m[v.argmax()])) for m, _, v, _, _ in blocks)
+    cost = len(graph.edges) - value
+    return (-neg_mask, cost) if cost <= k else None
+
+
+def _join_opposite(sets: DisjointSets, n: int, u: int, v: int) -> bool:
+    """Parity union-find over vertices 0..n-1 and their copies n..2n-1 (the
+    other side): put u and v on opposite sides, or return False, changing
+    nothing, if they already share a side (the arc closes an odd cycle)."""
+    if sets.find(u) == sets.find(v):
+        return False
+    sets.union(u, n + v)
+    sets.union(n + u, v)
+    return True
 
 
 def _two_coloring(num_vertices: int, arcs) -> list | None:
-    """BFS bipartition of an undirected unit multigraph; None if odd cycle."""
-    color = [-1] * num_vertices
-    adj = [[] for _ in range(num_vertices)]
-    for u, v in arcs:
-        adj[u].append(v)
-        adj[v].append(u)
-    for s in range(num_vertices):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return None
-    return color
+    """Bipartition of an undirected unit multigraph, the smallest vertex of
+    each component on side 0 (the root of its set); None if odd cycle."""
+    n, sets = num_vertices, DisjointSets(range(2 * num_vertices))
+    if not all(_join_opposite(sets, n, u, v) for u, v in arcs):
+        return None
+    return [int(sets.find(v) > sets.find(n + v)) for v in range(n)]
 
 
 def _mincut_between(num_vertices: int, arcs, side_a, side_b):
@@ -279,7 +311,7 @@ def _bipartization_compress(num_vertices: int, arcs, removed, k: int):
     bipartite, find a solution of size <= k or report None."""
     keep = [arcs[i] for i in range(len(arcs)) if i not in removed]
     psi = _two_coloring(num_vertices, keep)
-    assert psi is not None
+    _require(psi is not None, "arcs kept by a compression step are not bipartite")
     terminals = sorted({v for i in removed for v in arcs[i]})
     tpos = {v: i for i, v in enumerate(terminals)}
     removed_list = sorted(removed)
@@ -317,22 +349,26 @@ def _bipartization_compress(num_vertices: int, arcs, removed, k: int):
             best = (cost_x + value, new_removed)
     if best is None:
         return None
-    assert len(best[1]) == best[0]
+    _require(len(best[1]) == best[0], "compression deletion set size differs from its cost")
     return best[1]
 
 
 def edge_bipartization(num_vertices: int, arcs, k: int):
-    """Iterative compression; returns arc-id deletion set of size <= k or None."""
+    """Iterative compression; returns arc-id deletion set of size <= k or None.
+    The kept arcs stay bipartite, so testing an arc is one union-find step."""
     removed = set()
-    for i in range(len(arcs)):
-        current = [arcs[j] for j in sorted(set(range(i + 1)) - removed)]
-        if _two_coloring(num_vertices, current) is not None:
+    sets = DisjointSets(range(2 * num_vertices))
+    for i, (u, v) in enumerate(arcs):
+        if _join_opposite(sets, num_vertices, u, v):
             continue
         removed.add(i)
         if len(removed) > k:
             removed = _bipartization_compress(num_vertices, arcs[: i + 1], removed, k)
             if removed is None:
                 return None
+            sets = DisjointSets(range(2 * num_vertices))
+            kept = [arcs[j] for j in range(i + 1) if j not in removed]
+            _require(all(_join_opposite(sets, num_vertices, *a) for a in kept), "odd cycle kept")
     return removed
 
 
@@ -370,20 +406,27 @@ def mincsp_2ae_compression(graph: CutGraph, k: int):
     return mask, cost
 
 
+def _brute_force_path(graph: CutGraph, force: str | None) -> bool:
+    return force == "brute" or (force is None and graph.num_vertices < 12)
+
+
 def mincsp_2ae(graph: CutGraph, k: int, force: str | None = None):
     """Exact decision solver; brute force below 12 vertices by default."""
-    if force == "brute" or (force is None and graph.num_vertices < 12):
+    if _brute_force_path(graph, force):
         return mincsp_2ae_bruteforce(graph, k)
     return mincsp_2ae_compression(graph, k)
 
 
 def mincsp_2ae_minimum(graph: CutGraph, force: str | None = None) -> tuple:
-    """(mask, minimum cost); terminates since cost <= |edges|."""
+    """(mask, minimum cost): one brute-force pass, or compression deciding
+    k = 0, 1, ... in turn, which ends since the cost is at most |edges|."""
+    if _brute_force_path(graph, force):
+        return mincsp_2ae(graph, len(graph.edges), force)
     for k in range(len(graph.edges) + 1):
         out = mincsp_2ae(graph, k, force)
         if out is not None:
             return out
-    raise AssertionError("unreachable")
+    raise VerificationError("minimum-cost pass found no partition within |edges| violations")
 
 
 def edge_to_vertex_solution(ci: CutInstance) -> tuple:
@@ -434,11 +477,11 @@ def kq_cut_conditions(graph: CutGraph, marked, mask: int, k: int, q: int) -> boo
 
 def find_kq_cut_enumeration(graph: CutGraph, marked, k: int, q: int):
     n = graph.num_vertices
-    if n > ENUM_VERTEX_GUARD:
-        raise GuardError(f"enumeration cut search guarded at {ENUM_VERTEX_GUARD}")
-    for mask in range(2, (1 << n) - 1, 2):  # vertex 0 stays on the right side
-        if kq_cut_conditions(graph, marked, mask, k, q):
-            return mask
+    # vertex 0 stays on the right side; no mask with over k crossing edges passes
+    for masks, crossing, _, _, _ in partition_blocks(graph, range(2, (1 << n) - 1, 2)):
+        for mask in masks[crossing <= k].tolist():
+            if kq_cut_conditions(graph, marked, mask, k, q):
+                return mask
     return None
 
 
@@ -472,10 +515,15 @@ def find_kq_cut(graph: CutGraph, marked, k: int, q: int, ctx: SolveContext):
     """A cut with <= k crossing edges, both sides connected, both sides
     holding >= q unmarked edges, if one exists.
 
-    Small graphs are searched completely by enumeration (same contract as
-    the coloring search, which remains available for larger inputs and for
-    cross-checks).
+    None at once below 2q unmarked edges (the sides' inside edges are
+    disjoint; under the literal q >= 2304 that is any graph of under 4608
+    edges) and for k = 0 on a connected graph.  Otherwise small graphs are
+    searched completely by enumeration (same contract as the coloring
+    search, kept for larger inputs and for cross-checks).
     """
+    unmarked = sum(e.id not in marked for e in graph.edges)
+    if unmarked < 2 * q or (k == 0 and graph.is_connected()):
+        return None
     if graph.num_vertices <= 14:
         return find_kq_cut_enumeration(graph, marked, k, q)
     return find_kq_cut_colorcoding(graph, marked, k, q, ctx)
@@ -522,27 +570,38 @@ def _terminal_bits(terminals, mask):
     return tuple((mask >> t) & 1 for t in terminals)
 
 
+def _stay_table(ti: TerminalInstance) -> dict:
+    """The table whose every entry keeps the current partition."""
+    fbits, value = _terminal_bits(ti.terminals, ti.a_mask), cut_value(ti.graph, ti.a_mask)
+    return {(fbits, k2): (ti.a_mask, value, 0) for k2 in range(ti.k_prime + 1)}
+
+
 def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
     """Complete table by partition enumeration.  This realizes the
     exhaustive-coloring specialization of the no-balanced-cut solver: flip
     regions range over all unions of connected label-1 components, which is
-    every vertex set, so enumerating partitions yields the same table."""
-    n = ti.graph.num_vertices
-    if n > ENUM_VERTEX_GUARD:
-        raise GuardError(f"direct terminal enumeration guarded at {ENUM_VERTEX_GUARD}")
-    p = satisfied_edges(ti.graph, ti.a_mask)
+    every vertex set, so enumerating partitions yields the same table.
+
+    Each block of `partition_blocks` adds its best mask (highest value, then
+    smallest mask) per (distance, terminal bits); once the deadline polled
+    between blocks has passed, the table built so far is returned."""
     table = {}
-    for mask in range(1 << n):
-        sat = satisfied_edges(ti.graph, mask)
-        delta = len(sat ^ p)
-        if delta > ti.k_prime:
-            continue
-        if not ti.marked <= crossing_edges(ti.graph, mask):
-            continue
-        fbits = _terminal_bits(ti.terminals, mask)
-        value = len(sat)
-        for k2 in range(delta, ti.k_prime + 1):
-            _table_update(table, (fbits, k2), mask, value, delta)
+    blocks = partition_blocks(ti.graph, range(1 << ti.graph.num_vertices), ti.a_mask, ti.marked)
+    for b, (masks, _, value, delta, marked_cut) in enumerate(blocks):
+        if b and ctx.solve.expired():
+            break
+        keep = marked_cut & (delta <= ti.k_prime)
+        masks, value, delta = masks[keep], value[keep], delta[keep]
+        group = delta.astype(np.int64)
+        for t in ti.terminals:
+            group = 2 * group + ((masks >> t) & 1)
+        order = np.lexsort((masks, -value, group))
+        _, first = np.unique(group[order], return_index=True)
+        best = order[first]
+        for mask, val, d in zip(masks[best].tolist(), value[best].tolist(), delta[best].tolist()):
+            fbits = _terminal_bits(ti.terminals, mask)
+            for k2 in range(d, ti.k_prime + 1):
+                _table_update(table, (fbits, k2), mask, val, d)
     return table
 
 
@@ -561,13 +620,9 @@ def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:
         return solve_terminal_direct(ti, ctx)
 
     n = ti.graph.num_vertices
-    p = satisfied_edges(ti.graph, ti.a_mask)
-    base_value = len(p)
-    table = {}
+    base_value = cut_value(ti.graph, ti.a_mask)
     # the all-stay candidate is always legal for the matching f
-    fbits0 = _terminal_bits(ti.terminals, ti.a_mask)
-    for k2 in range(0, ti.k_prime + 1):
-        _table_update(table, (fbits0, k2), ti.a_mask, base_value, 0)
+    table = _stay_table(ti)
 
     big_side = (ti.k_prime + 1) * (2 * ctx.q + 2)
     family = build_coloring_family(
@@ -665,7 +720,7 @@ def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:
                         mask ^= 1 << v
                 value = base_value + base_g + best[0]
                 delta = base_w + best[2]
-                assert value == cut_value(ti.graph, mask)
+                _require(value == cut_value(ti.graph, mask), "knapsack value is not the cut value")
                 if ti.marked <= crossing_edges(ti.graph, mask):
                     _table_update(table, (fbits, k2), mask, value, delta)
     return table
@@ -694,7 +749,7 @@ def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
     t_out = len(ti.terminals) - t_in
     left = inside if t_in <= t_out else outside
     lset = set(left)
-    assert sum(1 for t in ti.terminals if t in lset) <= ctx.k_global
+    _require(sum(t in lset for t in ti.terminals) <= ctx.k_global, "small side terminals > k")
 
     boundary = sorted(
         {
@@ -704,7 +759,7 @@ def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
         }
     )
     sub_terms_orig = sorted(set(t for t in ti.terminals if t in lset) | set(boundary))
-    assert len(sub_terms_orig) <= 2 * ctx.k_global
+    _require(len(sub_terms_orig) <= 2 * ctx.k_global, "subproblem terminals > 2k")
 
     index = {v: i for i, v in enumerate(left)}
     sub_edges = tuple(
@@ -765,7 +820,7 @@ def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
             shared = conflict[0] & conflict[1]
             outer = sorted((conflict[0] | conflict[1]) - shared)
             # both outer endpoints oppose the shared one, hence share a side
-            assert len(outer) == 2 and side(outer[0]) == side(outer[1])
+            _require(len(outer) == 2 and side(outer[0]) == side(outer[1]), "marked pair sides")
             union(outer[0], outer[1])
 
     # rebuild the reduced instance
@@ -776,7 +831,7 @@ def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
     for e in ti.graph.edges:
         ru, rv = find(e.u), find(e.v)
         if ru == rv:
-            assert e.id not in marked
+            _require(e.id not in marked, "a marked edge was contracted")
             value_offset += e.etype == 0
             continue
         new_edges.append(CutEdge(e.id, new_index[ru], new_index[rv], e.etype))
@@ -793,13 +848,13 @@ def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
     reduced = TerminalInstance(new_graph, new_mask, ti.k_prime, new_terms, new_marked)
 
     ctx.solve.matching_checks += 1
-    assert is_matching_with_parallels(new_graph, new_marked)
+    _require(is_matching_with_parallels(new_graph, new_marked), "marked edges not a matching")
 
     unmarked_before = sum(1 for e in ti.graph.edges if e.id not in ti.marked)
     unmarked_after = sum(1 for e in new_edges if e.id not in new_marked)
     drop = unmarked_before - unmarked_after
     if ctx.q_literal:
-        assert drop >= unmarked_in_l - ctx.q // 2
+        _require(drop >= unmarked_in_l - ctx.q // 2, "contraction removed too few edges")
     log = LiftLog(
         tuple(new_index[find(v)] for v in range(n)), value_offset, drop < 1
     )
@@ -823,14 +878,7 @@ def lift_table(ti: TerminalInstance, red_table: dict, log: LiftLog) -> dict:
 def solve_terminal(ti: TerminalInstance, ctx: _Ctx) -> dict:
     """Terminal-problem dispatcher: recurse while a balanced cut exists."""
     if ctx.solve.expired():
-        table = {}
-        fbits = _terminal_bits(ti.terminals, ti.a_mask)
-        for k2 in range(0, ti.k_prime + 1):
-            _table_update(
-                table, (fbits, k2), ti.a_mask,
-                len(satisfied_edges(ti.graph, ti.a_mask)), 0,
-            )
-        return table
+        return _stay_table(ti)
     cut = find_kq_cut(ti.graph, ti.marked, ctx.k_global, ctx.q, ctx.solve)
     if cut is None:
         return solve_terminal_no_kqcut(ti, ctx)

@@ -210,7 +210,9 @@ def test_verify_honours_q_override_zero(monkeypatch, capsys):
 
 def test_long_odd_cycle_exits_with_guard_not_traceback(tmp_path):
     # 1,501 type-1 edges in one cycle: the minimum-cost pass runs max-flows
-    # along paths far deeper than the interpreter's recursion limit
+    # along paths far deeper than the interpreter's recursion limit; no
+    # (k, q)-cut can exist, and the guard comes from the terminal table,
+    # which enumerates partitions of at most 20 vertices
     n = 1501
     graph = {
         "num_vertices": n,
@@ -224,3 +226,20 @@ def test_long_odd_cycle_exits_with_guard_not_traceback(tmp_path):
     )
     assert proc.returncode == 3, proc.stderr[-500:]
     assert proc.stderr.startswith("guard: ") and "Traceback" not in proc.stderr
+    assert "partition enumeration guarded at 20" in proc.stderr
+
+
+def test_verify_cut_keeps_invariants_under_optimize():
+    # the cut solver's invariants raise VerificationError, which python -O keeps
+    proc = subprocess.run(
+        [sys.executable, "-O"] + BASE[1:] + ["verify", "--suite", "cut", "--count", "5"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    broken = (
+        "import symcsp.cut_solver as cs\n"
+        "cs._two_coloring = lambda n, arcs: None\n"
+        "cs._bipartization_compress(3, [(0, 1), (1, 2), (0, 2)], {2}, 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", broken], capture_output=True, text=True)
+    assert "VerificationError: cut solver invariant violated" in proc.stderr, proc.stderr[-500:]

@@ -555,3 +555,215 @@ def test_zero_deadline_marks_summed_context_timed_out():
     inst, prop = gen_2ae_instance(4)
     a, run = solve_2ae(inst, prop, deadline=Deadline(0))
     assert run.timed_out and len(a) == inst.num_vars
+
+
+# ---------------------------------------------------------------------------
+# The numpy partition kernel and the one-pass minimum-cost step against the
+# per-mask loops they replace, kept here as the references
+# ---------------------------------------------------------------------------
+
+
+def _ref_terminal_direct(ti, stop=None):
+    p = satisfied_edges(ti.graph, ti.a_mask)
+    table = {}
+    for mask in range(stop or 1 << ti.graph.num_vertices):
+        sat = satisfied_edges(ti.graph, mask)
+        delta = len(sat ^ p)
+        if delta > ti.k_prime or not ti.marked <= crossing_edges(ti.graph, mask):
+            continue
+        fbits = tuple((mask >> t) & 1 for t in ti.terminals)
+        for k2 in range(delta, ti.k_prime + 1):
+            cur = table.get((fbits, k2))
+            if cur is None or len(sat) > cur[1] or (len(sat) == cur[1] and mask < cur[0]):
+                table[(fbits, k2)] = (mask, len(sat), delta)
+    return table
+
+
+def _ref_first_kq_cut(g, marked, k, q):
+    for mask in range(2, (1 << g.num_vertices) - 1, 2):
+        if kq_cut_conditions(g, marked, mask, k, q):
+            return mask
+    return None
+
+
+def _ref_bruteforce(g, k):
+    best = None
+    for mask in range(0, 1 << max(g.num_vertices - 1, 0)):
+        cost = len(g.edges) - cut_value(g, mask)
+        if best is None or cost < best[1]:
+            best = (mask, cost)
+    return best if best[1] <= k else None
+
+
+def _ref_two_coloring(num_vertices, arcs):
+    color = [-1] * num_vertices
+    adj = [[] for _ in range(num_vertices)]
+    for u, v in arcs:
+        adj[u].append(v)
+        adj[v].append(u)
+    for s in range(num_vertices):
+        if color[s] >= 0:
+            continue
+        color[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if color[v] < 0:
+                    color[v] = color[u] ^ 1
+                    stack.append(v)
+                elif color[v] == color[u]:
+                    return None
+    return color
+
+
+def _ref_edge_bipartization(num_vertices, arcs, k):
+    removed = set()
+    for i in range(len(arcs)):
+        current = [arcs[j] for j in sorted(set(range(i + 1)) - removed)]
+        if _ref_two_coloring(num_vertices, current) is not None:
+            continue
+        removed.add(i)
+        if len(removed) > k:
+            removed = cut_solver._bipartization_compress(num_vertices, arcs[: i + 1], removed, k)
+            if removed is None:
+                return None
+    return removed
+
+
+@st.composite
+def _connected_multigraph(draw, max_n=9):
+    """Connected multigraph (a random tree plus extra edges, self-loops and
+    parallel edges included) and a partition mask."""
+    n = draw(st.integers(1, max_n))
+    rows = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    rows += draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    types = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    g = CutGraph(n, tuple(CutEdge(i, u, v, t) for i, ((u, v), t) in enumerate(zip(rows, types))))
+    return g, draw(st.integers(0, (1 << n) - 1))
+
+
+@st.composite
+def _terminal_instance(draw):
+    g, a_mask = draw(_connected_multigraph())
+    crossing = sorted(crossing_edges(g, a_mask))
+    picks = draw(st.lists(st.sampled_from(crossing), max_size=3)) if crossing else []
+    marked, used = set(), set()
+    for eid in picks:  # a matching among the edges a_mask cuts
+        e = g.edges[eid]
+        if not {e.u, e.v} & used:
+            marked.add(eid)
+            used |= {e.u, e.v}
+    terms = draw(st.lists(st.integers(0, g.num_vertices - 1), unique=True, max_size=4))
+    return TerminalInstance(g, a_mask, draw(st.integers(0, 5)), tuple(sorted(terms)), frozenset(marked))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terminal_instance())
+def test_terminal_table_matches_per_mask_loop(ti):
+    table = solve_terminal_direct(ti, make_ctx(ti.graph, ti.k_prime, 8))
+    assert table == _ref_terminal_direct(ti)
+    assert all(type(x) is int for entry in table.values() for x in entry)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_connected_multigraph(), st.integers(0, 3), st.sampled_from([0, 1, 2, 3, 5, 8]), st.booleans())
+def test_first_kq_cut_matches_per_mask_loop(case, k, q, mark):
+    g, a_mask = case
+    crossing = sorted(crossing_edges(g, a_mask))
+    marked = frozenset(crossing[:1]) if mark else frozenset()
+    assert find_kq_cut_enumeration(g, marked, k, q) == _ref_first_kq_cut(g, marked, k, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_connected_multigraph(), st.integers(0, 6))
+def test_bruteforce_minimum_matches_per_mask_loop(case, k):
+    g, _ = case
+    assert mincsp_2ae_bruteforce(g, k) == _ref_bruteforce(g, k)
+    assert mincsp_2ae_minimum(g, force="brute") == _ref_bruteforce(g, len(g.edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16),
+    st.integers(0, 3),
+)))
+def test_edge_bipartization_matches_quadratic_reference(case):
+    n, arcs, k = case
+    assert cut_solver._two_coloring(n, arcs) == _ref_two_coloring(n, arcs)
+    assert cut_solver.edge_bipartization(n, arcs, k) == _ref_edge_bipartization(n, arcs, k)
+
+
+def test_terminal_table_returns_blocks_done_when_deadline_passes():
+    rng = random.Random(41)
+    g = _random_connected_graph(rng, 16, 10)
+    ti = TerminalInstance(g, rng.randrange(1 << 16), 4, (), frozenset())
+    ctx = make_ctx(g, 4, 8)
+    ctx.solve.deadline = Deadline(0)
+    table = solve_terminal_direct(ti, ctx)
+    assert ctx.solve.timed_out
+    # only the first block of masks was scored
+    assert table == _ref_terminal_direct(ti, stop=cut_solver.KERNEL_BLOCK)
+    # one block: no poll, so the table is complete and the run not timed out
+    small = TerminalInstance(_random_connected_graph(rng, 12, 6), 5, 3, (0,), frozenset())
+    ctx12 = make_ctx(small.graph, 3, 8)
+    ctx12.solve.deadline = Deadline(0)
+    assert solve_terminal_direct(small, ctx12) == _ref_terminal_direct(small)
+    assert not ctx12.solve.timed_out
+
+
+def _no_mask_checks(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a cut mask was checked")
+
+    monkeypatch.setattr(cut_solver, "kq_cut_conditions", fail)
+    monkeypatch.setattr(cut_solver, "build_coloring_family", fail)
+
+
+def test_find_kq_cut_exits_below_2q_unmarked_edges(monkeypatch):
+    _no_mask_checks(monkeypatch)
+    rng = random.Random(42)
+    for n in (6, 14, 18):
+        g = _dumbbell_graph(rng, n // 2, n - n // 2, 1)
+        m = len(g.edges)
+        assert find_kq_cut(g, frozenset(), 3, m // 2 + 1, SolveContext()) is None
+        assert find_kq_cut(g, frozenset(), 3, literal_q(3), SolveContext()) is None
+        # marked edges do not count towards the two sides' q
+        marked = frozenset(e.id for e in g.edges[: m - 2 * (m // 4)])
+        assert find_kq_cut(g, marked, 3, m // 4 + 1, SolveContext()) is None
+
+
+def test_find_kq_cut_exits_for_k_zero_on_connected_graph(monkeypatch):
+    _no_mask_checks(monkeypatch)
+    rng = random.Random(43)
+    for n in (5, 14, 17):
+        g = _dumbbell_graph(rng, n // 2, n - n // 2, 1)
+        assert find_kq_cut(g, frozenset(), 0, 1, SolveContext()) is None
+
+
+def test_cut_improve_literal_q_matches_oracle_15_to_20_vertices():
+    # the literal q never admits a balanced cut, so the terminal table runs
+    # on the whole graph
+    rng = random.Random(44)
+    for n in range(15, 21):
+        g = _random_connected_graph(rng, n, rng.randint(0, n))
+        k = rng.randint(1, 3)
+        rep0 = oracle_of(g, frozenset(), 10 ** 9)
+        p = set(satisfied_edges(g, rep0.global_witness[0]))
+        for eid in rng.sample([e.id for e in g.edges], k):
+            p ^= {eid}
+        rep = oracle_of(g, frozenset(p), k)
+        assert rep.promise_holds
+        _, value, stats = cut_improve(CutInstance(g, frozenset(p), k))
+        assert value == rep.neighborhood_value == rep.global_value, n
+        assert stats.recurse_steps == 0 and not stats.timed_out
+
+
+def test_minimum_cost_pass_raises_verification_error(monkeypatch):
+    from symcsp.core import VerificationError
+
+    monkeypatch.setattr(cut_solver, "mincsp_2ae", lambda graph, k, force=None: None)
+    with pytest.raises(VerificationError):
+        mincsp_2ae_minimum(graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]), force="compression")
