@@ -3,10 +3,10 @@
 Decides whether improving a proposed solution over the language generated by
 an accepted-count relation is fixed-parameter tractable, and if not, which
 hardness case certifies it.  The verdict comes from an explicit pattern
-match on the canonical count set; generic relation-theoretic checks
+match on the canonical count set.  The generic relation-theoretic checks
 (2-decomposability, implicative-clause closure, Gaifman/arrow graphs) are
-run as cross-validation at small arity and a disagreement is an internal
-error, never a silent answer.
+the reference it is tested against: the test suite compares the two on
+every count set of arity 1..6.  They do not run per call.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .core import StructureError, SymmetricLanguage, normalize_language
+from .core import StructureError, normalize_language
 
 LABEL_TRIVIAL = "Trivial"
 LABEL_FPT_AND = "FPT_rAND"
@@ -24,8 +24,6 @@ LABEL_W1 = "W1_Hard"
 CERT_AE = "rAE_r>=3"
 CERT_LE1 = "le1_r>=2"
 CERT_MINCSP = "MinCSP_hard"
-
-VALIDATION_MAX_ARITY = 6
 
 
 @dataclass(frozen=True)
@@ -212,10 +210,6 @@ class ClassificationVerdict:
             raise StructureError(f"bad W1 certificate {self.certificate!r}")
 
 
-class InternalConsistencyError(AssertionError):
-    """Pattern-match verdict disagreed with the generic checks."""
-
-
 def _mincsp_fpt_generic(r: int, counts) -> bool:
     """Generic minimum-cost tractability test: (bijunctive and Gaifman
     2K2-free) or (implicative family and arrow 2K2-free), language-wide."""
@@ -234,37 +228,20 @@ def _mincsp_fpt_generic(r: int, counts) -> bool:
 def classify(r: int, counts) -> ClassificationVerdict:
     """Place the language on the tractable/W1-hard side, with certificate.
 
-    The verdict is a pattern match on the canonical count set.  For
-    r <= VALIDATION_MAX_ARITY it is cross-checked against the generic
-    minimum-cost tractability test, and a disagreement raises
-    InternalConsistencyError; larger arities are not cross-checked.
+    The verdict is a pattern match on the canonical count set, so a call
+    costs O(|S|) whatever the arity.
     """
-    lang = SymmetricLanguage(r, frozenset(counts))
-    canon = normalize_language(r, lang.counts)
+    canon = normalize_language(r, counts)
     s = canon.counts
 
     if canon.trivial():
-        verdict = ClassificationVerdict(LABEL_TRIVIAL, "trivial")
-    elif s == frozenset({r}) or s == frozenset({0}):
-        verdict = ClassificationVerdict(LABEL_FPT_AND, "rAND")
-    elif r == 2 and s in (frozenset({0, 2}), frozenset({1})):
-        verdict = ClassificationVerdict(LABEL_FPT_2AE, "2AE")
-    elif r >= 3 and s == frozenset({0, r}):
-        verdict = ClassificationVerdict(LABEL_W1, CERT_AE)
-    elif r >= 2 and s in (frozenset({0, 1}), frozenset({r - 1, r})):
-        verdict = ClassificationVerdict(LABEL_W1, CERT_LE1)
-    else:
-        verdict = ClassificationVerdict(LABEL_W1, CERT_MINCSP)
-
-    if r <= VALIDATION_MAX_ARITY:
-        generic_fpt = _mincsp_fpt_generic(r, lang.counts)
-        expected_fpt = verdict.label != LABEL_W1 or verdict.certificate in (
-            CERT_AE,
-            CERT_LE1,
-        )
-        if generic_fpt != expected_fpt:
-            raise InternalConsistencyError(
-                f"classify({r}, {sorted(lang.counts)}): pattern verdict "
-                f"{verdict} inconsistent with generic checks"
-            )
-    return verdict
+        return ClassificationVerdict(LABEL_TRIVIAL, "trivial")
+    if s == frozenset({r}) or s == frozenset({0}):
+        return ClassificationVerdict(LABEL_FPT_AND, "rAND")
+    if r == 2 and s in (frozenset({0, 2}), frozenset({1})):
+        return ClassificationVerdict(LABEL_FPT_2AE, "2AE")
+    if r >= 3 and s == frozenset({0, r}):
+        return ClassificationVerdict(LABEL_W1, CERT_AE)
+    if r >= 2 and s in (frozenset({0, 1}), frozenset({r - 1, r})):
+        return ClassificationVerdict(LABEL_W1, CERT_LE1)
+    return ClassificationVerdict(LABEL_W1, CERT_MINCSP)

@@ -2,8 +2,9 @@
 
 All I/O is newline-terminated JSON with sorted keys, so identical inputs,
 seeds, and configuration produce byte-identical outputs.  Exit codes:
-0 success, 2 schema error, 3 guard/limit violation, 4 verification
-mismatch.
+0 success, 2 schema or usage error, 3 guard/limit violation (including
+running out of stack or memory), 4 verification mismatch.  Each
+subcommand accepts only the options it reads.
 """
 
 from __future__ import annotations
@@ -393,60 +394,58 @@ def build_parser():
         "for symmetric Boolean CSPs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options read by more than one subcommand; each subcommand names its own
+    shared_options = {
+        "--input": dict(default="-"),
+        "--output": dict(default="-"),
+        "--seed": dict(type=int, default=0),
+        "--q-override": dict(type=int, default=None,
+                             help="override the balanced-cut size threshold; "
+                             "correctness then rests on the oracle checks"),
+    }
 
-    def common(p):
-        p.add_argument("--input", default="-")
-        p.add_argument("--output", default="-")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--coloring", choices=("exhaustive", "random"),
-                       default="exhaustive",
-                       help="coloring family mode; random mode trades the "
-                       "deterministic covering guarantee for speed")
-        p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-        p.add_argument("--q-override", type=int, default=None,
-                       help="override the balanced-cut size threshold; "
-                       "correctness then rests on the oracle checks")
-        p.add_argument("--time-limit-ms", type=int, default=None)
-        p.add_argument("--force-oracle", action="store_true")
+    def subcommand(name, func, summary, *shared):
+        p = sub.add_parser(name, help=summary)
+        for flag in ("--output",) + shared:
+            p.add_argument(flag, **shared_options[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("classify", help="place a language on the dichotomy")
-    common(p)
+    p = subcommand("classify", cmd_classify, "place a language on the dichotomy")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--S", required=True, help="comma-separated accepted counts")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("solve", help="solve an improvement instance")
-    common(p)
+    p = subcommand("solve", cmd_solve, "solve an improvement instance",
+                   "--input", "--seed", "--q-override")
+    p.add_argument("--coloring", choices=("exhaustive", "random"),
+                   default="exhaustive",
+                   help="coloring family mode; random mode trades the "
+                   "deterministic covering guarantee for speed")
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    p.add_argument("--time-limit-ms", type=int, default=None)
+    p.add_argument("--force-oracle", action="store_true")
     p.add_argument("--algo", choices=("auto", "and", "cut", "oracle"),
                    default="auto",
                    help="solver selection; auto dispatches on the language "
                    "classification")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("misvw", help="weighted hypergraph selection (debug)")
-    common(p)
-    p.set_defaults(func=cmd_misvw)
+    subcommand("misvw", cmd_misvw, "weighted hypergraph selection (debug)", "--input")
 
-    p = sub.add_parser("reduce", help="run a hardness reduction")
-    common(p)
+    p = subcommand("reduce", cmd_reduce, "run a hardness reduction", "--input")
     p.add_argument("--source", required=True,
                    choices=("paired-cut", "mcis", "2sat", "mincsp", "pad-ae"))
     p.add_argument("--to", choices=("4ae", "3ae"), default="4ae")
     p.add_argument("--r", type=int, default=None)
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("gen", help="generate a seeded source or instance")
-    common(p)
+    p = subcommand("gen", cmd_gen, "generate a seeded source or instance", "--seed")
     p.add_argument("--what", required=True,
                    choices=("paired-cut", "mcis", "and", "2ae", "cut"))
     p.add_argument("--l", type=int, default=2)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("verify", help="solver-vs-oracle batches")
-    common(p)
+    p = subcommand("verify", cmd_verify, "solver-vs-oracle batches",
+                   "--seed", "--q-override")
     p.add_argument("--suite", choices=("and", "cut", "misvw", "all"), default="all")
     p.add_argument("--count", type=int, default=25)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -467,6 +466,10 @@ def main(argv=None):
     except StructureError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
+    except (RecursionError, MemoryError) as e:
+        print(f"guard: {type(e).__name__}: input too large for this solver",
+              file=sys.stderr)
+        return EXIT_GUARD
 
 
 if __name__ == "__main__":

@@ -40,11 +40,6 @@ class VerificationError(SymCSPError):
     """A solver-vs-oracle or decoder validation mismatch."""
 
 
-def _char_vector(r: int, counts: Iterable[int]) -> tuple:
-    s = set(counts)
-    return tuple(1 if i in s else 0 for i in range(r + 1))
-
-
 @dataclass(frozen=True)
 class SymmetricLanguage:
     """Accepted-count relation family: arity ``arity``, count set ``counts``.
@@ -84,12 +79,13 @@ def normalize_language(r: int, counts: Iterable[int]) -> SymmetricLanguage:
 
     The representative is the set whose characteristic vector over 0..r is
     lexicographically smallest; both generate the same negation-closed
-    language.
+    language.  The two vectors first differ at min(S ^ R), so S's vector is
+    the larger one exactly when that count lies in S: O(|S|), not O(r).
     """
-    s = frozenset(counts)
-    lang = SymmetricLanguage(r, s)
+    lang = SymmetricLanguage(r, frozenset(counts))
     refl = lang.reflected_counts()
-    if _char_vector(r, refl) < _char_vector(r, s):
+    differ = lang.counts ^ refl
+    if differ and min(differ) in lang.counts:
         return SymmetricLanguage(r, refl)
     return lang
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GuardError, Instance
+from .core import GuardError, Instance, VerificationError
 from .flow import WeightedHypergraph, selection_objective
 
 IMPROVE_GUARD_VARS = 24
@@ -113,7 +113,8 @@ def brute_force_misvw(h: WeightedHypergraph, guard: int = MISVW_GUARD_VERTICES) 
     best = int(obj.max())
     wit_index = _lex_min_index(np.nonzero(obj == best)[0], n)
     v0 = frozenset(v for v in range(n) if (wit_index >> v) & 1)
-    assert selection_objective(h, v0) == best
+    if selection_objective(h, v0) != best:
+        raise VerificationError("brute_force_misvw witness misses the optimum")
     return v0, best
 
 

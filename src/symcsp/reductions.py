@@ -163,7 +163,8 @@ def solve_paired_cut_bruteforce(src: PairedMinCutInstance):
             if u in u_side and v not in u_side
         )
         if pairs_touched(src, z) <= src.l:
-            assert is_st_cut(src, z)
+            if not is_st_cut(src, z):
+                raise VerificationError("paired-cut side does not separate s from t")
             return z
     return None
 

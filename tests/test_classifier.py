@@ -1,8 +1,10 @@
 import random
+import time
 from itertools import combinations, product
 
 import pytest
 
+from symcsp import classifier
 from symcsp.classifier import (
     CERT_AE,
     CERT_LE1,
@@ -13,6 +15,7 @@ from symcsp.classifier import (
     LABEL_W1,
     ClassificationVerdict,
     RelationTable,
+    _mincsp_fpt_generic,
     arrow_graph,
     classify,
     gaifman_graph,
@@ -222,3 +225,36 @@ def test_classify_shape_match_agrees_with_member_sets():
 def test_verdict_certificate_invariant():
     with pytest.raises(StructureError):
         ClassificationVerdict(LABEL_W1, "something-else")
+
+
+def test_closed_form_table_matches_generic_mincsp_test():
+    # the relation-theoretic minimum-cost test is the reference for the
+    # closed-form table; this covers its whole domain, every S at r <= 6
+    checked = 0
+    for r in range(1, 7):
+        for counts in all_count_sets(r):
+            v = classify(r, counts)
+            expected_fpt = v.label != LABEL_W1 or v.certificate in (CERT_AE, CERT_LE1)
+            assert _mincsp_fpt_generic(r, counts) == expected_fpt, (r, sorted(counts), v)
+            checked += 1
+    assert checked == 252
+
+
+def test_classify_does_not_run_the_generic_checks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classify ran the generic checks")
+
+    for name in ("_mincsp_fpt_generic", "language_members", "sym_relation"):
+        monkeypatch.setattr(classifier, name, refuse)
+    for r in range(1, 7):
+        for counts in all_count_sets(r):
+            assert classify(r, counts).label in (
+                LABEL_TRIVIAL, LABEL_FPT_AND, LABEL_FPT_2AE, LABEL_W1
+            )
+
+
+def test_classify_cost_does_not_grow_with_arity():
+    start = time.perf_counter()
+    v = classify(10**12, {0})
+    assert time.perf_counter() - start < 0.1
+    assert (v.label, v.certificate) == (LABEL_FPT_AND, "rAND")

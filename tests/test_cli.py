@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "symcsp.cli"]
 
 
@@ -243,3 +245,62 @@ def test_verify_cut_keeps_invariants_under_optimize():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", broken], capture_output=True, text=True)
     assert "VerificationError: cut solver invariant violated" in proc.stderr, proc.stderr[-500:]
+
+
+# every option each subcommand accepts, and so reads
+SUBCOMMAND_OPTIONS = {
+    "classify": {"--output", "--r", "--S"},
+    "solve": {"--input", "--output", "--seed", "--coloring", "--delta", "--q-override",
+              "--time-limit-ms", "--force-oracle", "--algo"},
+    "misvw": {"--input", "--output"},
+    "reduce": {"--input", "--output", "--source", "--to", "--r"},
+    "gen": {"--output", "--seed", "--what", "--l"},
+    "verify": {"--output", "--seed", "--q-override", "--suite", "--count"},
+}
+
+
+def test_each_subcommand_lists_only_the_options_it_reads():
+    import argparse
+
+    from symcsp.cli import build_parser
+
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {flag for action in p._actions for flag in action.option_strings
+               if flag not in ("-h", "--help")}
+        for name, p in subparsers.choices.items()
+    }
+    assert found == SUBCOMMAND_OPTIONS
+    assert sum(map(len, found.values())) == 28
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "misvw", "--count", "1", "--coloring", "random"],
+    ["classify", "--r", "2", "--S", "1", "--time-limit-ms", "5"],
+    ["gen", "--what", "and", "--input", "x"],
+    ["misvw", "--input", "{hypergraph}", "--seed", "1"],
+])
+def test_unread_option_exits_2(argv, tmp_path, capsys):
+    from symcsp.cli import main
+
+    hypergraph = tmp_path / "h.json"
+    hypergraph.write_text(json.dumps({"num_vertices": 1, "hyperedges": [[0]], "weights": [0]}))
+    argv = [a.replace("{hypergraph}", str(hypergraph)) for a in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_recursion_and_memory_errors_exit_3(error, monkeypatch, capsys):
+    from symcsp import cli
+
+    def blow_up(args):
+        raise error()
+
+    monkeypatch.setattr(cli, "cmd_classify", blow_up)
+    assert cli.main(["classify", "--r", "2", "--S", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"guard: {error.__name__}") and err.count("\n") == 1

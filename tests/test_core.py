@@ -128,6 +128,18 @@ def test_normalize_language_idempotent():
             assert once == again
 
 
+def test_normalize_language_matches_characteristic_vector_definition():
+    def char_vector(r, counts):
+        return tuple(1 if i in counts else 0 for i in range(r + 1))
+
+    for r in range(1, 9):
+        for mask in range(1 << (r + 1)):
+            counts = frozenset(i for i in range(r + 1) if (mask >> i) & 1)
+            refl = frozenset(r - x for x in counts)
+            expected = min(counts, refl, key=lambda s: char_vector(r, s))
+            assert normalize_language(r, counts).counts == expected, (r, sorted(counts))
+
+
 def test_instance_size():
     assert make_instance(2, [((0, 0), (0, 1), EQ2)]).size == 2
     assert Instance(1, ()).size == 1

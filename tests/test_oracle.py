@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from symcsp import oracle
 from symcsp.core import (
     Clause,
     GuardError,
     Instance,
     SymmetricLanguage,
+    VerificationError,
     and_language,
     sat_language,
     satisfied_set,
@@ -142,6 +144,13 @@ def test_misvw_guard_and_examples():
     assert value == 1 and v0 == frozenset({1})
     with pytest.raises(GuardError):
         brute_force_misvw(WeightedHypergraph(21, (), (0,) * 21))
+
+
+def test_misvw_witness_check_raises_verification_error(monkeypatch):
+    # a plain raise, so python -O keeps the check
+    monkeypatch.setattr(oracle, "selection_objective", lambda h, v0: -1)
+    with pytest.raises(VerificationError):
+        brute_force_misvw(WeightedHypergraph(2, (frozenset({0, 1}),), (1, -1)))
 
 
 def test_improve_guard():

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from symcsp import reductions
 from symcsp.core import (
     Clause,
     Instance,
@@ -141,6 +142,13 @@ def test_paired_cut_round_trip():
                     assert decode_paired_cut(
                         rep.neighborhood_witness, src, inst, prop
                     ) is None
+
+
+def test_paired_cut_bruteforce_check_raises_verification_error(monkeypatch):
+    # a plain raise, so python -O keeps the check
+    monkeypatch.setattr(reductions, "is_st_cut", lambda src, cut_ids: False)
+    with pytest.raises(VerificationError):
+        solve_paired_cut_bruteforce(TOY)
 
 
 def test_decode_paired_cut_strict():
