@@ -147,7 +147,6 @@ def instance_value(inst: AndInstance, a) -> int:
 def renormalize(inst: AndInstance, alpha) -> AndInstance:
     """Reset the proposal to the clauses alpha satisfies, growing the budget
     by the symmetric difference.  alpha must satisfy every proposed clause."""
-    sat = set()
     moved = 0
     new_clauses = []
     for c in inst.clauses:
@@ -157,8 +156,6 @@ def renormalize(inst: AndInstance, alpha) -> AndInstance:
         if s != c.in_p:
             moved += 1
         new_clauses.append(AndClause(c.id, c.req, s))
-        if s:
-            sat.add(c.id)
     return AndInstance(inst.num_vars, tuple(new_clauses), inst.k + moved, inst.fixed)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import classifier, generators, oracle, reductions
@@ -57,14 +58,31 @@ EXIT_GUARD = 3
 EXIT_VERIFY = 4
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaError(f"number {text} is not finite")
+    return value
+
+
 def _read_json(path):
+    """JSON from a path (`-` = stdin).  NaN, infinities and numbers too large
+    for a float are schema errors, like unreadable or malformed input."""
+    numbers = dict(parse_float=_finite, parse_constant=_finite)
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, **numbers)
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+            return json.load(fh, **numbers)
+    except (OSError, ValueError) as e:
         raise SchemaError(f"cannot read JSON from {path}: {e}")
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
 
 
 def _write(args, obj):
@@ -440,12 +458,12 @@ def build_parser():
     p = subcommand("gen", cmd_gen, "generate a seeded source or instance", "--seed")
     p.add_argument("--what", required=True,
                    choices=("paired-cut", "mcis", "and", "2ae", "cut"))
-    p.add_argument("--l", type=int, default=2)
+    p.add_argument("--l", type=_positive_int, default=2)
 
     p = subcommand("verify", cmd_verify, "solver-vs-oracle batches",
                    "--seed", "--q-override")
     p.add_argument("--suite", choices=("and", "cut", "misvw", "all"), default="all")
-    p.add_argument("--count", type=int, default=25)
+    p.add_argument("--count", type=_positive_int, default=25)
     return parser
 
 

@@ -380,7 +380,6 @@ class SolveContext:
     recurse_steps: int = 0
     kq_cuts_found: int = 0
     no_cut_solves: int = 0
-    matching_checks: int = 0
     timed_out: bool = False
 
     def __post_init__(self):
@@ -396,7 +395,7 @@ class SolveContext:
     def add(self, other: SolveContext) -> None:
         """Fold in the counters of a solve on another component."""
         for name in ("colorings_tried", "fallbacks", "recurse_steps",
-                     "kq_cuts_found", "no_cut_solves", "matching_checks"):
+                     "kq_cuts_found", "no_cut_solves"):
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.max_depth = max(self.max_depth, other.max_depth)
         self.timed_out = self.timed_out or other.timed_out

@@ -149,17 +149,18 @@ def partition_blocks(graph: CutGraph, masks: range, a_mask: int = 0, marked=froz
         yield block, crossing, value, delta, marked_cut
 
 
-def is_matching_with_parallels(graph: CutGraph, marked) -> bool:
-    ends = []
-    by_id = {e.id: e for e in graph.edges}
-    for mid in marked:
-        e = by_id[mid]
-        ends.append(frozenset((e.u, e.v)))
-    for i in range(len(ends)):
-        for j in range(i + 1, len(ends)):
-            if ends[i] != ends[j] and ends[i] & ends[j]:
-                return False
-    return True
+def matching_conflict(pairs):
+    """The first two endpoint sets among the (u, v) `pairs` that differ but
+    share an endpoint, or None when the pairs form a matching with parallels.
+    One pass over a dict from endpoint to the first endpoint set seen there."""
+    seen = {}
+    for pair in pairs:
+        ends = frozenset(pair)
+        for x in ends:
+            first = seen.setdefault(x, ends)
+            if first != ends:
+                return first, ends
+    return None
 
 
 @dataclass(frozen=True)
@@ -517,14 +518,14 @@ def find_kq_cut(graph: CutGraph, marked, k: int, q: int, ctx: SolveContext):
 
     None at once below 2q unmarked edges (the sides' inside edges are
     disjoint; under the literal q >= 2304 that is any graph of under 4608
-    edges) and for k = 0 on a connected graph.  Otherwise small graphs are
-    searched completely by enumeration (same contract as the coloring
-    search, kept for larger inputs and for cross-checks).
+    edges) and for k = 0 on a connected graph.  Otherwise graphs within the
+    partition kernel's guard are searched completely by enumeration; the
+    coloring search (same contract) takes larger ones.
     """
     unmarked = sum(e.id not in marked for e in graph.edges)
     if unmarked < 2 * q or (k == 0 and graph.is_connected()):
         return None
-    if graph.num_vertices <= 14:
+    if graph.num_vertices <= ENUM_VERTEX_GUARD:
         return find_kq_cut_enumeration(graph, marked, k, q)
     return find_kq_cut_colorcoding(graph, marked, k, q, ctx)
 
@@ -545,7 +546,7 @@ class TerminalInstance:
     def __post_init__(self):
         if not self.graph.is_connected():
             raise StructureError("terminal instances must be connected")
-        if not is_matching_with_parallels(self.graph, self.marked):
+        if matching_conflict((e.u, e.v) for e in self.graph.edges if e.id in self.marked):
             raise StructureError("marked edges must form a matching-with-parallels")
         crossing = crossing_edges(self.graph, self.a_mask)
         if not self.marked <= crossing:
@@ -730,7 +731,7 @@ def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:
 class LiftLog:
     """Transformation record of one contraction step: where every original
     vertex went, the satisfied-count shift from removed loops, and whether
-    the step failed to remove any unmarked edge."""
+    the step stalled: it would remove no unmarked edge, so nothing moved."""
 
     vertex_to_reduced: tuple
     value_offset: int
@@ -740,7 +741,9 @@ class LiftLog:
 def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
     """Solve the side of the balanced cut with fewer terminals, then contract
     or mark every edge of that side all returned solutions agree on.
-    Returns (reduced TerminalInstance, LiftLog)."""
+    Returns (reduced TerminalInstance, LiftLog).  The step stalls exactly
+    when every agreed edge is already marked; it then returns `ti` itself
+    with a stalled log and builds nothing."""
     ctx.solve.recurse_steps += 1
     n = ti.graph.num_vertices
     inside = [v for v in range(n) if (cut_mask >> v) & 1]
@@ -768,13 +771,13 @@ def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
         if e.u in lset and e.v in lset
     )
     sub_graph = CutGraph(len(left), sub_edges)
+    sub_ids = {e.id for e in sub_edges}
     sub_mask = 0
     for v in left:
         if (ti.a_mask >> v) & 1:
             sub_mask |= 1 << index[v]
-    sub_marked = ti.marked & {e.id for e in sub_edges}
     sub_ti = TerminalInstance(
-        sub_graph, sub_mask, ti.k_prime, tuple(index[t] for t in sub_terms_orig), sub_marked
+        sub_graph, sub_mask, ti.k_prime, tuple(index[t] for t in sub_terms_orig), ti.marked & sub_ids
     )
     sub_table = solve_terminal(sub_ti, ctx)
 
@@ -782,48 +785,46 @@ def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
     touched = set()
     for mask, _, _ in sub_table.values():
         touched |= sub_p ^ satisfied_edges(sub_graph, mask)
-    safe_ids = [e.id for e in sub_edges if e.id not in touched]
+    agreed = sub_ids - touched
+    if agreed <= ti.marked:
+        reduced, log = ti, LiftLog(tuple(range(n)), 0, True)
+    else:
+        reduced, log = _contract(ti, agreed)
+    if ctx.q_literal:
+        unmarked = lambda inst: sum(e.id not in inst.marked for e in inst.graph.edges)
+        unmarked_in_l = sum(1 for e in sub_edges if e.id not in ti.marked)
+        drop = unmarked(ti) - unmarked(reduced)
+        _require(drop >= unmarked_in_l - ctx.q // 2, "contraction removed too few edges")
+    return reduced, log
 
-    unmarked_in_l = sum(1 for e in sub_edges if e.id not in ti.marked)
 
-    # contract uncut agreed edges, mark cut ones, kept as a matching by
-    # contracting the outer endpoints of adjacent marked pairs
+def _contract(ti: TerminalInstance, agreed) -> tuple:
+    """Contract the edges in `agreed` that `ti.a_mask` leaves uncut and mark
+    the ones it cuts; then, while two marked edges share an endpoint,
+    contract their outer endpoints.  Every union joins vertices of one side,
+    so no marked edge is contracted; every closing union is forced, so the
+    result is the least fixpoint in any order, and `DisjointSets` roots
+    (smallest members) number it the same way.  Returns (reduced
+    TerminalInstance, LiftLog)."""
+    n = ti.graph.num_vertices
     sets = DisjointSets(range(n))
-    find, union = sets.find, sets.union
+    find = sets.find
     side = lambda v: (ti.a_mask >> v) & 1
     marked = set(ti.marked)
-    by_id = {e.id: e for e in ti.graph.edges}
-    for eid in safe_ids:
-        e = by_id[eid]
-        if find(e.u) == find(e.v):
+    for e in ti.graph.edges:
+        if e.id not in agreed:
             continue
         if side(e.u) == side(e.v):
-            union(e.u, e.v)
+            sets.union(e.u, e.v)
         else:
-            marked.add(eid)
-        # restore the matching property under the current contraction
-        while True:
-            reps = {}
-            conflict = None
-            for mid in sorted(marked):
-                me = by_id[mid]
-                ends = frozenset((find(me.u), find(me.v)))
-                for other_id, other_ends in reps.items():
-                    if ends != other_ends and ends & other_ends:
-                        conflict = (ends, other_ends)
-                        break
-                if conflict:
-                    break
-                reps[mid] = ends
-            if not conflict:
-                break
-            shared = conflict[0] & conflict[1]
-            outer = sorted((conflict[0] | conflict[1]) - shared)
-            # both outer endpoints oppose the shared one, hence share a side
-            _require(len(outer) == 2 and side(outer[0]) == side(outer[1]), "marked pair sides")
-            union(outer[0], outer[1])
+            marked.add(e.id)
+    marked_edges = [e for e in ti.graph.edges if e.id in marked]
+    while conflict := matching_conflict((find(e.u), find(e.v)) for e in marked_edges):
+        outer = sorted(conflict[0] ^ conflict[1])
+        # both outer endpoints oppose the shared one, hence share a side
+        _require(len(outer) == 2 and side(outer[0]) == side(outer[1]), "marked pair sides")
+        sets.union(*outer)
 
-    # rebuild the reduced instance
     reps = sorted({find(v) for v in range(n)})
     new_index = {r: i for i, r in enumerate(reps)}
     new_edges = []
@@ -840,25 +841,9 @@ def recurse_step(ti: TerminalInstance, cut_mask: int, ctx: _Ctx):
     for r in reps:
         if side(r):
             new_mask |= 1 << new_index[r]
-    term_map = {}
-    for t in ti.terminals:
-        term_map.setdefault(new_index[find(t)], []).append(t)
-    new_terms = tuple(sorted(term_map))
-    new_marked = frozenset(marked)
-    reduced = TerminalInstance(new_graph, new_mask, ti.k_prime, new_terms, new_marked)
-
-    ctx.solve.matching_checks += 1
-    _require(is_matching_with_parallels(new_graph, new_marked), "marked edges not a matching")
-
-    unmarked_before = sum(1 for e in ti.graph.edges if e.id not in ti.marked)
-    unmarked_after = sum(1 for e in new_edges if e.id not in new_marked)
-    drop = unmarked_before - unmarked_after
-    if ctx.q_literal:
-        _require(drop >= unmarked_in_l - ctx.q // 2, "contraction removed too few edges")
-    log = LiftLog(
-        tuple(new_index[find(v)] for v in range(n)), value_offset, drop < 1
-    )
-    return reduced, log
+    new_terms = tuple(sorted({new_index[find(t)] for t in ti.terminals}))
+    reduced = TerminalInstance(new_graph, new_mask, ti.k_prime, new_terms, frozenset(marked))
+    return reduced, LiftLog(tuple(new_index[find(v)] for v in range(n)), value_offset, False)
 
 
 def lift_table(ti: TerminalInstance, red_table: dict, log: LiftLog) -> dict:
@@ -886,8 +871,8 @@ def solve_terminal(ti: TerminalInstance, ctx: _Ctx) -> dict:
     reduced, log = recurse_step(ti, cut, ctx)
     if log.stalled:
         # only reachable with an overridden balanced-cut threshold: the
-        # sub-solutions touched every edge of the small side, so fall back
-        # to the exact table instead of recursing without progress
+        # sub-solutions touched every unmarked edge of the small side, so
+        # fall back to the exact table instead of recursing without progress
         return solve_terminal_direct(ti, ctx)
     return lift_table(ti, solve_terminal(reduced, ctx), log)
 
@@ -910,7 +895,10 @@ def cut_improve(
     if not core_edges:
         return 0, cut_value(ci.graph, 0), run
     core = CutGraph(ci.graph.num_vertices, core_edges)
-    core_ci = CutInstance(core, ci.p_ids & {e.id for e in core_edges}, ci.k)
+    # two satisfied sets differ only in non-loop edges, so a larger budget
+    # admits nothing more; it would only size the table and the literal q
+    k = min(ci.k, len(core_edges))
+    core_ci = CutInstance(core, ci.p_ids & {e.id for e in core_edges}, k)
     a_mask, k3 = edge_to_vertex_solution(core_ci)
     q = q_override if q_override is not None else literal_q(k3)
     ctx = _Ctx(k_global=k3, q=q, q_literal=q_override is None, solve=run)

@@ -15,6 +15,7 @@ from itertools import product
 
 from .core import (
     Clause,
+    GuardError,
     Instance,
     ProposedSolution,
     StructureError,
@@ -27,6 +28,7 @@ from .core import (
 
 EQ_NEG = (0, 0)
 NE_NEG = (0, 1)
+LIFT_GUARD_SLOTS = 1 << 22  # literal slots the 2-SAT lift may write, (clauses + 1) * r
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +418,8 @@ def twosat_to_le1(instance: Instance, proposed: ProposedSolution, r: int):
     every padding variable, recovering the source instance exactly."""
     if r < 3:
         raise StructureError("target arity must be at least 3")
+    if (len(instance.clauses) + 1) * r > LIFT_GUARD_SLOTS:
+        raise GuardError(f"2-SAT lift guarded at {LIFT_GUARD_SLOTS} literal slots, (clauses + 1) * r")
     pads = tuple(range(instance.num_vars, instance.num_vars + r - 2))
     lang = le1_language(r)
     clauses = []

@@ -304,3 +304,55 @@ def test_recursion_and_memory_errors_exit_3(error, monkeypatch, capsys):
     assert cli.main(["classify", "--r", "2", "--S", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"guard: {error.__name__}") and err.count("\n") == 1
+
+
+# inputs carrying one non-finite number where the command reads an integer
+NON_FINITE_INPUTS = {
+    "solve-csp": (["solve"], '{"mode": "sym", "r": 2, "S": [0, 2], "num_vars": 2, "k": %s, '
+                             '"clauses": [{"neg": [0, 0], "scope": [0, 1], "in_P": true}]}'),
+    "solve-graph": (["solve"], '{"num_vertices": 2, "k": %s, '
+                               '"edges": [{"u": 0, "v": 1, "type": 1, "in_P": true}]}'),
+    "misvw": (["misvw"], '{"num_vertices": 1, "hyperedges": [[0]], "weights": [%s]}'),
+    "reduce-mcis": (["reduce", "--source", "mcis"],
+                    '{"num_vertices": %s, "parts": [[0, 1]], "edges": [[0, 1]]}'),
+}
+
+
+@pytest.mark.parametrize("number", ["1e400", "-1e400", "Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("command", sorted(NON_FINITE_INPUTS))
+def test_non_finite_number_is_a_schema_error(command, number, tmp_path, capsys):
+    from symcsp.cli import main
+
+    argv, text = NON_FINITE_INPUTS[command]
+    path = tmp_path / "in.json"
+    path.write_text(text % number)
+    assert main(argv + ["--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and "not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--what", "paired-cut", "--l", "0"],
+    ["gen", "--what", "paired-cut", "--l", "-1"],
+    ["gen", "--what", "mcis", "--l", "-2"],
+    ["verify", "--suite", "misvw", "--count", "-1"],
+    ["verify", "--suite", "misvw", "--count", "0"],
+])
+def test_non_positive_size_is_a_usage_error(argv, capsys):
+    from symcsp.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
+def test_twosat_lift_guard_fires_before_allocating(tmp_path, capsys):
+    from symcsp.cli import main
+
+    assert main(["gen", "--what", "mcis", "--seed", "4", "--output", str(tmp_path / "m.json")]) == 0
+    assert main(["reduce", "--source", "mcis", "--input", str(tmp_path / "m.json"),
+                 "--output", str(tmp_path / "sat.json")]) == 0
+    argv = ["reduce", "--source", "2sat", "--r", str(10 ** 12), "--input", str(tmp_path / "sat.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("guard: 2-SAT lift guarded at ")

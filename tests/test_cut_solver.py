@@ -22,13 +22,14 @@ from symcsp.cut_solver import (
     find_kq_cut,
     find_kq_cut_colorcoding,
     find_kq_cut_enumeration,
-    is_matching_with_parallels,
     kq_cut_conditions,
     literal_q,
+    matching_conflict,
     mincsp_2ae,
     mincsp_2ae_bruteforce,
     mincsp_2ae_compression,
     mincsp_2ae_minimum,
+    recurse_step,
     satisfied_edges,
     solve_2ae,
     solve_terminal,
@@ -274,9 +275,10 @@ def test_terminal_instance_validation():
 
 def test_matching_with_parallels():
     g = graph(4, [(0, 1, 1), (0, 1, 0), (2, 3, 1), (1, 2, 1)])
-    assert is_matching_with_parallels(g, {0, 1})
-    assert is_matching_with_parallels(g, {0, 2})
-    assert not is_matching_with_parallels(g, {0, 3})
+    ends = lambda marked: ((e.u, e.v) for e in g.edges if e.id in marked)
+    assert matching_conflict(ends({0, 1})) is None
+    assert matching_conflict(ends({0, 2})) is None
+    assert matching_conflict(ends({0, 3})) == (frozenset({0, 1}), frozenset({1, 2}))
 
 
 def test_no_kqcut_table_baseline_entry():
@@ -310,7 +312,7 @@ def test_terminal_table_requirements():
         marked = frozenset(
             eid for eid in rng.sample(sorted(crossing), min(1, len(crossing)))
         )
-        if not is_matching_with_parallels(g, marked):
+        if not _ref_is_matching_with_parallels(g, marked):
             marked = frozenset()
         terms = tuple(sorted(rng.sample(range(g.num_vertices), rng.randint(0, 2))))
         k_prime = rng.randint(0, 3)
@@ -363,7 +365,6 @@ def test_recursion_preserves_matching_and_matches_oracle():
         mask, value, stats = cut_improve(ci, q_override=8)
         recursed += stats.recurse_steps
         assert value == rep.global_value
-        assert stats.matching_checks == stats.recurse_steps
     assert recursed > 0
 
 
@@ -372,7 +373,7 @@ def test_recurse_step_surface():
     # log that lifts reduced partitions back, with the bridge-side structure
     # shrunk and the marked set still a matching
     rng = random.Random(39)
-    from symcsp.cut_solver import is_matching_with_parallels, recurse_step, lift_table, solve_terminal
+    from symcsp.cut_solver import lift_table
 
     done = 0
     for _ in range(20):
@@ -386,7 +387,7 @@ def test_recurse_step_surface():
         if cut is None:
             continue
         reduced, log = recurse_step(ti, cut, ctx)
-        assert is_matching_with_parallels(reduced.graph, reduced.marked)
+        assert _ref_is_matching_with_parallels(reduced.graph, reduced.marked)
         assert len(log.vertex_to_reduced) == g.num_vertices
         if log.stalled:
             continue
@@ -767,3 +768,195 @@ def test_minimum_cost_pass_raises_verification_error(monkeypatch):
     monkeypatch.setattr(cut_solver, "mincsp_2ae", lambda graph, k, force=None: None)
     with pytest.raises(VerificationError):
         mincsp_2ae_minimum(graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]), force="compression")
+
+
+# ---------------------------------------------------------------------------
+# The one-batch contraction closure and the one-pass matching check against
+# the per-edge restoration loop and the pairwise scan they replace, kept
+# here as the references
+# ---------------------------------------------------------------------------
+
+
+def _ref_is_matching_with_parallels(graph, marked) -> bool:
+    ends = []
+    by_id = {e.id: e for e in graph.edges}
+    for mid in marked:
+        e = by_id[mid]
+        ends.append(frozenset((e.u, e.v)))
+    for i in range(len(ends)):
+        for j in range(i + 1, len(ends)):
+            if ends[i] != ends[j] and ends[i] & ends[j]:
+                return False
+    return True
+
+
+def _ref_contract(ti, agreed):
+    """Contract or mark one agreed edge at a time, rescanning every pair of
+    marked edges after each one; returns (reduced instance, LiftLog)."""
+    n = ti.graph.num_vertices
+    sets = DisjointSets(range(n))
+    find, union = sets.find, sets.union
+    side = lambda v: (ti.a_mask >> v) & 1
+    marked = set(ti.marked)
+    by_id = {e.id: e for e in ti.graph.edges}
+    for eid in [e.id for e in ti.graph.edges if e.id in agreed]:
+        e = by_id[eid]
+        if find(e.u) == find(e.v):
+            continue
+        if side(e.u) == side(e.v):
+            union(e.u, e.v)
+        else:
+            marked.add(eid)
+        while True:
+            reps = {}
+            conflict = None
+            for mid in sorted(marked):
+                me = by_id[mid]
+                ends = frozenset((find(me.u), find(me.v)))
+                for other_ends in reps.values():
+                    if ends != other_ends and ends & other_ends:
+                        conflict = (ends, other_ends)
+                        break
+                if conflict:
+                    break
+                reps[mid] = ends
+            if not conflict:
+                break
+            shared = conflict[0] & conflict[1]
+            outer = sorted((conflict[0] | conflict[1]) - shared)
+            assert len(outer) == 2 and side(outer[0]) == side(outer[1])
+            union(outer[0], outer[1])
+
+    reps = sorted({find(v) for v in range(n)})
+    new_index = {r: i for i, r in enumerate(reps)}
+    new_edges = []
+    value_offset = 0
+    for e in ti.graph.edges:
+        ru, rv = find(e.u), find(e.v)
+        if ru == rv:
+            assert e.id not in marked
+            value_offset += e.etype == 0
+            continue
+        new_edges.append(CutEdge(e.id, new_index[ru], new_index[rv], e.etype))
+    new_mask = 0
+    for r in reps:
+        if side(r):
+            new_mask |= 1 << new_index[r]
+    term_map = {}
+    for t in ti.terminals:
+        term_map.setdefault(new_index[find(t)], []).append(t)
+    new_marked = frozenset(marked)
+    reduced = TerminalInstance(
+        CutGraph(len(reps), tuple(new_edges)), new_mask, ti.k_prime, tuple(sorted(term_map)), new_marked
+    )
+    unmarked_before = sum(1 for e in ti.graph.edges if e.id not in ti.marked)
+    unmarked_after = sum(1 for e in new_edges if e.id not in new_marked)
+    log = cut_solver.LiftLog(
+        tuple(new_index[find(v)] for v in range(n)), value_offset, unmarked_before - unmarked_after < 1
+    )
+    return reduced, log
+
+
+@st.composite
+def _marked_multigraph(draw):
+    """Multigraph with loops and parallel edges and a marked edge set that
+    may or may not be a matching with parallels."""
+    g, _ = draw(_connected_multigraph())
+    ids = [e.id for e in g.edges]
+    return g, frozenset(draw(st.lists(st.sampled_from(ids), max_size=6)) if ids else ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_marked_multigraph())
+def test_matching_conflict_matches_pairwise_scan(case):
+    g, marked = case
+    conflict = matching_conflict((e.u, e.v) for e in g.edges if e.id in marked)
+    assert (conflict is None) == _ref_is_matching_with_parallels(g, marked)
+    if conflict is not None:
+        a, b = conflict
+        ends = {frozenset((e.u, e.v)) for e in g.edges if e.id in marked}
+        assert a != b and a & b and {a, b} <= ends
+
+
+@st.composite
+def _contraction_case(draw):
+    """A loopless terminal instance, as every recursion level sees, whose
+    marked edges are a matching among the edges its partition cuts, and a
+    set of agreed edge ids."""
+    g, a_mask = draw(_connected_multigraph(max_n=10))
+    g = CutGraph(g.num_vertices, tuple(e for e in g.edges if e.u != e.v))
+    crossing = crossing_edges(g, a_mask)
+    marked, used = set(), set()
+    for e in g.edges:
+        if e.id in crossing and not {e.u, e.v} & used and draw(st.booleans()):
+            marked.add(e.id)
+            used |= {e.u, e.v}
+    terms = draw(st.lists(st.integers(0, g.num_vertices - 1), unique=True, max_size=4))
+    ti = TerminalInstance(g, a_mask, 2, tuple(sorted(terms)), frozenset(marked))
+    agreed = draw(st.sets(st.sampled_from([e.id for e in g.edges]))) if g.edges else set()
+    return ti, frozenset(agreed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_contraction_case())
+def test_contraction_closure_matches_per_edge_loop(case):
+    ti, agreed = case
+    ref_reduced, ref_log = _ref_contract(ti, agreed)
+    # the step stalls exactly when every agreed edge is already marked
+    assert ref_log.stalled == (agreed <= ti.marked)
+    if not ref_log.stalled:
+        assert cut_solver._contract(ti, agreed) == (ref_reduced, ref_log)
+
+
+def test_recursion_steps_with_terminals_match_oracle(monkeypatch):
+    # steps below the top level solve instances whose terminals are the
+    # boundary of an enclosing cut
+    real = cut_solver.recurse_step
+    with_terminals = []
+
+    def spy(ti, cut_mask, ctx):
+        with_terminals.append(bool(ti.terminals))
+        return real(ti, cut_mask, ctx)
+
+    monkeypatch.setattr(cut_solver, "recurse_step", spy)
+    for seed in range(300):
+        ci = gen_cut_instance(seed)
+        rep = oracle_of(ci.graph, ci.p_ids, ci.k)
+        for q in (1, 2, 3):
+            _, value, _ = cut_improve(ci, q_override=q)
+            assert value == rep.global_value, (seed, q)
+    assert sum(with_terminals) > 0
+
+
+def test_exhaustive_q_override_on_15_to_20_vertex_dumbbells():
+    # (k, q)-cuts are enumerated up to the partition kernel's 20-vertex guard;
+    # the coloring search over the edges would exceed its exhaustive cap here
+    rng = random.Random(45)
+    for i in range(12):
+        n = 15 + i // 2
+        g = _dumbbell_graph(rng, n // 2, n - n // 2, rng.randint(1, 2))
+        k = rng.randint(1, 3)
+        p = satisfied_edges(g, rng.randrange(1 << n))
+        rep = oracle_of(g, p, k)
+        _, value, run = cut_improve(CutInstance(g, p, k), q_override=8)
+        assert value >= rep.neighborhood_value, n
+        assert run.recurse_steps > 0
+
+
+def test_budget_beyond_the_edge_count_is_clamped():
+    import time
+
+    g = graph(3, [(0, 1, 1), (1, 2, 1)])
+    rep = oracle_of(g, frozenset(), 10 ** 12)
+    start = time.perf_counter()
+    mask, value, _ = cut_improve(CutInstance(g, frozenset(), 10 ** 12))
+    assert time.perf_counter() - start < 0.1
+    assert value == rep.neighborhood_value == rep.global_value == 2
+    rng = random.Random(46)
+    for _ in range(30):
+        g = _random_connected_graph(rng, rng.randint(2, 7), rng.randint(0, 6))
+        p = satisfied_edges(g, rng.randrange(1 << g.num_vertices))
+        m = sum(e.u != e.v for e in g.edges)
+        for q in (None, 1):
+            same = cut_improve(CutInstance(g, p, m), q_override=q)
+            assert cut_improve(CutInstance(g, p, m + 5), q_override=q)[:2] == same[:2]

@@ -327,6 +327,19 @@ def test_le1_requires_sat_clauses():
         twosat_to_le1(inst, ProposedSolution(frozenset(), 0), 2)
 
 
+def test_le1_lift_guard_fires_before_allocating(monkeypatch):
+    from symcsp.core import GuardError
+
+    inst = Instance(2, tuple(Clause(i, (0, 0), (0, 1), sat_language(2)) for i in range(3)))
+    with pytest.raises(GuardError):
+        twosat_to_le1(inst, ProposedSolution(frozenset(), 0), 10 ** 12)
+    # the bound is (clauses + 1) * r literal slots, inclusive
+    monkeypatch.setattr(reductions, "LIFT_GUARD_SLOTS", 4 * 5)
+    assert twosat_to_le1(inst, ProposedSolution(frozenset(), 0), 5)[0].num_vars == 5
+    with pytest.raises(GuardError):
+        twosat_to_le1(inst, ProposedSolution(frozenset(), 0), 6)
+
+
 def test_mincsp_to_improve():
     inst = Instance(
         2,
