@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    DEFAULT_DELTA, DisjointSets, Instance, ProposedSolution, SolveContext, StructureError,
+    DEFAULT_DELTA, Instance, ProposedSolution, SolveContext, StructureError,
 )
 from .coloring import build_coloring_family
 from .flow import WeightedHypergraph, solve_mis_vw
@@ -159,63 +159,123 @@ def renormalize(inst: AndInstance, alpha) -> AndInstance:
     return AndInstance(inst.num_vars, tuple(new_clauses), inst.k + moved, inst.fixed)
 
 
-def satisfied_by_flipping(c: AndClause, alpha, l1) -> bool:
-    """Would flipping the label-1 variables of alpha satisfy this clause?"""
-    for v, bit in c.req:
-        val = alpha[v]
-        if v in l1:
-            val = 1 - val
-        if val != bit:
-            return False
-    return True
+@dataclass(frozen=True)
+class FlipTable:
+    """A renormalized instance and its satisfier alpha as bitmasks over the
+    free variables: bit i stands for ``free[i]``.  For clause c, V_c holds
+    the bits of its variables and N_c the bits where alpha disagrees with c,
+    so flipping the bits of F satisfies c iff ``F & V_c == N_c``."""
+
+    free: tuple
+    alpha: tuple
+    proposed: tuple  # (V_c, N_c) of every proposed clause
+    outside: tuple  # (V_c, N_c) of every other clause
+    relevant: int
+
+    def value(self, flip: int) -> int:
+        """instance_value of alpha with the bits of flip flipped."""
+        return sum(1 for v, n in self.proposed if flip & v == n) + sum(
+            1 for v, n in self.outside if flip & v == n
+        )
+
+    def flipped(self, flip: int) -> tuple:
+        out = list(self.alpha)
+        for i, v in enumerate(self.free):
+            if (flip >> i) & 1:
+                out[v] = 1 - out[v]
+        return tuple(out)
+
+
+def flip_table(inst: AndInstance, alpha) -> FlipTable:
+    """The bitmask table of a renormalized instance around alpha."""
+    fixed = {v for v, _ in inst.fixed}
+    free = tuple(v for v in range(inst.num_vars) if v not in fixed)
+    pos = {v: i for i, v in enumerate(free)}
+    proposed, outside = [], []
+    relevant = 0
+    for c in inst.clauses:
+        vbits = nbits = 0
+        for v, bit in c.req:
+            vbits |= 1 << pos[v]
+            if alpha[v] != bit:
+                nbits |= 1 << pos[v]
+        relevant |= vbits
+        (proposed if c.in_p else outside).append((vbits, nbits))
+    return FlipTable(free, tuple(alpha), tuple(proposed), tuple(outside), relevant)
 
 
 @dataclass(frozen=True)
 class FlipClassHypergraph:
     """Selection subproblem for one coloring: classes partition the label-1
     variables; weights count incident proposed clauses; hyperedges are the
-    non-proposed clauses a full label-1 flip would satisfy."""
+    non-proposed clauses a full label-1 flip would satisfy.  ``class_map``
+    holds each class as a bitmask over the table's free variables."""
 
     hypergraph: WeightedHypergraph
     class_map: tuple
 
 
-def build_flip_class_hypergraph(inst: AndInstance, alpha, l1) -> FlipClassHypergraph:
-    l1 = frozenset(l1)
-    sets = DisjointSets(l1)
-    for c in inst.clauses:
-        if not c.in_p:
+def build_flip_class_hypergraph(table: FlipTable, key: int) -> FlipClassHypergraph:
+    """Hypergraph for the coloring whose label-1 bits are `key`.  Classes are
+    the merged label-1 parts of the proposed clauses plus singletons, in
+    order of lowest bit."""
+    groups = []  # (class mask, weight), masks pairwise disjoint
+    for vbits, _ in table.proposed:
+        part = vbits & key
+        if not part:
             continue
-        members = [v for v, _ in c.req if v in l1]
-        for u in members[1:]:
-            sets.union(members[0], u)
-
-    classes = sets.groups()
-    index = {v: i for i, cls in enumerate(classes) for v in cls}
-
-    weights = [0] * len(classes)
-    for c in inst.clauses:
-        if not c.in_p:
-            continue
-        members = [v for v, _ in c.req if v in l1]
-        if members:
-            weights[index[members[0]]] += 1
+        weight, rest = 1, []
+        for mask, w in groups:
+            if mask & part:
+                part |= mask
+                weight += w
+            else:
+                rest.append((mask, w))
+        rest.append((part, weight))
+        groups = rest
+    loose = key
+    for mask, _ in groups:
+        loose &= ~mask
+    while loose:
+        low = loose & -loose
+        groups.append((low, 0))
+        loose ^= low
+    groups.sort(key=lambda g: g[0] & -g[0])
+    classes = tuple(mask for mask, _ in groups)
 
     edges = []
-    for c in inst.clauses:
-        if c.in_p:
+    for vbits, nbits in table.outside:
+        if key & vbits != nbits:
             continue
-        if satisfied_by_flipping(c, alpha, l1):
-            touched = frozenset(index[v] for v, _ in c.req if v in l1)
-            if not touched:
-                raise StructureError(
-                    "clause outside the proposal satisfied by flipping nothing; "
-                    "instance was not renormalized"
-                )
-            edges.append(touched)
+        if not nbits:
+            raise StructureError(
+                "clause outside the proposal satisfied by flipping nothing; "
+                "instance was not renormalized"
+            )
+        edges.append(frozenset(i for i, cls in enumerate(classes) if cls & nbits))
 
-    hg = WeightedHypergraph(len(classes), tuple(edges), tuple(weights))
-    return FlipClassHypergraph(hg, tuple(frozenset(c) for c in classes))
+    hg = WeightedHypergraph(len(classes), tuple(edges), tuple(w for _, w in groups))
+    return FlipClassHypergraph(hg, classes)
+
+
+def _coloring_keys(family, relevant: int):
+    """Label-1 sets restricted to the relevant bits, each once, in the order
+    the family first shows them; the empty coloring is skipped."""
+    if family.mode == "exhaustive":
+        # the first mask of range(2^n) with a given key is the key itself,
+        # so the keys are the submasks of `relevant` in ascending order
+        sub = relevant & -relevant
+        while sub:
+            yield sub
+            sub = (sub - relevant) & relevant
+        return
+    seen = set()
+    for mask in family.colorings:
+        key = mask & relevant
+        if key not in seen:
+            seen.add(key)
+            if mask:
+                yield key
 
 
 def solve_satisfiable_p(inst: AndInstance, alpha, ctx: SolveContext) -> tuple:
@@ -224,48 +284,34 @@ def solve_satisfiable_p(inst: AndInstance, alpha, ctx: SolveContext) -> tuple:
     Requires alpha to satisfy the proposed set and the instance to be
     renormalized (proposal == satisfied set of alpha).
     """
-    free = sorted(set(range(inst.num_vars)) - {v for v, _ in inst.fixed})
-    pos = {v: i for i, v in enumerate(free)}
-    relevant_mask = 0
-    for c in inst.clauses:
-        for v, _ in c.req:
-            relevant_mask |= 1 << pos[v]
-
+    table = flip_table(inst, alpha)
     r = inst.max_arity()
-    budget = min(len(free), max(0, r * inst.k))
+    budget = min(len(table.free), max(0, r * inst.k))
     family = build_coloring_family(
-        len(free), budget, budget, ctx.mode, ctx.seed, ctx.delta
+        len(table.free), budget, budget, ctx.mode, ctx.seed, ctx.delta
     )
 
-    base_value = instance_value(inst, alpha)
+    base_value = table.value(0)
     best_value = base_value
-    best = tuple(alpha)
-    seen = set()
+    best = table.alpha
     poll = ctx.deadline is not None
-    for mask in family.colorings:
+    for key in _coloring_keys(family, table.relevant):
         if poll and ctx.expired():
             break
-        key = mask & relevant_mask
-        if key in seen:
-            continue
-        seen.add(key)
-        l1 = [v for v in free if (mask >> pos[v]) & 1]
-        if not l1:
-            continue
-        fch = build_flip_class_hypergraph(inst, alpha, l1)
+        fch = build_flip_class_hypergraph(table, key)
         ctx.colorings_tried += 1
-        if len(fch.hypergraph.hyperedges) == 0:
-            continue
-        if base_value + len(fch.hypergraph.hyperedges) < best_value:
+        edges = fch.hypergraph.hyperedges
+        if not edges or base_value + len(edges) < best_value:
             continue
         v0, _ = solve_mis_vw(fch.hypergraph)
-        cand = list(alpha)
+        flip = 0
         for ci in v0:
-            for v in fch.class_map[ci]:
-                cand[v] = 1 - cand[v]
-        cand = tuple(cand)
-        value = instance_value(inst, cand)
-        if value > best_value or (value == best_value and cand < best):
+            flip |= fch.class_map[ci]
+        value = table.value(flip)
+        if value < best_value:
+            continue
+        cand = table.flipped(flip)
+        if value > best_value or cand < best:
             best_value, best = value, cand
     return best
 

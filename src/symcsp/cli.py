@@ -56,6 +56,7 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_GUARD = 3
 EXIT_VERIFY = 4
+GRAPH_VERTEX_GUARD = 1 << 18  # vertices of a graph-form solve input
 
 
 def _finite(text):
@@ -121,6 +122,9 @@ def _graph_from_json(obj):
         raise SchemaError(f"bad graph object: {e}")
     if k < 0:
         raise SchemaError("k must be nonnegative")
+    if n > GRAPH_VERTEX_GUARD:
+        # the solve sizes its union-find and per-vertex output by n
+        raise GuardError(f"graph of {n} vertices exceeds guard {GRAPH_VERTEX_GUARD}")
     return CutGraph(n, edges), p, k
 
 

@@ -3,34 +3,38 @@
 A family over a universe of size n covers (a, b) when for every pair of
 disjoint sets A, B with |A| <= a and |B| <= b some member colors all of A
 with 1 and all of B with 0.  Exhaustive mode emits every coloring (complete
-by construction, capped); randomized mode draws Monte-Carlo colorings whose
-per-pair failure probability is at most delta, unless emitting every
-coloring is no larger.  The derandomized splitter construction is
-deliberately not reimplemented; consumers depend only on the covering
-contract, which both modes realize.
+by construction, capped, and lazy: a ``range``); randomized mode draws
+Monte-Carlo colorings whose per-pair failure probability is at most delta,
+unless emitting every coloring is no larger, and refuses a draw larger than
+``RANDOM_CAP``.  The derandomized splitter construction is deliberately not
+reimplemented; consumers depend only on the covering contract, which both
+modes realize.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
 from .core import DEFAULT_DELTA, GuardError, StructureError
 
 EXHAUSTIVE_CAP = 1 << 16
+RANDOM_CAP = 1 << 20  # largest Monte-Carlo family drawn
 
 
 @dataclass(frozen=True)
 class ColoringFamily:
-    """Colorings stored as bitmasks: bit i set means element i has color 1."""
+    """Colorings stored as bitmasks: bit i set means element i has color 1.
+    Exhaustive families hold ``range(2 ** n)``, random ones a tuple."""
 
     n: int
     a: int
     b: int
     mode: str
-    colorings: tuple
+    colorings: Sequence
 
 
 def success_probability(a: int, b: int) -> float:
@@ -65,12 +69,14 @@ def build_coloring_family(
         size = randomized_family_size(a, b, delta)
         if 2 ** n <= min(size, EXHAUSTIVE_CAP):
             mode = "exhaustive"
+        elif size > RANDOM_CAP:
+            raise GuardError(f"random family of {size} colorings exceeds cap {RANDOM_CAP}")
     elif mode != "exhaustive":
         raise StructureError(f"unknown coloring mode {mode!r}")
     if mode == "exhaustive":
         if 2 ** n > EXHAUSTIVE_CAP:
             raise GuardError(f"exhaustive family of 2^{n} colorings exceeds cap {EXHAUSTIVE_CAP}")
-        return ColoringFamily(n, a, b, mode, tuple(range(2 ** n)))
+        return ColoringFamily(n, a, b, mode, range(2 ** n))
     rng = random.Random(seed)
     p1 = a / (a + b) if a + b > 0 else 0.0
     colorings = []

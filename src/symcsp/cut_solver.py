@@ -200,17 +200,17 @@ def split_components(graph: CutGraph, vertices, p_ids, k: int) -> list:
     """One (CutInstance, vertex_list) per connected component of the
     subgraph induced on `vertices`, in order of smallest vertex;
     vertex_list[i] is the vertex of `graph` that component vertex i is."""
-    components = []
-    for verts in graph.components(vertices):
-        index = {v: i for i, v in enumerate(verts)}
-        edges = tuple(
-            CutEdge(e.id, index[e.u], index[e.v], e.etype)
-            for e in graph.edges
-            if e.u in index
-        )
-        sub = CutGraph(len(verts), edges)
-        components.append((CutInstance(sub, frozenset(e.id for e in edges) & p_ids, k), verts))
-    return components
+    comps = graph.components(vertices)
+    where = {v: (ci, i) for ci, verts in enumerate(comps) for i, v in enumerate(verts)}
+    edges = [[] for _ in comps]
+    for e in graph.edges:
+        if e.u in where:
+            ci, u = where[e.u]
+            edges[ci].append(CutEdge(e.id, u, where[e.v][1], e.etype))
+    return [
+        (CutInstance(CutGraph(len(verts), tuple(es)), frozenset(e.id for e in es) & p_ids, k), verts)
+        for verts, es in zip(comps, edges)
+    ]
 
 
 def csp_to_cut(instance: Instance, proposed: ProposedSolution):

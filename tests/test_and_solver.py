@@ -1,8 +1,14 @@
 import random
+import sys
+from contextlib import ExitStack
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from symcsp import and_solver
 from symcsp.and_solver import (
     AndClause,
     AndInstance,
@@ -14,15 +20,17 @@ from symcsp.and_solver import (
     fallback_assignment,
     find_assignment_satisfying_p,
     find_branch_variable,
+    flip_table,
     instance_value,
     renormalize,
-    satisfied_by_flipping,
     solve_and,
     solve_satisfiable_p,
 )
+from symcsp.coloring import build_coloring_family
 from symcsp.core import (
     Clause,
     Deadline,
+    DisjointSets,
     Instance,
     ProposedSolution,
     SolveContext,
@@ -30,7 +38,7 @@ from symcsp.core import (
     and_language,
     satisfied_set,
 )
-from symcsp.flow import selection_objective
+from symcsp.flow import WeightedHypergraph, selection_objective, solve_mis_vw
 from symcsp.generators import gen_and_instance
 from symcsp.oracle import brute_force_improve, neighborhood_optima
 
@@ -155,14 +163,23 @@ def test_assign_value_cost_shift_is_assignment_independent():
             assert len(shifts) == 1
 
 
+def _class_vars(table, mask):
+    return frozenset(v for i, v in enumerate(table.free) if (mask >> i) & 1)
+
+
+def _mask_of(table, variables):
+    return sum(1 << i for i, v in enumerate(table.free) if v in variables)
+
+
 def test_flip_hypergraph_weights_and_edges():
     # proposal {(x and y)}, extra clause (not x) outside it
     inst, prop = and_inst(2, [((0, 0), (0, 1)), ((1,), (0,))], {0}, 1)
     ai = and_instance_from(inst, prop)
     alpha = (1, 1)
     ren = renormalize(ai, alpha)
-    fch = build_flip_class_hypergraph(ren, alpha, [0, 1])
-    assert fch.class_map == (frozenset({0, 1}),)
+    table = flip_table(ren, alpha)
+    fch = build_flip_class_hypergraph(table, _mask_of(table, {0, 1}))
+    assert tuple(_class_vars(table, m) for m in fch.class_map) == (frozenset({0, 1}),)
     assert fch.hypergraph.weights == (1,)
     assert fch.hypergraph.hyperedges == (frozenset({0}),)
 
@@ -182,12 +199,13 @@ def test_flip_improvement_never_below_objective():
         l1 = [v for v in range(inst.num_vars) if target[v] != alpha[v]]
         if not l1:
             continue
-        fch = build_flip_class_hypergraph(ren, alpha, l1)
+        table = flip_table(ren, alpha)
+        fch = build_flip_class_hypergraph(table, _mask_of(table, l1))
         for mask in range(1 << len(fch.class_map)):
             chosen = [i for i in range(len(fch.class_map)) if (mask >> i) & 1]
             cand = list(alpha)
             for ci in chosen:
-                for v in fch.class_map[ci]:
+                for v in _class_vars(table, fch.class_map[ci]):
                     cand[v] = 1 - cand[v]
             improvement = instance_value(ren, cand) - instance_value(ren, alpha)
             assert improvement >= selection_objective(fch.hypergraph, chosen)
@@ -197,10 +215,209 @@ def test_flip_improvement_never_below_objective():
         )
 
 
-def test_satisfied_by_flipping():
-    c = AndClause(0, ((0, 1), (1, 0)), False)  # x0 and not x1
-    assert satisfied_by_flipping(c, (0, 0), {0})
-    assert not satisfied_by_flipping(c, (0, 0), {1})
+def test_flip_hypergraph_rejects_unrenormalized_instance():
+    # (x1) lies outside the proposal although alpha satisfies it: flipping
+    # only x0 would "satisfy" it by flipping nothing
+    inst, prop = and_inst(2, [((0,), (0,)), ((0,), (1,))], {0}, 1)
+    ai = and_instance_from(inst, prop)
+    alpha = (1, 1)
+    table = flip_table(ai, alpha)
+    with pytest.raises(StructureError, match="flipping nothing"):
+        build_flip_class_hypergraph(table, _mask_of(table, {0}))
+    with pytest.raises(StructureError, match="flipping nothing"):
+        _ref_build_flip_class_hypergraph(ai, alpha, [0])
+
+
+# The flip search as it was before the bitmask table: one tuple-of-literals
+# pass per coloring over the whole family.  The differential test below pins
+# the table-driven search to it.
+
+def _ref_satisfied_by_flipping(c: AndClause, alpha, l1) -> bool:
+    for v, bit in c.req:
+        val = alpha[v]
+        if v in l1:
+            val = 1 - val
+        if val != bit:
+            return False
+    return True
+
+
+def _ref_build_flip_class_hypergraph(inst: AndInstance, alpha, l1):
+    l1 = frozenset(l1)
+    sets = DisjointSets(l1)
+    for c in inst.clauses:
+        if not c.in_p:
+            continue
+        members = [v for v, _ in c.req if v in l1]
+        for u in members[1:]:
+            sets.union(members[0], u)
+
+    classes = sets.groups()
+    index = {v: i for i, cls in enumerate(classes) for v in cls}
+
+    weights = [0] * len(classes)
+    for c in inst.clauses:
+        if not c.in_p:
+            continue
+        members = [v for v, _ in c.req if v in l1]
+        if members:
+            weights[index[members[0]]] += 1
+
+    edges = []
+    for c in inst.clauses:
+        if c.in_p:
+            continue
+        if _ref_satisfied_by_flipping(c, alpha, l1):
+            touched = frozenset(index[v] for v, _ in c.req if v in l1)
+            if not touched:
+                raise StructureError(
+                    "clause outside the proposal satisfied by flipping nothing; "
+                    "instance was not renormalized"
+                )
+            edges.append(touched)
+
+    hg = WeightedHypergraph(len(classes), tuple(edges), tuple(weights))
+    return hg, tuple(frozenset(c) for c in classes)
+
+
+def _ref_solve_satisfiable_p(inst: AndInstance, alpha, ctx: SolveContext) -> tuple:
+    free = sorted(set(range(inst.num_vars)) - {v for v, _ in inst.fixed})
+    pos = {v: i for i, v in enumerate(free)}
+    relevant_mask = 0
+    for c in inst.clauses:
+        for v, _ in c.req:
+            relevant_mask |= 1 << pos[v]
+
+    r = inst.max_arity()
+    budget = min(len(free), max(0, r * inst.k))
+    family = build_coloring_family(
+        len(free), budget, budget, ctx.mode, ctx.seed, ctx.delta
+    )
+
+    base_value = instance_value(inst, alpha)
+    best_value = base_value
+    best = tuple(alpha)
+    seen = set()
+    poll = ctx.deadline is not None
+    for mask in family.colorings:
+        if poll and ctx.expired():
+            break
+        key = mask & relevant_mask
+        if key in seen:
+            continue
+        seen.add(key)
+        l1 = [v for v in free if (mask >> pos[v]) & 1]
+        if not l1:
+            continue
+        hg, class_map = _ref_build_flip_class_hypergraph(inst, alpha, l1)
+        ctx.colorings_tried += 1
+        if len(hg.hyperedges) == 0:
+            continue
+        if base_value + len(hg.hyperedges) < best_value:
+            continue
+        v0, _ = solve_mis_vw(hg)
+        cand = list(alpha)
+        for ci in v0:
+            for v in class_map[ci]:
+                cand[v] = 1 - cand[v]
+        cand = tuple(cand)
+        value = instance_value(inst, cand)
+        if value > best_value or (value == best_value and cand < best):
+            best_value, best = value, cand
+    return best
+
+
+@st.composite
+def _and_solve_case(draw):
+    """A conjunction instance (some variables in no clause, proposals that
+    may conflict so that branching fixes variables) and a solve setting."""
+    n = draw(st.integers(1, 9))
+    used = draw(st.integers(1, n))
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        scope = draw(st.lists(st.integers(0, used - 1), min_size=1, max_size=3, unique=True))
+        neg = draw(st.lists(st.integers(0, 1), min_size=len(scope), max_size=len(scope)))
+        rows.append((tuple(neg), tuple(scope)))
+    p = draw(st.sets(st.integers(0, len(rows) - 1)))
+    k = draw(st.integers(0, 4))
+    mode, seed = draw(st.one_of(
+        st.just(("exhaustive", None)),
+        st.tuples(st.just("random"), st.integers(0, 50)),
+    ))
+    return n, rows, p, k, (mode, seed, draw(st.sampled_from([None, None, None, 0])))
+
+
+def _solve_both(n, rows, p, k, setting):
+    """(assignment, SolveContext fields, label-1 clause variables of every
+    hypergraph in visiting order) of the table-driven and the reference
+    flip search."""
+    mode, seed, deadline_ms = setting
+    inst, prop = and_inst(n, rows, p, k)
+    runs = []
+    for new in (True, False):
+        visited = []
+        if new:
+            def build(table, key, _real=build_flip_class_hypergraph):
+                visited.append(_class_vars(table, key))
+                return _real(table, key)
+            patches = (mock.patch.object(and_solver, "build_flip_class_hypergraph", build),)
+        else:
+            def build(ai, alpha, l1, _real=_ref_build_flip_class_hypergraph):
+                visited.append(frozenset(l1) & {v for c in ai.clauses for v, _ in c.req})
+                return _real(ai, alpha, l1)
+            patches = (mock.patch.object(and_solver, "solve_satisfiable_p", _ref_solve_satisfiable_p),
+                       mock.patch.object(sys.modules[__name__], "_ref_build_flip_class_hypergraph", build))
+        deadline = None if deadline_ms is None else Deadline(deadline_ms)
+        with ExitStack() as stack:
+            for patch in patches:
+                stack.enter_context(patch)
+            out, run = solve_and(inst, prop, mode=mode, seed=seed, deadline=deadline)
+        runs.append((out, dict(vars(run), deadline=None), visited))
+    return runs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_and_solve_case())
+# random families whose first mask with some key carries irrelevant bits:
+# variables 5-8 are in no clause
+@example((9, [((0,), (0,)), ((1, 0), (1, 2)), ((0, 1), (3, 4))], {0}, 1, ("random", 3, None)))
+@example((9, [((0, 0), (0, 1)), ((1,), (2,)), ((0,), (3,))], set(), 2, ("random", 7, None)))
+# conflicting proposal: the flip search runs below fixed variables
+@example((6, [((0,), (0,)), ((1,), (0,)), ((0, 1), (1, 2)), ((1,), (3,))], {0, 1, 2}, 3,
+          ("exhaustive", None, None)))
+def test_flip_search_matches_reference(case):
+    new, ref = _solve_both(*case)
+    assert new == ref
+
+
+def test_flip_search_reference_cases_reach_their_branches():
+    # the @example inputs above exercise what they claim: irrelevant bits in
+    # a random key's first mask, and a flip search below fixed variables
+    inst, prop = and_inst(9, [((0,), (0,)), ((1, 0), (1, 2)), ((0, 1), (3, 4))], {0}, 1)
+    ai = and_instance_from(inst, prop)
+    alpha = find_assignment_satisfying_p(ai)
+    ren = renormalize(ai, alpha)
+    table = flip_table(ren, alpha)
+    budget = min(len(table.free), ren.max_arity() * ren.k)
+    family = build_coloring_family(len(table.free), budget, budget, "random", 3)
+    assert family.mode == "random"
+    firsts = {}
+    for mask in family.colorings:
+        firsts.setdefault(mask & table.relevant, mask)
+    assert any(mask != key for key, mask in firsts.items())
+
+    seen = []
+    real = and_solver.solve_satisfiable_p
+
+    def spy(inst, alpha, ctx):
+        seen.append(inst.fixed)
+        return real(inst, alpha, ctx)
+
+    inst2, prop2 = and_inst(6, [((0,), (0,)), ((1,), (0,)), ((0, 1), (1, 2)), ((1,), (3,))],
+                            {0, 1, 2}, 3)
+    with mock.patch.object(and_solver, "solve_satisfiable_p", spy):
+        solve_and(inst2, prop2)
+    assert seen and all(seen)
 
 
 def test_branch_solve_trivial_examples():

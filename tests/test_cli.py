@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -356,3 +357,43 @@ def test_twosat_lift_guard_fires_before_allocating(tmp_path, capsys):
     argv = ["reduce", "--source", "2sat", "--r", str(10 ** 12), "--input", str(tmp_path / "sat.json")]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("guard: 2-SAT lift guarded at ")
+
+
+def _peak_bytes(argv):
+    """(exit code, peak traced allocation) of one in-process CLI call."""
+    import tracemalloc
+
+    from symcsp.cli import main
+
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("graph", [
+    {"num_vertices": 10 ** 8, "k": 1, "edges": [{"u": 0, "v": 1, "type": 1, "in_P": True}]},
+    {"k": 1, "edges": [{"u": 0, "v": 10 ** 9, "type": 1, "in_P": True}]},
+])
+def test_graph_vertex_guard_fires_before_allocating(tmp_path, capsys, graph):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, peak = _peak_bytes(["solve", "--input", str(path)])
+    assert code == 3 and peak < 1 << 20
+    assert capsys.readouterr().err.startswith("guard: graph of ")
+
+
+def test_random_and_family_guard_fires_before_drawing(tmp_path, capsys):
+    # 30 free variables, arity 3, k = 4: (a, b) = (12, 12) asks for about
+    # 2.3e8 Monte-Carlo colorings
+    rng = random.Random(5)
+    clauses = [
+        {"in_P": False, "neg": [0, 0, 0], "scope": rng.sample(range(30), 3)} for _ in range(12)
+    ]
+    path = tmp_path / "and.json"
+    path.write_text(json.dumps({"mode": "and", "num_vars": 30, "k": 4, "clauses": clauses}))
+    code, peak = _peak_bytes(["solve", "--input", str(path), "--coloring", "random", "--seed", "1"])
+    assert code == 3 and peak < 1 << 20
+    assert capsys.readouterr().err.startswith("guard: random family of ")

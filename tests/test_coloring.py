@@ -2,8 +2,11 @@ import math
 
 import pytest
 
-from symcsp.core import GuardError, StructureError
+import time
+
+from symcsp.core import DEFAULT_DELTA, GuardError, StructureError
 from symcsp.coloring import (
+    RANDOM_CAP,
     ColoringFamily,
     build_coloring_family,
     randomized_family_size,
@@ -31,6 +34,21 @@ def test_single_coloring_cannot_separate_both_orders():
 def test_exhaustive_cap():
     with pytest.raises(GuardError):
         build_coloring_family(20, 2, 2, "exhaustive")
+
+
+def test_random_cap_guards_before_drawing():
+    # (12, 12) asks for about 1.2e8 draws; the guard fires before any
+    start = time.perf_counter()
+    with pytest.raises(GuardError):
+        build_coloring_family(40, 12, 12, "random", seed=1)
+    assert time.perf_counter() - start < 0.1
+    # the cap keeps (8, 8) and stops (9, 9) at the default delta
+    assert randomized_family_size(8, 8, DEFAULT_DELTA) <= RANDOM_CAP
+    assert randomized_family_size(9, 9, DEFAULT_DELTA) > RANDOM_CAP
+    with pytest.raises(GuardError):
+        build_coloring_family(30, 9, 9, "random", seed=1)
+    # enumeration still applies below the cap on 2^n
+    assert build_coloring_family(12, 12, 12, "random", seed=1).mode == "exhaustive"
 
 
 def test_randomized_size_formula():
@@ -105,6 +123,6 @@ def test_random_mode_enumerates_when_no_larger():
     size = randomized_family_size(2, 2, delta)
     assert 2 ** 7 <= size < 2 ** 8
     small = build_coloring_family(7, 2, 2, "random", seed=3, delta=delta)
-    assert small.mode == "exhaustive" and small.colorings == tuple(range(2 ** 7))
+    assert small.mode == "exhaustive" and tuple(small.colorings) == tuple(range(2 ** 7))
     large = build_coloring_family(8, 2, 2, "random", seed=3, delta=delta)
     assert large.mode == "random" and len(large.colorings) == size

@@ -35,6 +35,7 @@ from symcsp.cut_solver import (
     solve_terminal,
     solve_terminal_direct,
     solve_terminal_no_kqcut,
+    split_components,
 )
 from symcsp.generators import (
     _dumbbell_graph,
@@ -524,6 +525,31 @@ def _bfs_components(graph, vertices):
             comp.extend(frontier)
         comps.append(sorted(set(comp)))
     return comps
+
+
+def _ref_split_components(graph, vertices, p_ids, k):
+    """One scan of every edge per component."""
+    components = []
+    for verts in graph.components(vertices):
+        index = {v: i for i, v in enumerate(verts)}
+        edges = tuple(
+            CutEdge(e.id, index[e.u], index[e.v], e.etype)
+            for e in graph.edges
+            if e.u in index
+        )
+        sub = CutGraph(len(verts), edges)
+        components.append((CutInstance(sub, frozenset(e.id for e in edges) & p_ids, k), verts))
+    return components
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multigraph_and_subset(), st.sets(st.integers(0, 13)), st.integers(0, 3), st.booleans())
+def test_split_components_matches_per_component_scan(case, p_ids, k, only_used):
+    g = case[0]
+    # the callers pass either every vertex or every edge endpoint
+    vertices = {x for e in g.edges for x in (e.u, e.v)} if only_used else range(g.num_vertices)
+    p_ids = frozenset(p_ids)
+    assert split_components(g, vertices, p_ids, k) == _ref_split_components(g, vertices, p_ids, k)
 
 
 @settings(max_examples=200, deadline=None)
