@@ -17,7 +17,6 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import DEFAULT_DELTA, GuardError, StructureError
 
@@ -88,27 +87,3 @@ def build_coloring_family(
         colorings.append(mask)
     return ColoringFamily(n, a, b, mode, tuple(colorings))
 
-
-def verify_covering(family: ColoringFamily, limit_n: int = 12) -> bool:
-    """Exhaustively check the separation guarantee; guarded for small n."""
-    n, a, b = family.n, family.a, family.b
-    if n > limit_n:
-        raise GuardError(f"covering verification limited to n <= {limit_n}")
-    masks = family.colorings
-    universe = range(n)
-    for asize in range(a + 1):
-        for a_set in combinations(universe, asize):
-            a_mask = 0
-            for i in a_set:
-                a_mask |= 1 << i
-            rest = [i for i in universe if i not in a_set]
-            for bsize in range(b + 1):
-                for b_set in combinations(rest, bsize):
-                    b_mask = 0
-                    for i in b_set:
-                        b_mask |= 1 << i
-                    if not any(
-                        (m & a_mask) == a_mask and (m & b_mask) == 0 for m in masks
-                    ):
-                        return False
-    return True

@@ -1,11 +1,15 @@
 """Integer max-flow/min-cut and the weighted-hypergraph selection solver.
 
 The selection problem: given a hypergraph with integer vertex weights, pick
-a vertex set V0 maximizing |E(H(V0))| - sum of w over V0.  It is solved
-exactly as a maximum-weight closure: hyperedge nodes carry profit 1,
-positive-weight vertex nodes carry their cost, and infinite-capacity
-prerequisite arcs force a selected hyperedge to pull in its vertices.
-Nonpositive-weight vertices are pre-selected (never hurts the objective).
+a vertex set V0 maximizing |E(H(V0))| - sum of w over V0.  As a
+maximum-weight closure whose hyperedges all carry profit 1, it is a
+capacitated assignment: each hyperedge goes to at most one of its
+positive-weight vertices, and vertex v takes at most w(v) of them.
+`solve_mis_vw` finds a maximum assignment by augmenting paths and reads the
+optimum off the residual side reachable from the unassigned hyperedges,
+which is the same for every maximum assignment, so no search or hyperedge
+order changes the answer.  Dinic's `max_flow_min_cut` serves the cut
+pipeline.
 """
 
 from __future__ import annotations
@@ -133,34 +137,57 @@ def selection_objective(h: WeightedHypergraph, v0) -> int:
 def solve_mis_vw(h: WeightedHypergraph) -> tuple:
     """Exact optimum of the selection problem; returns (vertex frozenset, value).
 
-    Ties go to the inclusion-minimal optimum (also lexicographically smallest
-    characteristic vector): the closure is read off the residual-reachable
-    side of the min cut, nonpositive-weight isolated vertices join only when
-    strictly profitable, and zero-weight vertices join only when an incident
-    hyperedge is selected.
-    """
-    m = len(h.hyperedges)
-    nv = h.num_vertices
-    pos = [v for v in range(nv) if h.weights[v] > 0]
-    pos_index = {v: i for i, v in enumerate(pos)}
-    # node ids: 0 = source, 1..m = hyperedges, m+1.. = positive vertices, last = sink
-    s = 0
-    t = 1 + m + len(pos)
-    net = FlowNetwork(t + 1, s, t)
-    inf = sum(h.weights[v] for v in pos) + m + 1
-    for i in range(m):
-        net.add_arc(s, 1 + i, 1)
-        for v in h.hyperedges[i]:
-            if v in pos_index:
-                net.add_arc(1 + i, 1 + m + pos_index[v], inf)
-    for v in pos:
-        net.add_arc(1 + m + pos_index[v], t, h.weights[v])
+    Hyperedges are placed in order, each by a breadth-first search for an
+    alternating path to a positive vertex below its weight.  A failed search
+    visits only full vertices whose hyperedges lead back among them or to
+    earlier dead vertices, so no later path can pass there: they are marked
+    dead for good.  The dead vertices are then exactly the positive vertices
+    reachable from the unassigned hyperedges, the source side of the
+    inclusion-minimal minimum cut, which every maximum assignment shares.
 
-    _, side = max_flow_min_cut(net)
-    selected_edges = {i for i in range(m) if (1 + i) in side}
-    v0 = {v for v in pos if (1 + m + pos_index[v]) in side}
-    v0.update(v for v in range(nv) if h.weights[v] < 0)
-    for i in selected_edges:
-        v0.update(v for v in h.hyperedges[i] if h.weights[v] == 0)
-    value = selection_objective(h, v0)
-    return frozenset(v0), value
+    Ties go to the inclusion-minimal optimum (also lexicographically smallest
+    characteristic vector): V0 is the dead vertices, every negative-weight
+    vertex, and the zero-weight vertices of the reached hyperedges (the
+    unassigned ones and those held by dead vertices).
+    """
+    w = h.weights
+    edges = [[v for v in e if w[v] > 0] for e in h.hyperedges]
+    m = len(edges)
+    owner = [-1] * m  # the vertex each hyperedge is assigned to
+    held = [set() for _ in w]
+    mark = [-1] * len(w)  # the last search that visited a vertex; m = dead
+    for i in range(m):
+        parent = {}  # visited vertex -> the hyperedge that reached it
+        queue = [i]
+        end = -1
+        for j in queue:
+            for u in edges[j]:
+                if mark[u] < i:
+                    mark[u] = i
+                    parent[u] = j
+                    if len(held[u]) < w[u]:
+                        end = u
+                        break
+                    queue.extend(held[u])
+            if end >= 0:
+                break
+        if end < 0:
+            for v in parent:
+                mark[v] = m
+            continue
+        v = end
+        while v >= 0:  # shift each hyperedge on the path one step along it
+            j = parent[v]
+            held[v].add(j)
+            v, owner[j] = owner[j], v
+            if v >= 0:
+                held[v].discard(j)
+
+    v0 = {v for v, seen in enumerate(mark) if seen == m}
+    v0.update(v for v, wv in enumerate(w) if wv < 0)
+    reached = 0
+    for e, holder in zip(h.hyperedges, owner):
+        if holder < 0 or mark[holder] == m:
+            reached += 1
+            v0.update(v for v in e if w[v] == 0)
+    return frozenset(v0), reached - sum(w[v] for v in v0)

@@ -27,7 +27,7 @@ from symcsp.classifier import (
     language_ihsb,
     language_members,
 )
-from symcsp.coloring import build_coloring_family, verify_covering
+from symcsp.coloring import build_coloring_family
 from symcsp.core import SymmetricLanguage, satisfied_set
 from symcsp.cut_solver import crossing_edges, cut_improve, satisfied_edges
 from symcsp.flow import FlowNetwork, WeightedHypergraph, max_flow_min_cut, solve_mis_vw
@@ -49,6 +49,8 @@ from symcsp.reductions import (
     solve_mcis_bruteforce,
     solve_paired_cut_bruteforce,
 )
+
+from covering import verify_covering
 
 AND_COUNT = 500
 CUT_COUNT = 300

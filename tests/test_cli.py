@@ -211,6 +211,16 @@ def test_verify_honours_q_override_zero(monkeypatch, capsys):
     assert seen == [0, 0]
 
 
+def test_verify_misvw_compares_the_witness(monkeypatch, capsys):
+    # the right value with the wrong vertex set still counts as a failure
+    from symcsp import cli
+
+    real = cli.solve_mis_vw
+    monkeypatch.setattr(cli, "solve_mis_vw", lambda h: (frozenset(), real(h)[1]))
+    assert cli.main(["verify", "--suite", "misvw", "--count", "5", "--seed", "0"]) == 4
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_long_odd_cycle_exits_with_guard_not_traceback(tmp_path):
     # 1,501 type-1 edges in one cycle: the minimum-cost pass runs max-flows
     # along paths far deeper than the interpreter's recursion limit; no

@@ -11,8 +11,9 @@ from symcsp.coloring import (
     build_coloring_family,
     randomized_family_size,
     success_probability,
-    verify_covering,
 )
+
+from covering import verify_covering
 
 
 def test_empty_pair_needs_one_coloring():

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symcsp.core import StructureError
 from symcsp.flow import (
@@ -168,3 +170,98 @@ def test_long_path_network():
     value, side = max_flow_min_cut(net)
     assert value == 2
     assert side == frozenset(range(1235))
+
+
+def closure_reference(h):
+    """The selection as a maximum-weight closure on a generic flow network:
+    source -> hyperedge (capacity 1) -> each positive vertex (infinite) ->
+    sink (its weight), solved by Dinic and read off the residual-reachable
+    side."""
+    m = len(h.hyperedges)
+    pos = [v for v in range(h.num_vertices) if h.weights[v] > 0]
+    pos_index = {v: i for i, v in enumerate(pos)}
+    s, t = 0, 1 + m + len(pos)
+    net = FlowNetwork(t + 1, s, t)
+    inf = sum(h.weights[v] for v in pos) + m + 1
+    for i, e in enumerate(h.hyperedges):
+        net.add_arc(s, 1 + i, 1)
+        for v in e:
+            if v in pos_index:
+                net.add_arc(1 + i, 1 + m + pos_index[v], inf)
+    for v in pos:
+        net.add_arc(1 + m + pos_index[v], t, h.weights[v])
+    _, side = max_flow_min_cut(net)
+    v0 = {v for v in pos if 1 + m + pos_index[v] in side}
+    v0.update(v for v in range(h.num_vertices) if h.weights[v] < 0)
+    for i, e in enumerate(h.hyperedges):
+        if 1 + i in side:
+            v0.update(v for v in e if h.weights[v] == 0)
+    return frozenset(v0), selection_objective(h, v0)
+
+
+@st.composite
+def _hypergraphs(draw):
+    n = draw(st.integers(1, 30))
+    weight = st.one_of(st.integers(-3, 4), st.integers(-(10**12), 10**12))
+    weights = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
+    edges = draw(st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=1, max_size=5), max_size=40
+    ))
+    if edges:  # repeat some hyperedges verbatim
+        edges += draw(st.lists(st.sampled_from(edges), max_size=5))
+    return WeightedHypergraph(n, tuple(edges), weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hypergraphs())
+@example(WeightedHypergraph(3, (), (1, 0, -2)))
+@example(WeightedHypergraph(3, (frozenset({0, 1}),) * 3, (0, -1, 0)))
+@example(WeightedHypergraph(2, (frozenset({0, 1}),) * 4, (10**12, 1)))
+def test_misvw_matches_closure_reference(h):
+    assert solve_mis_vw(h) == closure_reference(h)
+
+
+def _path_orders(n):
+    edges = [frozenset({i, i + 1}) for i in range(n - 1)]
+    yield edges[1:] + edges[:1]  # {0, 1} last: shifts the path when w(0) = 0
+    yield edges[::2] + edges[1::2]
+    yield edges[1::2] + edges[::2]
+
+
+def test_misvw_long_augmenting_paths_match_reference():
+    n = 300
+    for edges in _path_orders(n):
+        for weights in ((0,) + (1,) * (n - 1), (1,) * n, (1, 2) * (n // 2)):
+            h = WeightedHypergraph(n, tuple(edges), weights)
+            assert solve_mis_vw(h) == closure_reference(h)
+
+    n = 40
+    stairs = [frozenset(range(i + 1)) for i in range(n)]
+    stairs += [frozenset(range(i, n)) for i in range(n)]
+    for weights in ((1,) * n, (2,) * n, tuple(i % 3 for i in range(n))):
+        h = WeightedHypergraph(n, tuple(stairs), weights)
+        assert solve_mis_vw(h) == closure_reference(h)
+
+    # hub 0 of weight k with lanes of length 1..k, each edge taken by its
+    # lower end; each singleton hub edge then shifts a whole lane, and one
+    # more finds every vertex full
+    k = 25
+    edges, nv = [], 1
+    for length in range(1, k + 1):
+        lane = [0] + list(range(nv, nv + length))
+        edges += [frozenset(lane[i:i + 2]) for i in range(length)]
+        nv += length
+    weights = (k,) + (1,) * (nv - 1)
+    for extra in (k, k + 1):
+        h = WeightedHypergraph(nv, tuple(edges + [frozenset({0})] * extra), weights)
+        assert solve_mis_vw(h) == closure_reference(h)
+
+
+def test_misvw_bench_sized_instance_matches_reference():
+    # the shape of the benchmark's largest selection input: 10^4 hyperedges
+    # of 1-3 vertices over 1,250 vertices, weights in -2..6
+    rng = random.Random(11)
+    m, nv = 10_000, 1_250
+    edges = tuple(frozenset(rng.sample(range(nv), rng.randint(1, 3))) for _ in range(m))
+    h = WeightedHypergraph(nv, edges, tuple(rng.randint(-2, 6) for _ in range(nv)))
+    assert solve_mis_vw(h) == closure_reference(h)
