@@ -204,21 +204,13 @@ def flip_table(inst: AndInstance, alpha) -> FlipTable:
     return FlipTable(free, tuple(alpha), tuple(proposed), tuple(outside), relevant)
 
 
-@dataclass(frozen=True)
-class FlipClassHypergraph:
-    """Selection subproblem for one coloring: classes partition the label-1
-    variables; weights count incident proposed clauses; hyperedges are the
-    non-proposed clauses a full label-1 flip would satisfy.  ``class_map``
-    holds each class as a bitmask over the table's free variables."""
-
-    hypergraph: WeightedHypergraph
-    class_map: tuple
-
-
-def build_flip_class_hypergraph(table: FlipTable, key: int) -> FlipClassHypergraph:
-    """Hypergraph for the coloring whose label-1 bits are `key`.  Classes are
-    the merged label-1 parts of the proposed clauses plus singletons, in
-    order of lowest bit."""
+def build_flip_class_hypergraph(table: FlipTable, key: int) -> tuple:
+    """(hypergraph, classes): the selection subproblem for the coloring whose
+    label-1 bits are `key`.  The classes partition the label-1 variables:
+    the merged label-1 parts of the proposed clauses plus singletons, each a
+    bitmask over the table's free variables, in order of lowest bit.  Class
+    weights count incident proposed clauses; hyperedges are the non-proposed
+    clauses a full label-1 flip would satisfy."""
     groups = []  # (class mask, weight), masks pairwise disjoint
     for vbits, _ in table.proposed:
         part = vbits & key
@@ -255,7 +247,7 @@ def build_flip_class_hypergraph(table: FlipTable, key: int) -> FlipClassHypergra
         edges.append(frozenset(i for i, cls in enumerate(classes) if cls & nbits))
 
     hg = WeightedHypergraph(len(classes), tuple(edges), tuple(w for _, w in groups))
-    return FlipClassHypergraph(hg, classes)
+    return hg, classes
 
 
 def _coloring_keys(family, relevant: int):
@@ -298,15 +290,14 @@ def solve_satisfiable_p(inst: AndInstance, alpha, ctx: SolveContext) -> tuple:
     for key in _coloring_keys(family, table.relevant):
         if poll and ctx.expired():
             break
-        fch = build_flip_class_hypergraph(table, key)
+        hg, classes = build_flip_class_hypergraph(table, key)
         ctx.colorings_tried += 1
-        edges = fch.hypergraph.hyperedges
-        if not edges or base_value + len(edges) < best_value:
+        if not hg.hyperedges or base_value + len(hg.hyperedges) < best_value:
             continue
-        v0, _ = solve_mis_vw(fch.hypergraph)
+        v0, _ = solve_mis_vw(hg)
         flip = 0
         for ci in v0:
-            flip |= fch.class_map[ci]
+            flip |= classes[ci]
         value = table.value(flip)
         if value < best_value:
             continue

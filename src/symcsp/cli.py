@@ -36,8 +36,6 @@ from .flow import WeightedHypergraph, solve_mis_vw
 from .reductions import (
     MulticoloredISInstance,
     PairedMinCutInstance,
-    decode_mcis,
-    decode_paired_cut,
     generate_mcis,
     generate_paired_cut,
     mcis_to_2sat,
@@ -45,8 +43,6 @@ from .reductions import (
     pad_ae,
     paired_cut_to_3ae,
     paired_cut_to_4ae,
-    solve_mcis_bruteforce,
-    solve_paired_cut_bruteforce,
     twosat_to_le1,
     validate_mcis,
     validate_paired_cut,

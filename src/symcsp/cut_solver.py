@@ -45,6 +45,7 @@ from .coloring import build_coloring_family
 from .flow import FlowNetwork, max_flow_min_cut
 
 ENUM_VERTEX_GUARD = 20
+BRUTE_FORCE_VERTICES = 12  # the minimum-cost pass enumerates below this
 KERNEL_BLOCK = 1 << 14
 
 
@@ -86,11 +87,6 @@ class CutGraph:
 
     def is_connected(self) -> bool:
         return len(self.components(range(self.num_vertices))) <= 1
-
-
-def side_connected(graph: CutGraph, vertices) -> bool:
-    """Is the induced subgraph on `vertices` connected (marked edges count)?"""
-    return len(graph.components(vertices)) == 1
 
 
 def satisfied_edges(graph: CutGraph, mask: int) -> frozenset:
@@ -251,8 +247,7 @@ def assemble_assignment(num_vars: int, solved_components) -> tuple:
 # Exact minimum-cost pass (decision form): a partition violating at most k
 # edges, if one exists.  Gadget: each type-0 edge becomes two type-1 edges
 # through a fresh vertex, reducing to edge bipartization, solved by
-# iterative compression; a brute-force pass below 12 vertices doubles as a
-# cross-check.
+# iterative compression; below 12 vertices a brute-force pass decides.
 # ---------------------------------------------------------------------------
 
 
@@ -407,24 +402,20 @@ def mincsp_2ae_compression(graph: CutGraph, k: int):
     return mask, cost
 
 
-def _brute_force_path(graph: CutGraph, force: str | None) -> bool:
-    return force == "brute" or (force is None and graph.num_vertices < 12)
-
-
-def mincsp_2ae(graph: CutGraph, k: int, force: str | None = None):
-    """Exact decision solver; brute force below 12 vertices by default."""
-    if _brute_force_path(graph, force):
+def mincsp_2ae(graph: CutGraph, k: int):
+    """Exact decision solver; brute force below BRUTE_FORCE_VERTICES."""
+    if graph.num_vertices < BRUTE_FORCE_VERTICES:
         return mincsp_2ae_bruteforce(graph, k)
     return mincsp_2ae_compression(graph, k)
 
 
-def mincsp_2ae_minimum(graph: CutGraph, force: str | None = None) -> tuple:
+def mincsp_2ae_minimum(graph: CutGraph) -> tuple:
     """(mask, minimum cost): one brute-force pass, or compression deciding
     k = 0, 1, ... in turn, which ends since the cost is at most |edges|."""
-    if _brute_force_path(graph, force):
-        return mincsp_2ae(graph, len(graph.edges), force)
+    if graph.num_vertices < BRUTE_FORCE_VERTICES:
+        return mincsp_2ae(graph, len(graph.edges))
     for k in range(len(graph.edges) + 1):
-        out = mincsp_2ae(graph, k, force)
+        out = mincsp_2ae(graph, k)
         if out is not None:
             return out
     raise VerificationError("minimum-cost pass found no partition within |edges| violations")
@@ -460,7 +451,7 @@ def kq_cut_conditions(graph: CutGraph, marked, mask: int, k: int, q: int) -> boo
         return False
     if len(crossing_edges(graph, mask)) > k:
         return False
-    if not side_connected(graph, left) or not side_connected(graph, right):
+    if len(graph.components(left)) != 1 or len(graph.components(right)) != 1:
         return False
     lset, rset = set(left), set(right)
     un_l = sum(
@@ -609,17 +600,24 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
 def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:
     """Terminal table when no (k, q)-cut exists.
 
-    Exhaustive mode uses the provably equivalent complete enumeration;
-    randomized mode runs the literal coloring procedure: any close solution
-    flips connected components that lie on the color-1 side of some family
-    member, with label-0 neighborhoods, selected under the closeness budget
-    by a gain/loss knapsack equivalent to guessing per-component deltas.
+    Exhaustive mode, and random mode within the partition kernel's guard,
+    use the provably equivalent complete enumeration, which is exact and
+    cheaper than any coloring family there; random mode runs the literal
+    coloring procedure only on larger graphs, which enumeration refuses.
+    """
+    ctx.solve.no_cut_solves += 1
+    if ctx.solve.mode == "exhaustive" or ti.graph.num_vertices <= ENUM_VERTEX_GUARD:
+        return solve_terminal_direct(ti, ctx)
+    return solve_terminal_colorings(ti, ctx)
+
+
+def solve_terminal_colorings(ti: TerminalInstance, ctx: _Ctx) -> dict:
+    """The literal coloring procedure: any close solution flips connected
+    components that lie on the color-1 side of some family member, with
+    label-0 neighborhoods, selected under the closeness budget by a
+    gain/loss knapsack equivalent to guessing per-component deltas.
     """
     run = ctx.solve
-    run.no_cut_solves += 1
-    if run.mode == "exhaustive":
-        return solve_terminal_direct(ti, ctx)
-
     n = ti.graph.num_vertices
     base_value = cut_value(ti.graph, ti.a_mask)
     # the all-stay candidate is always legal for the matching f

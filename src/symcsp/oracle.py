@@ -16,6 +16,7 @@ from .flow import WeightedHypergraph, selection_objective
 IMPROVE_GUARD_VARS = 24
 CUT_GUARD_VERTICES = 20
 MISVW_GUARD_VERTICES = 20
+NEIGHBORHOOD_GUARD_VARS = 16
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,11 @@ def _value_delta_tables(instance: Instance, p_ids) -> tuple:
     return values, deltas
 
 
-def brute_force_improve(
-    instance: Instance, k: int, p_ids, guard: int = IMPROVE_GUARD_VARS
-) -> OracleReport:
+def brute_force_improve(instance: Instance, k: int, p_ids) -> OracleReport:
     """Exact optimum and optimum-in-k-neighborhood by full enumeration."""
     n = instance.num_vars
-    if n > guard:
-        raise GuardError(f"brute_force_improve guarded at {guard} variables")
+    if n > IMPROVE_GUARD_VARS:
+        raise GuardError(f"brute_force_improve guarded at {IMPROVE_GUARD_VARS} variables")
     values, deltas = _value_delta_tables(instance, frozenset(p_ids))
     gmax = int(values.max()) if values.size else 0
     gwit = _assignment_of(_lex_min_index(np.nonzero(values == gmax)[0], n), n)
@@ -74,11 +73,11 @@ def brute_force_improve(
     return OracleReport(gmax, gwit, False, None, None)
 
 
-def neighborhood_optima(instance: Instance, k: int, p_ids, guard: int = 16):
+def neighborhood_optima(instance: Instance, k: int, p_ids):
     """All assignments attaining the optimum-in-k-neighborhood."""
     n = instance.num_vars
-    if n > guard:
-        raise GuardError(f"neighborhood_optima guarded at {guard} variables")
+    if n > NEIGHBORHOOD_GUARD_VARS:
+        raise GuardError(f"neighborhood_optima guarded at {NEIGHBORHOOD_GUARD_VARS} variables")
     values, deltas = _value_delta_tables(instance, frozenset(p_ids))
     near = deltas <= k
     if not near.any():
@@ -89,17 +88,17 @@ def neighborhood_optima(instance: Instance, k: int, p_ids, guard: int = 16):
     ]
 
 
-def brute_force_mincsp(instance: Instance, guard: int = IMPROVE_GUARD_VARS) -> tuple:
+def brute_force_mincsp(instance: Instance) -> tuple:
     """(minimum cost, lexicographically smallest witness)."""
-    report = brute_force_improve(instance, 0, frozenset(c.id for c in instance.clauses), guard)
+    report = brute_force_improve(instance, 0, frozenset(c.id for c in instance.clauses))
     return len(instance.clauses) - report.global_value, report.global_witness
 
 
-def brute_force_misvw(h: WeightedHypergraph, guard: int = MISVW_GUARD_VERTICES) -> tuple:
+def brute_force_misvw(h: WeightedHypergraph) -> tuple:
     """Exact selection optimum by subset enumeration; lex-min witness."""
     n = h.num_vertices
-    if n > guard:
-        raise GuardError(f"brute_force_misvw guarded at {guard} vertices")
+    if n > MISVW_GUARD_VERTICES:
+        raise GuardError(f"brute_force_misvw guarded at {MISVW_GUARD_VERTICES} vertices")
     big = 1 << n
     masks = np.arange(big, dtype=np.int64)
     obj = np.zeros(big, dtype=np.int64)
@@ -118,17 +117,15 @@ def brute_force_misvw(h: WeightedHypergraph, guard: int = MISVW_GUARD_VERTICES) 
     return v0, best
 
 
-def brute_force_cut(
-    num_vertices: int, edges, types, p_ids, k: int, guard: int = CUT_GUARD_VERTICES
-) -> OracleReport:
+def brute_force_cut(num_vertices: int, edges, types, p_ids, k: int) -> OracleReport:
     """Exact cut-improvement optimum over all vertex bipartitions.
 
     edges is a sequence of (id, u, v); types maps position -> 0/1; the
     witness is the numerically smallest side mask among optima.
     """
     n = num_vertices
-    if n > guard:
-        raise GuardError(f"brute_force_cut guarded at {guard} vertices")
+    if n > CUT_GUARD_VERTICES:
+        raise GuardError(f"brute_force_cut guarded at {CUT_GUARD_VERTICES} vertices")
     big = 1 << n
     masks = np.arange(big, dtype=np.int64)
     values = np.zeros(big, dtype=np.int32)

@@ -23,9 +23,6 @@ from symcsp.classifier import (
     LABEL_TRIVIAL,
     LABEL_W1,
     classify,
-    language_bijunctive,
-    language_ihsb,
-    language_members,
 )
 from symcsp.coloring import build_coloring_family
 from symcsp.core import SymmetricLanguage, satisfied_set
@@ -51,6 +48,7 @@ from symcsp.reductions import (
 )
 
 from covering import verify_covering
+from relations import language_bijunctive, language_ihsb, language_members
 
 AND_COUNT = 500
 CUT_COUNT = 300

@@ -178,10 +178,10 @@ def test_flip_hypergraph_weights_and_edges():
     alpha = (1, 1)
     ren = renormalize(ai, alpha)
     table = flip_table(ren, alpha)
-    fch = build_flip_class_hypergraph(table, _mask_of(table, {0, 1}))
-    assert tuple(_class_vars(table, m) for m in fch.class_map) == (frozenset({0, 1}),)
-    assert fch.hypergraph.weights == (1,)
-    assert fch.hypergraph.hyperedges == (frozenset({0}),)
+    hg, classes = build_flip_class_hypergraph(table, _mask_of(table, {0, 1}))
+    assert tuple(_class_vars(table, m) for m in classes) == (frozenset({0, 1}),)
+    assert hg.weights == (1,)
+    assert hg.hyperedges == (frozenset({0}),)
 
 
 def test_flip_improvement_never_below_objective():
@@ -200,18 +200,18 @@ def test_flip_improvement_never_below_objective():
         if not l1:
             continue
         table = flip_table(ren, alpha)
-        fch = build_flip_class_hypergraph(table, _mask_of(table, l1))
-        for mask in range(1 << len(fch.class_map)):
-            chosen = [i for i in range(len(fch.class_map)) if (mask >> i) & 1]
+        hg, classes = build_flip_class_hypergraph(table, _mask_of(table, l1))
+        for mask in range(1 << len(classes)):
+            chosen = [i for i in range(len(classes)) if (mask >> i) & 1]
             cand = list(alpha)
             for ci in chosen:
-                for v in _class_vars(table, fch.class_map[ci]):
+                for v in _class_vars(table, classes[ci]):
                     cand[v] = 1 - cand[v]
             improvement = instance_value(ren, cand) - instance_value(ren, alpha)
-            assert improvement >= selection_objective(fch.hypergraph, chosen)
-        full = list(range(len(fch.class_map)))
+            assert improvement >= selection_objective(hg, chosen)
+        full = list(range(len(classes)))
         assert instance_value(ren, target) - instance_value(ren, alpha) == (
-            selection_objective(fch.hypergraph, full)
+            selection_objective(hg, full)
         )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcsp.core import Deadline, Instance, ProposedSolution, SolveContext, StructureError, SymmetricLanguage, Clause, DisjointSets, satisfied_set
+from symcsp.core import Deadline, GuardError, Instance, ProposedSolution, SolveContext, StructureError, SymmetricLanguage, Clause, DisjointSets, satisfied_set
 from symcsp import cut_solver
 from symcsp.cut_solver import (
     CutEdge,
@@ -33,6 +33,7 @@ from symcsp.cut_solver import (
     satisfied_edges,
     solve_2ae,
     solve_terminal,
+    solve_terminal_colorings,
     solve_terminal_direct,
     solve_terminal_no_kqcut,
     split_components,
@@ -189,8 +190,8 @@ def test_mincsp_minimum_agrees_across_solvers():
     rng = random.Random(38)
     for _ in range(40):
         g = _random_connected_graph(rng, rng.randint(2, 7), rng.randint(0, 6))
-        _, brute_min = mincsp_2ae_minimum(g, force="brute")
-        _, comp_min = mincsp_2ae_minimum(g, force="compression")
+        _, brute_min = mincsp_2ae_minimum(g)
+        comp_min = next(k for k in range(len(g.edges) + 1) if mincsp_2ae_compression(g, k))
         assert brute_min == comp_min
 
 
@@ -343,10 +344,51 @@ def test_randomized_no_kqcut_matches_direct_on_smalls():
         k_prime = rng.randint(0, 2)
         ti = TerminalInstance(g, a_mask, k_prime, (), frozenset())
         direct = solve_terminal_direct(ti, make_ctx(g, k_prime, 8))
-        rand = solve_terminal_no_kqcut(ti, make_ctx(g, k_prime, 8, mode="random", seed=trial))
+        rand = solve_terminal_colorings(ti, make_ctx(g, k_prime, 8, mode="random", seed=trial))
         for key, (_, value, _) in direct.items():
             assert key in rand
             assert rand[key][1] == value, (trial, key)
+
+
+def test_random_mode_cut_matches_exhaustive_within_enumeration_guard():
+    # up to ENUM_VERTEX_GUARD vertices random mode takes the exact terminal
+    # table, so it draws no coloring and gives the exhaustive answer; seed 9
+    # is an instance where the coloring procedure returned another optimum
+    cases = [(gen_cut_instance(seed), q) for seed in range(40) for q in (None, 2, 8)]
+    rng = random.Random(45)
+    for n in (14, 17, 20):
+        g = _random_connected_graph(rng, n, n)
+        cases.append((CutInstance(g, satisfied_edges(g, rng.randrange(1 << n)), 1), None))
+    assert any(ci.graph.num_vertices == cut_solver.ENUM_VERTEX_GUARD for ci, _ in cases)
+    for ci, q in cases:
+        mask, value, run = cut_improve(ci, mode="random", seed=1, q_override=q)
+        assert (mask, value) == cut_improve(ci, q_override=q)[:2], (ci.graph.num_vertices, q)
+        assert run.colorings_tried == 0 and run.no_cut_solves > 0
+
+
+def test_no_kqcut_dispatches_to_colorings_only_in_random_mode_above_guard(monkeypatch):
+    calls = []
+
+    def colorings(ti, ctx):
+        calls.append(ti.graph.num_vertices)
+        return {}
+
+    def path(n):
+        return graph(n, [(v, v + 1, v % 2) for v in range(n - 1)])
+
+    monkeypatch.setattr(cut_solver, "solve_terminal_colorings", colorings)
+    guard = cut_solver.ENUM_VERTEX_GUARD
+    big = TerminalInstance(path(guard + 1), 0, 1, (), frozenset())
+    small = TerminalInstance(path(guard), 0, 1, (), frozenset())
+
+    ctx = make_ctx(big.graph, 1, 8, mode="random")
+    assert solve_terminal_no_kqcut(big, ctx) == {}
+    assert calls == [guard + 1] and ctx.solve.no_cut_solves == 1
+    table = solve_terminal_no_kqcut(small, make_ctx(small.graph, 1, 8, mode="random"))
+    assert table == solve_terminal_direct(small, make_ctx(small.graph, 1, 8))
+    with pytest.raises(GuardError):
+        solve_terminal_no_kqcut(big, make_ctx(big.graph, 1, 8))
+    assert calls == [guard + 1]
 
 
 def test_recursion_preserves_matching_and_matches_oracle():
@@ -708,7 +750,7 @@ def test_first_kq_cut_matches_per_mask_loop(case, k, q, mark):
 def test_bruteforce_minimum_matches_per_mask_loop(case, k):
     g, _ = case
     assert mincsp_2ae_bruteforce(g, k) == _ref_bruteforce(g, k)
-    assert mincsp_2ae_minimum(g, force="brute") == _ref_bruteforce(g, len(g.edges))
+    assert mincsp_2ae_minimum(g) == _ref_bruteforce(g, len(g.edges))
 
 
 @settings(max_examples=300, deadline=None)
@@ -791,9 +833,11 @@ def test_cut_improve_literal_q_matches_oracle_15_to_20_vertices():
 def test_minimum_cost_pass_raises_verification_error(monkeypatch):
     from symcsp.core import VerificationError
 
-    monkeypatch.setattr(cut_solver, "mincsp_2ae", lambda graph, k, force=None: None)
+    monkeypatch.setattr(cut_solver, "mincsp_2ae", lambda graph, k: None)
+    # from 12 vertices on the minimum is the compression loop over k
+    cycle = graph(12, [(v, (v + 1) % 12, 1) for v in range(12)])
     with pytest.raises(VerificationError):
-        mincsp_2ae_minimum(graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]), force="compression")
+        mincsp_2ae_minimum(cycle)
 
 
 # ---------------------------------------------------------------------------
