@@ -10,6 +10,10 @@ grouped into classes joined by shared proposed clauses, a class costs the
 proposed clauses it touches, and a hyperedge worth 1 appears for every
 non-proposed clause that flipping the label-1 set would satisfy.
 
+Clauses, variable sets and assignments are bitmasks over the variables
+(bit v stands for variable v) from normalization on; only `solve_and`
+turns the answer back into a tuple.
+
 On inputs violating the distance promise the solver still terminates and
 returns a deterministic fallback (all zeros on the free variables).
 """
@@ -27,25 +31,28 @@ from .flow import WeightedHypergraph, solve_mis_vw
 
 @dataclass(frozen=True)
 class AndClause:
-    """Conjunction clause: every (var, bit) in req must hold."""
+    """Conjunction clause: the variables in `care` must take the bits of
+    `want` (a submask of care)."""
 
     id: int
-    req: tuple
+    care: int
+    want: int
     in_p: bool
 
 
 @dataclass(frozen=True)
 class AndInstance:
+    """`fixed` holds the variables branching has set, `fixed_bits` their
+    values; no clause mentions a fixed variable."""
+
     num_vars: int
     clauses: tuple
     k: int
-    fixed: tuple = ()
-
-    def p_ids(self) -> frozenset:
-        return frozenset(c.id for c in self.clauses if c.in_p)
+    fixed: int = 0
+    fixed_bits: int = 0
 
     def max_arity(self) -> int:
-        return max((len(c.req) for c in self.clauses), default=1)
+        return max((c.care.bit_count() for c in self.clauses), default=1)
 
 
 def and_instance_from(instance: Instance, proposed: ProposedSolution) -> AndInstance:
@@ -55,119 +62,98 @@ def and_instance_from(instance: Instance, proposed: ProposedSolution) -> AndInst
     proposed.validate_against(instance)
     clauses = []
     for c in instance.clauses:
-        if c.language.counts == frozenset({c.language.arity}):
-            wanted = [(v, 1 - b) for v, b in zip(c.scope, c.neg)]
-        else:
-            wanted = [(v, b) for v, b in zip(c.scope, c.neg)]
-        req = {}
-        for v, bit in wanted:
-            if req.get(v, bit) != bit:
+        # the all-true language wants each literal true, the all-false one false
+        positive = int(c.language.counts == frozenset({c.language.arity}))
+        care = want = 0
+        for v, b in zip(c.scope, c.neg):
+            bit = b ^ positive
+            if care >> v & 1 and want >> v & 1 != bit:
                 raise StructureError(
                     f"clause {c.id}: repeated variable with conflicting literals"
                 )
-            req[v] = bit
-        clauses.append(
-            AndClause(c.id, tuple(sorted(req.items())), c.id in proposed.clause_ids)
-        )
+            care |= 1 << v
+            want |= bit << v
+        clauses.append(AndClause(c.id, care, want, c.id in proposed.clause_ids))
     return AndInstance(instance.num_vars, tuple(clauses), proposed.k)
 
 
 def assign_value(inst: AndInstance, v: int, a: int) -> AndInstance:
     """Fix v := a; restrict clauses, pay budget for killed proposed clauses
     and for non-proposed clauses that became always-true.  k may go negative."""
+    bit = 1 << v
     new_clauses = []
     k = inst.k
     for c in inst.clauses:
-        hits = [bit for var, bit in c.req if var == v]
-        if not hits:
+        if not c.care & bit:
             new_clauses.append(c)
-            continue
-        if any(bit != a for bit in hits):
+        elif c.want >> v & 1 != a:
             if c.in_p:
                 k -= 1
-            continue
-        rest = tuple(item for item in c.req if item[0] != v)
-        if not rest:
+        elif c.care == bit:
             if not c.in_p:
                 k -= 1
-            continue
-        new_clauses.append(AndClause(c.id, rest, c.in_p))
-    return AndInstance(inst.num_vars, tuple(new_clauses), k, inst.fixed + ((v, a),))
+        else:
+            new_clauses.append(AndClause(c.id, c.care ^ bit, c.want & ~bit, c.in_p))
+    return AndInstance(
+        inst.num_vars, tuple(new_clauses), k, inst.fixed | bit, inst.fixed_bits | a << v
+    )
+
+
+def _proposed_literals(inst: AndInstance) -> tuple:
+    """(ones, zeros): the variables some proposed clause wants at 1, at 0."""
+    ones = zeros = 0
+    for c in inst.clauses:
+        if c.in_p:
+            ones |= c.want
+            zeros |= c.care ^ c.want
+    return ones, zeros
 
 
 def find_branch_variable(inst: AndInstance):
     """Smallest variable appearing with both polarities in proposed clauses."""
-    polarity = {}
-    conflicts = set()
-    for c in inst.clauses:
-        if not c.in_p:
-            continue
-        for v, bit in c.req:
-            if polarity.setdefault(v, bit) != bit:
-                conflicts.add(v)
-    return min(conflicts) if conflicts else None
+    ones, zeros = _proposed_literals(inst)
+    both = ones & zeros
+    return (both & -both).bit_length() - 1 if both else None
 
 
-def fallback_assignment(inst: AndInstance) -> tuple:
-    a = [0] * inst.num_vars
-    for v, bit in inst.fixed:
-        a[v] = bit
-    return tuple(a)
-
-
-def find_assignment_satisfying_p(inst: AndInstance) -> tuple:
+def find_assignment_satisfying_p(inst: AndInstance) -> int:
     """Assignment satisfying every proposed clause; free variables get 0.
 
     Precondition (guaranteed after branching): no variable occurs in the
     proposed set with both polarities.  A conflict here is a caller bug.
     """
-    forced = {}
-    for c in inst.clauses:
-        if not c.in_p:
-            continue
-        for v, bit in c.req:
-            if forced.setdefault(v, bit) != bit:
-                raise StructureError("proposed clauses conflict; branch first")
-    a = [0] * inst.num_vars
-    for v, bit in inst.fixed:
-        a[v] = bit
-    for v, bit in forced.items():
-        a[v] = bit
-    return tuple(a)
+    ones, zeros = _proposed_literals(inst)
+    if ones & zeros:
+        raise StructureError("proposed clauses conflict; branch first")
+    return inst.fixed_bits | ones
 
 
-def clause_satisfied(c: AndClause, a) -> bool:
-    return all(a[v] == bit for v, bit in c.req)
+def instance_value(inst: AndInstance, a: int) -> int:
+    return sum(1 for c in inst.clauses if a & c.care == c.want)
 
 
-def instance_value(inst: AndInstance, a) -> int:
-    return sum(1 for c in inst.clauses if clause_satisfied(c, a))
-
-
-def renormalize(inst: AndInstance, alpha) -> AndInstance:
+def renormalize(inst: AndInstance, alpha: int) -> AndInstance:
     """Reset the proposal to the clauses alpha satisfies, growing the budget
     by the symmetric difference.  alpha must satisfy every proposed clause."""
     moved = 0
     new_clauses = []
     for c in inst.clauses:
-        s = clause_satisfied(c, alpha)
+        s = alpha & c.care == c.want
         if c.in_p and not s:
             raise StructureError("alpha must satisfy the proposed set")
-        if s != c.in_p:
-            moved += 1
-        new_clauses.append(AndClause(c.id, c.req, s))
-    return AndInstance(inst.num_vars, tuple(new_clauses), inst.k + moved, inst.fixed)
+        moved += s != c.in_p
+        new_clauses.append(c if s == c.in_p else AndClause(c.id, c.care, c.want, s))
+    return AndInstance(
+        inst.num_vars, tuple(new_clauses), inst.k + moved, inst.fixed, inst.fixed_bits
+    )
 
 
 @dataclass(frozen=True)
 class FlipTable:
-    """A renormalized instance and its satisfier alpha as bitmasks over the
-    free variables: bit i stands for ``free[i]``.  For clause c, V_c holds
-    the bits of its variables and N_c the bits where alpha disagrees with c,
-    so flipping the bits of F satisfies c iff ``F & V_c == N_c``."""
+    """A renormalized instance around its satisfier alpha.  For clause c,
+    V_c is its variables and N_c = (alpha ^ want) & V_c the variables where
+    alpha disagrees with c, so flipping F satisfies c iff ``F & V_c == N_c``."""
 
-    free: tuple
-    alpha: tuple
     proposed: tuple  # (V_c, N_c) of every proposed clause
     outside: tuple  # (V_c, N_c) of every other clause
     relevant: int
@@ -178,39 +164,24 @@ class FlipTable:
             1 for v, n in self.outside if flip & v == n
         )
 
-    def flipped(self, flip: int) -> tuple:
-        out = list(self.alpha)
-        for i, v in enumerate(self.free):
-            if (flip >> i) & 1:
-                out[v] = 1 - out[v]
-        return tuple(out)
 
-
-def flip_table(inst: AndInstance, alpha) -> FlipTable:
+def flip_table(inst: AndInstance, alpha: int) -> FlipTable:
     """The bitmask table of a renormalized instance around alpha."""
-    fixed = {v for v, _ in inst.fixed}
-    free = tuple(v for v in range(inst.num_vars) if v not in fixed)
-    pos = {v: i for i, v in enumerate(free)}
     proposed, outside = [], []
     relevant = 0
     for c in inst.clauses:
-        vbits = nbits = 0
-        for v, bit in c.req:
-            vbits |= 1 << pos[v]
-            if alpha[v] != bit:
-                nbits |= 1 << pos[v]
-        relevant |= vbits
-        (proposed if c.in_p else outside).append((vbits, nbits))
-    return FlipTable(free, tuple(alpha), tuple(proposed), tuple(outside), relevant)
+        relevant |= c.care
+        (proposed if c.in_p else outside).append((c.care, (alpha & c.care) ^ c.want))
+    return FlipTable(tuple(proposed), tuple(outside), relevant)
 
 
 def build_flip_class_hypergraph(table: FlipTable, key: int) -> tuple:
     """(hypergraph, classes): the selection subproblem for the coloring whose
-    label-1 bits are `key`.  The classes partition the label-1 variables:
-    the merged label-1 parts of the proposed clauses plus singletons, each a
-    bitmask over the table's free variables, in order of lowest bit.  Class
-    weights count incident proposed clauses; hyperedges are the non-proposed
-    clauses a full label-1 flip would satisfy."""
+    label-1 variables are `key`.  The classes partition the label-1
+    variables: the merged label-1 parts of the proposed clauses plus
+    singletons, each a variable mask, in order of lowest bit.  Class weights
+    count incident proposed clauses; hyperedges are the non-proposed clauses
+    a full label-1 flip would satisfy, as tuples of class indices."""
     groups = []  # (class mask, weight), masks pairwise disjoint
     for vbits, _ in table.proposed:
         part = vbits & key
@@ -244,50 +215,65 @@ def build_flip_class_hypergraph(table: FlipTable, key: int) -> tuple:
                 "clause outside the proposal satisfied by flipping nothing; "
                 "instance was not renormalized"
             )
-        edges.append(frozenset(i for i, cls in enumerate(classes) if cls & nbits))
+        edges.append(tuple(i for i, cls in enumerate(classes) if cls & nbits))
 
     hg = WeightedHypergraph(len(classes), tuple(edges), tuple(w for _, w in groups))
     return hg, classes
 
 
-def _coloring_keys(family, relevant: int):
-    """Label-1 sets restricted to the relevant bits, each once, in the order
-    the family first shows them; the empty coloring is skipped."""
+def _coloring_keys(family, relevant: int, fixed: int):
+    """Label-1 sets restricted to the relevant variables, each once, in the
+    order the family first shows them; the empty coloring is skipped.
+    Family bit i stands for the i-th variable outside `fixed`."""
     if family.mode == "exhaustive":
-        # the first mask of range(2^n) with a given key is the key itself,
-        # so the keys are the submasks of `relevant` in ascending order
+        # bit i maps to a variable in ascending order and the first mask of
+        # range(2^n) with a given key is the key itself, so the keys are the
+        # submasks of `relevant` in ascending order
         sub = relevant & -relevant
         while sub:
             yield sub
             sub = (sub - relevant) & relevant
         return
+    bits = []  # (family bit, variable bit) of each relevant variable
+    rest = relevant
+    while rest:
+        low = rest & -rest
+        # its family bit counts the unfixed variables below it
+        bits.append((1 << ((low - 1) & ~fixed).bit_count(), low))
+        rest ^= low
+    relevant_bits = sum(b for b, _ in bits)
     seen = set()
     for mask in family.colorings:
-        key = mask & relevant
+        key = mask & relevant_bits
         if key not in seen:
             seen.add(key)
             if mask:
-                yield key
+                yield sum(vb for b, vb in bits if key & b)
 
 
-def solve_satisfiable_p(inst: AndInstance, alpha, ctx: SolveContext) -> tuple:
+def _precedes(a: int, b: int) -> bool:
+    """a < b as tuples of bits in variable order: at the lowest bit where
+    they differ, b has the 1."""
+    d = a ^ b
+    return bool(b & d & -d)
+
+
+def solve_satisfiable_p(inst: AndInstance, alpha: int, ctx: SolveContext) -> int:
     """Best flip of alpha found across the coloring family.
 
     Requires alpha to satisfy the proposed set and the instance to be
     renormalized (proposal == satisfied set of alpha).
     """
     table = flip_table(inst, alpha)
-    r = inst.max_arity()
-    budget = min(len(table.free), max(0, r * inst.k))
-    family = build_coloring_family(
-        len(table.free), budget, budget, ctx.mode, ctx.seed, ctx.delta
-    )
+    n = inst.num_vars - inst.fixed.bit_count()
+    budget = min(n, max(0, inst.max_arity() * inst.k))
+    family = build_coloring_family(n, budget, budget, ctx.mode, ctx.seed, ctx.delta)
 
     base_value = table.value(0)
     best_value = base_value
-    best = table.alpha
+    best = alpha
     poll = ctx.deadline is not None
-    for key in _coloring_keys(family, table.relevant):
+    for key in _coloring_keys(family, table.relevant, inst.fixed):
         if poll and ctx.expired():
             break
         hg, classes = build_flip_class_hypergraph(table, key)
@@ -301,13 +287,13 @@ def solve_satisfiable_p(inst: AndInstance, alpha, ctx: SolveContext) -> tuple:
         value = table.value(flip)
         if value < best_value:
             continue
-        cand = table.flipped(flip)
-        if value > best_value or cand < best:
+        cand = alpha ^ flip
+        if value > best_value or _precedes(cand, best):
             best_value, best = value, cand
     return best
 
 
-def branch_solve(inst: AndInstance, ctx: SolveContext, _depth: int = 0) -> tuple:
+def branch_solve(inst: AndInstance, ctx: SolveContext, _depth: int = 0) -> int:
     """Full solve of a conjunction-family improvement instance.
 
     On promise-satisfying inputs (in exhaustive mode) the output satisfies
@@ -317,18 +303,18 @@ def branch_solve(inst: AndInstance, ctx: SolveContext, _depth: int = 0) -> tuple
     ctx.max_depth = max(ctx.max_depth, _depth)
     if ctx.expired() or inst.k < 0:
         ctx.fallbacks += 1
-        return fallback_assignment(inst)
+        return inst.fixed_bits
     v = find_branch_variable(inst)
     if v is not None:
         if inst.k == 0:
             ctx.fallbacks += 1
-            return fallback_assignment(inst)
+            return inst.fixed_bits
         best = None
         best_value = -1
         for a in (0, 1):
             cand = branch_solve(assign_value(inst, v, a), ctx, _depth + 1)
             value = instance_value(inst, cand)
-            if value > best_value or (value == best_value and cand < best):
+            if value > best_value or (value == best_value and _precedes(cand, best)):
                 best_value, best = value, cand
         return best
     alpha = find_assignment_satisfying_p(inst)
@@ -352,4 +338,8 @@ def solve_and(
 ):
     """Library entry point; returns (assignment, SolveContext)."""
     ctx = SolveContext(mode, seed, delta, deadline)
-    return branch_solve(and_instance_from(instance, proposed), ctx), ctx
+    bits = branch_solve(and_instance_from(instance, proposed), ctx)
+    n = instance.num_vars
+    # the binary digits, lowest bit (variable 0) first; [:n] drops the "0"
+    # that formatting 0 leaves when n == 0
+    return tuple(map(int, f"{bits:0{n}b}"[::-1][:n])), ctx

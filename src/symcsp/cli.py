@@ -52,7 +52,7 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_GUARD = 3
 EXIT_VERIFY = 4
-GRAPH_VERTEX_GUARD = 1 << 18  # vertices of a graph-form solve input
+SOLVE_SIZE_GUARD = 1 << 18  # vertices or variables of a solve input
 
 
 def _finite(text):
@@ -118,9 +118,9 @@ def _graph_from_json(obj):
         raise SchemaError(f"bad graph object: {e}")
     if k < 0:
         raise SchemaError("k must be nonnegative")
-    if n > GRAPH_VERTEX_GUARD:
+    if n > SOLVE_SIZE_GUARD:
         # the solve sizes its union-find and per-vertex output by n
-        raise GuardError(f"graph of {n} vertices exceeds guard {GRAPH_VERTEX_GUARD}")
+        raise GuardError(f"graph of {n} vertices exceeds guard {SOLVE_SIZE_GUARD}")
     return CutGraph(n, edges), p, k
 
 
@@ -155,6 +155,11 @@ def cmd_solve(args):
         return EXIT_OK
 
     instance, proposed = instance_from_json(obj)
+    if instance.num_vars > SOLVE_SIZE_GUARD:
+        # every solver sizes per-variable lists and its output by num_vars
+        raise GuardError(
+            f"instance of {instance.num_vars} variables exceeds guard {SOLVE_SIZE_GUARD}"
+        )
     # one verdict per distinct language, in order of first appearance
     languages = dict.fromkeys(c.language for c in instance.clauses)
     verdicts = {classifier.classify(lang.arity, lang.counts).label for lang in languages}

@@ -139,6 +139,8 @@ class Instance:
     clauses: tuple
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise StructureError(f"num_vars must be nonnegative, got {self.num_vars}")
         seen = set()
         for c in self.clauses:
             if c.id in seen:

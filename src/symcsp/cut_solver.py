@@ -69,6 +69,8 @@ class CutGraph:
     edges: tuple
 
     def __post_init__(self):
+        if self.num_vertices < 0:
+            raise StructureError(f"num_vertices must be nonnegative, got {self.num_vertices}")
         for e in self.edges:
             if not (0 <= e.u < self.num_vertices and 0 <= e.v < self.num_vertices):
                 raise StructureError(f"edge {e.id} endpoint out of range")

@@ -349,7 +349,8 @@ def test_criterion_7_small_hamming_distance(and_sample):
         ai = and_instance_from(inst, prop)
         if find_branch_variable(ai) is not None:
             continue  # the proposal is not satisfiable as given
-        alpha = find_assignment_satisfying_p(ai)
+        bits = find_assignment_satisfying_p(ai)
+        alpha = tuple(bits >> v & 1 for v in range(inst.num_vars))
         checked += 1
         r = max(c.language.arity for c in inst.clauses)
         p2 = satisfied_set(inst, alpha)

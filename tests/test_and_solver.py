@@ -16,8 +16,6 @@ from symcsp.and_solver import (
     assign_value,
     branch_solve,
     build_flip_class_hypergraph,
-    clause_satisfied,
-    fallback_assignment,
     find_assignment_satisfying_p,
     find_branch_variable,
     flip_table,
@@ -53,6 +51,32 @@ def and_inst(num_vars, rows, p, k):
     return inst, ProposedSolution(frozenset(p), k)
 
 
+def _bits(assignment) -> int:
+    """The solver's int form of a 0/1 tuple: bit v is variable v."""
+    return sum(b << v for v, b in enumerate(assignment))
+
+
+def _vars_of(mask) -> frozenset:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _mask_of(variables) -> int:
+    return sum(1 << v for v in set(variables))
+
+
+def _p_ids(inst) -> frozenset:
+    return frozenset(c.id for c in inst.clauses if c.in_p)
+
+
+def test_precedes_matches_tuple_order():
+    # the int tie-break is tuple `<` on the bits in variable order
+    for n in range(6):
+        tuples = list(product((0, 1), repeat=n))
+        for a in tuples:
+            for b in tuples:
+                assert and_solver._precedes(_bits(a), _bits(b)) == (a < b), (a, b)
+
+
 def test_assign_value_kills_proposed_clause():
     # clause (x and y) proposed; fixing x := 0 kills it and pays budget
     inst, prop = and_inst(2, [((0, 0), (0, 1))], {0}, 2)
@@ -67,7 +91,7 @@ def test_assign_value_keeps_residual():
     ai = and_instance_from(inst, prop)
     out = assign_value(ai, 0, 0)
     assert out.k == 2
-    assert out.clauses == (AndClause(0, ((1, 1),), True),)
+    assert out.clauses == (AndClause(0, 0b10, 0b10, True),)
 
 
 def test_assign_value_trivial_true_outside_proposal():
@@ -90,7 +114,7 @@ def test_branch_variable_and_satisfier():
     ai = and_instance_from(inst, prop)
     assert find_branch_variable(ai) is None
     alpha = find_assignment_satisfying_p(ai)
-    assert alpha == (1, 0)
+    assert alpha == _bits((1, 0))
 
     inst2, prop2 = and_inst(1, [((0,), (0,)), ((1,), (0,))], {0, 1}, 1)
     ai2 = and_instance_from(inst2, prop2)
@@ -102,7 +126,7 @@ def test_branch_variable_and_satisfier():
 def test_satisfier_defaults_to_zero():
     inst, prop = and_inst(3, [((0, 0), (0, 1))], set(), 1)
     ai = and_instance_from(inst, prop)
-    assert find_assignment_satisfying_p(ai) == (0, 0, 0)
+    assert find_assignment_satisfying_p(ai) == _bits((0, 0, 0))
 
 
 def test_satisfier_satisfies_random_conflict_free_proposals():
@@ -115,22 +139,22 @@ def test_satisfier_satisfies_random_conflict_free_proposals():
         alpha = find_assignment_satisfying_p(ai)
         for c in ai.clauses:
             if c.in_p:
-                assert clause_satisfied(c, alpha)
+                assert alpha & c.care == c.want
 
 
 def test_renormalize_examples():
     inst, prop = and_inst(2, [((0, 0), (0, 1)), ((1, 0), (0, 1))], {0}, 2)
     ai = and_instance_from(inst, prop)
     # alpha satisfies exactly the proposal
-    ren = renormalize(ai, (1, 1))
-    assert ren.k == 2 and ren.p_ids() == frozenset({0})
+    ren = renormalize(ai, _bits((1, 1)))
+    assert ren.k == 2 and _p_ids(ren) == frozenset({0})
     # alpha satisfying the proposal plus an extra clause grows k by 1
     inst2, prop2 = and_inst(2, [((0, 0), (0, 1)), ((0,), (0,))], {0}, 2)
     ai2 = and_instance_from(inst2, prop2)
-    ren2 = renormalize(ai2, (1, 1))
-    assert ren2.k == 3 and ren2.p_ids() == frozenset({0, 1})
+    ren2 = renormalize(ai2, _bits((1, 1)))
+    assert ren2.k == 3 and _p_ids(ren2) == frozenset({0, 1})
     with pytest.raises(StructureError):
-        renormalize(ai, (0, 0))
+        renormalize(ai, _bits((0, 0)))
 
 
 def test_renormalize_distance_identity():
@@ -142,7 +166,7 @@ def test_renormalize_distance_identity():
             continue
         alpha = find_assignment_satisfying_p(ai)
         ren = renormalize(ai, alpha)
-        assert len(ren.p_ids() ^ ai.p_ids()) == ren.k - ai.k
+        assert len(_p_ids(ren) ^ _p_ids(ai)) == ren.k - ai.k
 
 
 def test_assign_value_cost_shift_is_assignment_independent():
@@ -157,31 +181,23 @@ def test_assign_value_cost_shift_is_assignment_independent():
             for bits in product((0, 1), repeat=inst.num_vars):
                 if bits[v] != a:
                     continue
-                cost_parent = len(ai.clauses) - instance_value(ai, bits)
-                cost_child = len(child.clauses) - instance_value(child, bits)
+                cost_parent = len(ai.clauses) - instance_value(ai, _bits(bits))
+                cost_child = len(child.clauses) - instance_value(child, _bits(bits))
                 shifts.add(cost_parent - cost_child)
             assert len(shifts) == 1
-
-
-def _class_vars(table, mask):
-    return frozenset(v for i, v in enumerate(table.free) if (mask >> i) & 1)
-
-
-def _mask_of(table, variables):
-    return sum(1 << i for i, v in enumerate(table.free) if v in variables)
 
 
 def test_flip_hypergraph_weights_and_edges():
     # proposal {(x and y)}, extra clause (not x) outside it
     inst, prop = and_inst(2, [((0, 0), (0, 1)), ((1,), (0,))], {0}, 1)
     ai = and_instance_from(inst, prop)
-    alpha = (1, 1)
+    alpha = _bits((1, 1))
     ren = renormalize(ai, alpha)
     table = flip_table(ren, alpha)
-    hg, classes = build_flip_class_hypergraph(table, _mask_of(table, {0, 1}))
-    assert tuple(_class_vars(table, m) for m in classes) == (frozenset({0, 1}),)
+    hg, classes = build_flip_class_hypergraph(table, _mask_of({0, 1}))
+    assert tuple(_vars_of(m) for m in classes) == (frozenset({0, 1}),)
     assert hg.weights == (1,)
-    assert hg.hyperedges == (frozenset({0}),)
+    assert hg.hyperedges == ((0,),)
 
 
 def test_flip_improvement_never_below_objective():
@@ -195,18 +211,17 @@ def test_flip_improvement_never_below_objective():
             continue
         alpha = find_assignment_satisfying_p(ai)
         ren = renormalize(ai, alpha)
-        target = tuple(rng.randint(0, 1) for _ in range(inst.num_vars))
-        l1 = [v for v in range(inst.num_vars) if target[v] != alpha[v]]
+        target = _bits(rng.randint(0, 1) for _ in range(inst.num_vars))
+        l1 = target ^ alpha
         if not l1:
             continue
         table = flip_table(ren, alpha)
-        hg, classes = build_flip_class_hypergraph(table, _mask_of(table, l1))
+        hg, classes = build_flip_class_hypergraph(table, l1)
         for mask in range(1 << len(classes)):
             chosen = [i for i in range(len(classes)) if (mask >> i) & 1]
-            cand = list(alpha)
+            cand = alpha
             for ci in chosen:
-                for v in _class_vars(table, classes[ci]):
-                    cand[v] = 1 - cand[v]
+                cand ^= classes[ci]
             improvement = instance_value(ren, cand) - instance_value(ren, alpha)
             assert improvement >= selection_objective(hg, chosen)
         full = list(range(len(classes)))
@@ -221,19 +236,28 @@ def test_flip_hypergraph_rejects_unrenormalized_instance():
     inst, prop = and_inst(2, [((0,), (0,)), ((0,), (1,))], {0}, 1)
     ai = and_instance_from(inst, prop)
     alpha = (1, 1)
-    table = flip_table(ai, alpha)
+    table = flip_table(ai, _bits(alpha))
     with pytest.raises(StructureError, match="flipping nothing"):
-        build_flip_class_hypergraph(table, _mask_of(table, {0}))
+        build_flip_class_hypergraph(table, _mask_of({0}))
     with pytest.raises(StructureError, match="flipping nothing"):
         _ref_build_flip_class_hypergraph(ai, alpha, [0])
 
 
 # The flip search as it was before the bitmask table: one tuple-of-literals
-# pass per coloring over the whole family.  The differential test below pins
-# the table-driven search to it.
+# pass per coloring over the whole family, on tuple assignments, with each
+# clause's masks expanded into (var, bit) pairs.  The differential test
+# below pins the table-driven search to it.
+
+def _req(c: AndClause) -> list:
+    return [(v, c.want >> v & 1) for v in sorted(_vars_of(c.care))]
+
+
+def _ref_value(inst: AndInstance, a) -> int:
+    return sum(1 for c in inst.clauses if all(a[v] == bit for v, bit in _req(c)))
+
 
 def _ref_satisfied_by_flipping(c: AndClause, alpha, l1) -> bool:
-    for v, bit in c.req:
+    for v, bit in _req(c):
         val = alpha[v]
         if v in l1:
             val = 1 - val
@@ -248,7 +272,7 @@ def _ref_build_flip_class_hypergraph(inst: AndInstance, alpha, l1):
     for c in inst.clauses:
         if not c.in_p:
             continue
-        members = [v for v, _ in c.req if v in l1]
+        members = [v for v, _ in _req(c) if v in l1]
         for u in members[1:]:
             sets.union(members[0], u)
 
@@ -259,7 +283,7 @@ def _ref_build_flip_class_hypergraph(inst: AndInstance, alpha, l1):
     for c in inst.clauses:
         if not c.in_p:
             continue
-        members = [v for v, _ in c.req if v in l1]
+        members = [v for v, _ in _req(c) if v in l1]
         if members:
             weights[index[members[0]]] += 1
 
@@ -268,7 +292,7 @@ def _ref_build_flip_class_hypergraph(inst: AndInstance, alpha, l1):
         if c.in_p:
             continue
         if _ref_satisfied_by_flipping(c, alpha, l1):
-            touched = frozenset(index[v] for v, _ in c.req if v in l1)
+            touched = frozenset(index[v] for v, _ in _req(c) if v in l1)
             if not touched:
                 raise StructureError(
                     "clause outside the proposal satisfied by flipping nothing; "
@@ -280,23 +304,24 @@ def _ref_build_flip_class_hypergraph(inst: AndInstance, alpha, l1):
     return hg, tuple(frozenset(c) for c in classes)
 
 
-def _ref_solve_satisfiable_p(inst: AndInstance, alpha, ctx: SolveContext) -> tuple:
-    free = sorted(set(range(inst.num_vars)) - {v for v, _ in inst.fixed})
+def _ref_solve_satisfiable_p(inst: AndInstance, alpha_bits: int, ctx: SolveContext) -> int:
+    alpha = tuple(alpha_bits >> v & 1 for v in range(inst.num_vars))
+    free = sorted(set(range(inst.num_vars)) - _vars_of(inst.fixed))
     pos = {v: i for i, v in enumerate(free)}
     relevant_mask = 0
     for c in inst.clauses:
-        for v, _ in c.req:
+        for v, _ in _req(c):
             relevant_mask |= 1 << pos[v]
 
-    r = inst.max_arity()
+    r = max((len(_req(c)) for c in inst.clauses), default=1)
     budget = min(len(free), max(0, r * inst.k))
     family = build_coloring_family(
         len(free), budget, budget, ctx.mode, ctx.seed, ctx.delta
     )
 
-    base_value = instance_value(inst, alpha)
+    base_value = _ref_value(inst, alpha)
     best_value = base_value
-    best = tuple(alpha)
+    best = alpha
     seen = set()
     poll = ctx.deadline is not None
     for mask in family.colorings:
@@ -321,10 +346,10 @@ def _ref_solve_satisfiable_p(inst: AndInstance, alpha, ctx: SolveContext) -> tup
             for v in class_map[ci]:
                 cand[v] = 1 - cand[v]
         cand = tuple(cand)
-        value = instance_value(inst, cand)
+        value = _ref_value(inst, cand)
         if value > best_value or (value == best_value and cand < best):
             best_value, best = value, cand
-    return best
+    return _bits(best)
 
 
 @st.composite
@@ -358,12 +383,12 @@ def _solve_both(n, rows, p, k, setting):
         visited = []
         if new:
             def build(table, key, _real=build_flip_class_hypergraph):
-                visited.append(_class_vars(table, key))
+                visited.append(_vars_of(key))
                 return _real(table, key)
             patches = (mock.patch.object(and_solver, "build_flip_class_hypergraph", build),)
         else:
             def build(ai, alpha, l1, _real=_ref_build_flip_class_hypergraph):
-                visited.append(frozenset(l1) & {v for c in ai.clauses for v, _ in c.req})
+                visited.append(frozenset(l1) & {v for c in ai.clauses for v, _ in _req(c)})
                 return _real(ai, alpha, l1)
             patches = (mock.patch.object(and_solver, "solve_satisfiable_p", _ref_solve_satisfiable_p),
                        mock.patch.object(sys.modules[__name__], "_ref_build_flip_class_hypergraph", build))
@@ -385,6 +410,8 @@ def _solve_both(n, rows, p, k, setting):
 # conflicting proposal: the flip search runs below fixed variables
 @example((6, [((0,), (0,)), ((1,), (0,)), ((0, 1), (1, 2)), ((1,), (3,))], {0, 1, 2}, 3,
           ("exhaustive", None, None)))
+# a random family below fixed variable 0: family bit i is variable i + 1
+@example((8, [((0, 1), (0, 1)), ((1, 0), (0, 1)), ((0,), (1,))], {0, 1}, 2, ("random", 33, None)))
 def test_flip_search_matches_reference(case):
     new, ref = _solve_both(*case)
     assert new == ref
@@ -392,14 +419,16 @@ def test_flip_search_matches_reference(case):
 
 def test_flip_search_reference_cases_reach_their_branches():
     # the @example inputs above exercise what they claim: irrelevant bits in
-    # a random key's first mask, and a flip search below fixed variables
+    # a random key's first mask, and flip searches below fixed variables, one
+    # of them with a random family
     inst, prop = and_inst(9, [((0,), (0,)), ((1, 0), (1, 2)), ((0, 1), (3, 4))], {0}, 1)
     ai = and_instance_from(inst, prop)
     alpha = find_assignment_satisfying_p(ai)
     ren = renormalize(ai, alpha)
     table = flip_table(ren, alpha)
-    budget = min(len(table.free), ren.max_arity() * ren.k)
-    family = build_coloring_family(len(table.free), budget, budget, "random", 3)
+    assert not ren.fixed  # family bit i is variable i
+    budget = min(ren.num_vars, ren.max_arity() * ren.k)
+    family = build_coloring_family(ren.num_vars, budget, budget, "random", 3)
     assert family.mode == "random"
     firsts = {}
     for mask in family.colorings:
@@ -419,6 +448,21 @@ def test_flip_search_reference_cases_reach_their_branches():
         solve_and(inst2, prop2)
     assert seen and all(seen)
 
+    modes = []
+    real_family = and_solver.build_coloring_family
+
+    def family_spy(*args):
+        family = real_family(*args)
+        modes.append(family.mode)
+        return family
+
+    inst3, prop3 = and_inst(8, [((0, 1), (0, 1)), ((1, 0), (0, 1)), ((0,), (1,))], {0, 1}, 2)
+    seen.clear()
+    with mock.patch.object(and_solver, "solve_satisfiable_p", spy), \
+            mock.patch.object(and_solver, "build_coloring_family", family_spy):
+        solve_and(inst3, prop3, mode="random", seed=33)
+    assert "random" in modes and all(fixed & 1 for fixed in seen)
+
 
 def test_branch_solve_trivial_examples():
     inst, prop = and_inst(1, [((0,), (0,))], set(), 0)
@@ -428,6 +472,9 @@ def test_branch_solve_trivial_examples():
     inst2, prop2 = and_inst(1, [((0,), (0,)), ((1,), (0,))], {0, 1}, 1)
     out2, _ = solve_and(inst2, prop2)
     assert len(satisfied_set(inst2, out2)) == 1
+
+    # no variables: the empty assignment
+    assert solve_and(*and_inst(0, [], set(), 0))[0] == ()
 
 
 def test_flip_tradeoff_keeps_satisfier():
@@ -504,10 +551,12 @@ def test_repeated_conflicting_literals_rejected():
 
 
 def test_fallback_assignment_respects_fixed_values():
+    # the fallback keeps the values branching fixed and zeroes the rest
     inst, prop = and_inst(3, [((0, 0), (0, 1))], {0}, 1)
     ai = and_instance_from(inst, prop)
     child = assign_value(ai, 1, 1)
-    assert fallback_assignment(child) == (0, 1, 0)
+    ctx = SolveContext(deadline=Deadline(0))
+    assert branch_solve(child, ctx) == _bits((0, 1, 0)) and ctx.fallbacks == 1
 
 
 def test_random_mode_seed_none_means_zero():

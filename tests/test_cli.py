@@ -407,3 +407,31 @@ def test_random_and_family_guard_fires_before_drawing(tmp_path, capsys):
     code, peak = _peak_bytes(["solve", "--input", str(path), "--coloring", "random", "--seed", "1"])
     assert code == 3 and peak < 1 << 20
     assert capsys.readouterr().err.startswith("guard: random family of ")
+
+
+@pytest.mark.parametrize("counts", [[0, 1, 2], [0, 2]], ids=["trivial", "2ae"])
+def test_csp_variable_guard_fires_before_allocating(tmp_path, capsys, counts):
+    n = (1 << 18) + 1
+    doc = {"mode": "sym", "r": 2, "S": counts, "num_vars": n, "k": 1,
+           "clauses": [{"neg": [0, 0], "scope": [0, n - 1], "in_P": False}]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, peak = _peak_bytes(["solve", "--input", str(path)])
+    assert code == 3 and peak < 1 << 20
+    assert capsys.readouterr().err.startswith("guard: instance of ")
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["solve"], {"mode": "and", "num_vars": -5, "k": 0, "clauses": []}),
+    (["reduce", "--source", "mincsp"], {"mode": "and", "num_vars": -5, "k": 0, "clauses": []}),
+    (["solve"], {"num_vertices": -3, "k": 0, "edges": []}),
+], ids=["solve_csp", "reduce_mincsp", "solve_graph"])
+def test_negative_sizes_are_schema_errors(tmp_path, capsys, argv, doc):
+    from symcsp.cli import main
+
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("schema error: ")
+    assert "must be nonnegative" in out.err
