@@ -23,10 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    DEFAULT_DELTA, Instance, ProposedSolution, SolveContext, StructureError,
+    DEFAULT_DELTA, GuardError, Instance, ProposedSolution, SolveContext, StructureError,
 )
 from .coloring import build_coloring_family
 from .flow import WeightedHypergraph, solve_mis_vw
+
+# Each clause's masks are as wide as its highest variable, so normalization
+# allocates about this many bits per mask set at most.
+CLAUSE_MASK_GUARD_BITS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,11 @@ def and_instance_from(instance: Instance, proposed: ProposedSolution) -> AndInst
     if not instance.is_and_family():
         raise StructureError("solver requires conjunction-family clauses only")
     proposed.validate_against(instance)
+    width = sum(max(c.scope) + 1 for c in instance.clauses)
+    if width > CLAUSE_MASK_GUARD_BITS:
+        raise GuardError(
+            f"clause masks of {width} bits exceed guard {CLAUSE_MASK_GUARD_BITS}"
+        )
     clauses = []
     for c in instance.clauses:
         # the all-true language wants each literal true, the all-false one false
@@ -224,11 +233,12 @@ def build_flip_class_hypergraph(table: FlipTable, key: int) -> tuple:
 def _coloring_keys(family, relevant: int, fixed: int):
     """Label-1 sets restricted to the relevant variables, each once, in the
     order the family first shows them; the empty coloring is skipped.
-    Family bit i stands for the i-th variable outside `fixed`."""
+    Family bit i stands for the i-th variable outside `fixed`, or for the
+    i-th relevant variable when the solve sized the family by them."""
     if family.mode == "exhaustive":
-        # bit i maps to a variable in ascending order and the first mask of
-        # range(2^n) with a given key is the key itself, so the keys are the
-        # submasks of `relevant` in ascending order
+        # either way bit i maps to a variable in ascending order and the
+        # first mask of range(2^n) with a given key is the key itself, so the
+        # keys are the submasks of `relevant` in ascending order
         sub = relevant & -relevant
         while sub:
             yield sub
@@ -261,11 +271,20 @@ def _precedes(a: int, b: int) -> bool:
 def solve_satisfiable_p(inst: AndInstance, alpha: int, ctx: SolveContext) -> int:
     """Best flip of alpha found across the coloring family.
 
+    The family is sized by the variables its keys range over: in exhaustive
+    mode the relevant variables (the walk visits only their submasks), in
+    random mode every free variable (each random mask spans them all).  So
+    the exhaustive cap bounds the keys actually walked, and it fires before
+    the first one.
+
     Requires alpha to satisfy the proposed set and the instance to be
     renormalized (proposal == satisfied set of alpha).
     """
     table = flip_table(inst, alpha)
-    n = inst.num_vars - inst.fixed.bit_count()
+    if ctx.mode == "exhaustive":
+        n = table.relevant.bit_count()
+    else:
+        n = inst.num_vars - inst.fixed.bit_count()
     budget = min(n, max(0, inst.max_arity() * inst.k))
     family = build_coloring_family(n, budget, budget, ctx.mode, ctx.seed, ctx.delta)
 

@@ -57,7 +57,11 @@ def build_coloring_family(
     delta: float = DEFAULT_DELTA,
 ) -> ColoringFamily:
     """All 2^n colorings (capped) in exhaustive mode, and in random mode
-    whenever that is no larger than the seeded Monte-Carlo family."""
+    whenever that is no larger than the seeded Monte-Carlo family.
+
+    n is the universe the caller's masks span, so the cap counts the
+    colorings it can walk: the AND flip search passes its relevant variables
+    in exhaustive mode and its free variables in random mode."""
     if not (0 <= a <= n and 0 <= b <= n):
         raise StructureError(f"need 0 <= a,b <= n, got a={a} b={b} n={n}")
     if mode == "random":

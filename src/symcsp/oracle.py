@@ -28,8 +28,12 @@ class OracleReport:
     neighborhood_witness: tuple | None
 
 
-def _assignment_of(index: int, n: int) -> tuple:
-    return tuple((index >> v) & 1 for v in range(n))
+def _assignment_of(index: int, variables, n: int) -> tuple:
+    """The n-tuple with variables[i] = bit i of index and every other 0."""
+    out = [0] * n
+    for i, v in enumerate(variables):
+        out[v] = (index >> i) & 1
+    return tuple(out)
 
 
 def _lex_min_index(indices: np.ndarray, n: int) -> int:
@@ -40,16 +44,18 @@ def _lex_min_index(indices: np.ndarray, n: int) -> int:
     return int(indices[int(np.argmin(rev))])
 
 
-def _value_delta_tables(instance: Instance, p_ids) -> tuple:
-    n = instance.num_vars
-    big = 1 << n
+def _value_delta_tables(instance: Instance, p_ids, variables) -> tuple:
+    """Value and proposal distance of every assignment to `variables`
+    (index bit i is variables[i]); no clause reads any other variable."""
+    pos = {v: i for i, v in enumerate(variables)}
+    big = 1 << len(variables)
     idx = np.arange(big, dtype=np.int64)
     values = np.zeros(big, dtype=np.int32)
     deltas = np.zeros(big, dtype=np.int32)
     for c in instance.clauses:
         count = np.zeros(big, dtype=np.int32)
         for v, b in zip(c.scope, c.neg):
-            count += ((idx >> v) & 1).astype(np.int32) ^ b
+            count += ((idx >> pos[v]) & 1).astype(np.int32) ^ b
         sat = np.isin(count, sorted(c.language.counts))
         values += sat
         deltas += sat != (c.id in p_ids)
@@ -57,18 +63,28 @@ def _value_delta_tables(instance: Instance, p_ids) -> tuple:
 
 
 def brute_force_improve(instance: Instance, k: int, p_ids) -> OracleReport:
-    """Exact optimum and optimum-in-k-neighborhood by full enumeration."""
+    """Exact optimum and optimum-in-k-neighborhood by full enumeration of
+    the variables that occur in some clause; every other variable is 0.
+
+    Values and distances do not read the other variables, and 0 is the
+    lex-smaller bit, so both lex-min witnesses are those of the full 2^n
+    enumeration.  The guard counts the enumerated variables.
+    """
     n = instance.num_vars
-    if n > IMPROVE_GUARD_VARS:
-        raise GuardError(f"brute_force_improve guarded at {IMPROVE_GUARD_VARS} variables")
-    values, deltas = _value_delta_tables(instance, frozenset(p_ids))
-    gmax = int(values.max()) if values.size else 0
-    gwit = _assignment_of(_lex_min_index(np.nonzero(values == gmax)[0], n), n)
+    variables = sorted({v for c in instance.clauses for v in c.scope})
+    m = len(variables)
+    if m > IMPROVE_GUARD_VARS:
+        raise GuardError(
+            f"brute_force_improve guarded at {IMPROVE_GUARD_VARS} clause variables"
+        )
+    values, deltas = _value_delta_tables(instance, frozenset(p_ids), variables)
+    gmax = int(values.max())
+    gwit = _assignment_of(_lex_min_index(np.nonzero(values == gmax)[0], m), variables, n)
     near = deltas <= k
     if near.any():
         nmax = int(values[near].max())
         cand = np.nonzero(near & (values == nmax))[0]
-        nwit = _assignment_of(_lex_min_index(cand, n), n)
+        nwit = _assignment_of(_lex_min_index(cand, m), variables, n)
         return OracleReport(gmax, gwit, True, nmax, nwit)
     return OracleReport(gmax, gwit, False, None, None)
 
@@ -78,13 +94,15 @@ def neighborhood_optima(instance: Instance, k: int, p_ids):
     n = instance.num_vars
     if n > NEIGHBORHOOD_GUARD_VARS:
         raise GuardError(f"neighborhood_optima guarded at {NEIGHBORHOOD_GUARD_VARS} variables")
-    values, deltas = _value_delta_tables(instance, frozenset(p_ids))
+    variables = range(n)
+    values, deltas = _value_delta_tables(instance, frozenset(p_ids), variables)
     near = deltas <= k
     if not near.any():
         return []
     nmax = int(values[near].max())
     return [
-        _assignment_of(int(i), n) for i in np.nonzero(near & (values == nmax))[0]
+        _assignment_of(int(i), variables, n)
+        for i in np.nonzero(near & (values == nmax))[0]
     ]
 
 

@@ -29,6 +29,7 @@ from symcsp.core import (
     Clause,
     Deadline,
     DisjointSets,
+    GuardError,
     Instance,
     ProposedSolution,
     SolveContext,
@@ -462,6 +463,66 @@ def test_flip_search_reference_cases_reach_their_branches():
             mock.patch.object(and_solver, "build_coloring_family", family_spy):
         solve_and(inst3, prop3, mode="random", seed=33)
     assert "random" in modes and all(fixed & 1 for fixed in seen)
+
+
+def _sparse_inst(num_vars, used, seed):
+    """A conjunction instance over num_vars variables whose clauses use
+    exactly `used`, with the proposal all zeros satisfies and k = 1, so the
+    satisfier is all zeros and the flip search runs on every variable of
+    `used` (nothing branches, nothing overshoots)."""
+    rng = random.Random(seed)
+    rows = [((rng.randint(0, 1),), (v,)) for v in used]
+    for j in range(len(used)):
+        scope = tuple(rng.sample(used, 2 + j % 2))
+        rows.append((tuple(rng.randint(0, 1) for _ in scope), scope))
+    p = {i for i, (neg, _) in enumerate(rows) if all(neg)}
+    return and_inst(num_vars, rows, p, 1)
+
+
+def _family_sizes(inst, prop, **kw):
+    """(n of every coloring family built, solve result or GuardError)."""
+    sizes = []
+    real = and_solver.build_coloring_family
+
+    def spy(n, *args):
+        sizes.append(n)
+        return real(n, *args)
+
+    with mock.patch.object(and_solver, "build_coloring_family", spy):
+        try:
+            return sizes, solve_and(inst, prop, **kw)
+        except GuardError as e:
+            return sizes, e
+
+
+def test_exhaustive_family_counts_relevant_variables():
+    # 24 free variables, 12 of them in clauses: the walk visits the 2^12 - 1
+    # nonempty submasks, and the family is sized by those 12, not by all 24
+    inst, prop = _sparse_inst(24, list(range(0, 24, 2)), 1)
+    sizes, (out, run) = _family_sizes(inst, prop)
+    assert sizes == [12] and run.colorings_tried == (1 << 12) - 1
+    rep = brute_force_improve(inst, prop.k, prop.clause_ids)
+    assert len(satisfied_set(inst, out)) >= rep.neighborhood_value
+
+
+def test_exhaustive_guard_fires_before_any_key():
+    inst, prop = _sparse_inst(20, list(range(17)), 2)
+    walked = []
+    with mock.patch.object(and_solver, "build_flip_class_hypergraph",
+                           lambda *args: walked.append(args)):
+        sizes, err = _family_sizes(inst, prop)
+    assert sizes == [17] and isinstance(err, GuardError) and not walked
+    assert "2^17" in str(err)
+
+
+def test_random_family_counts_free_variables():
+    # random masks span every free variable, so random mode keeps sizing its
+    # family by all 24 of them
+    inst, prop = _sparse_inst(24, list(range(0, 24, 2)), 1)
+    sizes, (out, run) = _family_sizes(inst, prop, mode="random", seed=5)
+    assert sizes == [24] and 0 < run.colorings_tried < (1 << 12)
+    rep = brute_force_improve(inst, prop.k, prop.clause_ids)
+    assert len(satisfied_set(inst, out)) >= rep.neighborhood_value
 
 
 def test_branch_solve_trivial_examples():

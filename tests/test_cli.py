@@ -435,3 +435,19 @@ def test_negative_sizes_are_schema_errors(tmp_path, capsys, argv, doc):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("schema error: ")
     assert "must be nonnegative" in out.err
+
+
+@pytest.mark.parametrize("count", [2000, 20000])
+def test_and_clause_mask_guard_fires_before_allocating(tmp_path, capsys, count):
+    # unit clauses on the top variables below 2^18: their masks would take
+    # count * 2^18 bits, so normalization refuses them before building one
+    n = 1 << 18
+    doc = {"mode": "and", "num_vars": n, "k": 1,
+           "clauses": [{"neg": [0], "scope": [n - 1 - i], "in_P": i == 0} for i in range(count)]}
+    path = tmp_path / "masks.json"
+    path.write_text(json.dumps(doc))
+    code, peak = _peak_bytes(["solve", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("guard: clause masks of ") and "Traceback" not in err
+    # the masks alone would take count * 2^18 / 8 bytes
+    assert peak < count * 4096

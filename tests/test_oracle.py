@@ -1,6 +1,9 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symcsp import oracle
 from symcsp.core import (
@@ -15,6 +18,8 @@ from symcsp.core import (
 )
 from symcsp.flow import WeightedHypergraph
 from symcsp.oracle import (
+    IMPROVE_GUARD_VARS,
+    OracleReport,
     brute_force_cut,
     brute_force_improve,
     brute_force_mincsp,
@@ -153,9 +158,108 @@ def test_misvw_witness_check_raises_verification_error(monkeypatch):
         brute_force_misvw(WeightedHypergraph(2, (frozenset({0, 1}),), (1, -1)))
 
 
+def _full_improve(inst, k, p_ids) -> OracleReport:
+    """The improvement optimum by plain enumeration of all 2^n assignments.
+    product() yields them in lex order, so the first optimum is lex-min."""
+    best = near = None
+    for a in product((0, 1), repeat=inst.num_vars):
+        value = delta = 0
+        for c in inst.clauses:
+            sat = sum(a[v] ^ b for v, b in zip(c.scope, c.neg)) in c.language.counts
+            value += sat
+            delta += sat != (c.id in p_ids)
+        if best is None or value > best[0]:
+            best = (value, a)
+        if delta <= k and (near is None or value > near[0]):
+            near = (value, a)
+    if near is None:
+        return OracleReport(best[0], best[1], False, None, None)
+    return OracleReport(best[0], best[1], True, near[0], near[1])
+
+
+def _unit(i, v, neg=0):
+    return Clause(i, (neg,), (v,), and_language(1))
+
+
+@st.composite
+def _improve_case(draw):
+    """(instance, k, proposal): variables at or above `used` are in no
+    clause; clauses may repeat one another; any proposal, so the promise
+    may break."""
+    n = draw(st.integers(0, 10))
+    used = draw(st.integers(0, n))
+    clauses = []
+    for i in range(draw(st.integers(0, 8)) if used else 0):
+        if clauses and draw(st.booleans()):
+            c = draw(st.sampled_from(clauses))
+            clauses.append(Clause(i, c.neg, c.scope, c.language))
+            continue
+        scope = draw(st.lists(st.integers(0, used - 1), min_size=1, max_size=3))
+        r = len(scope)
+        neg = draw(st.lists(st.integers(0, 1), min_size=r, max_size=r))
+        counts = draw(st.frozensets(st.integers(0, r)))
+        clauses.append(Clause(i, tuple(neg), tuple(scope), SymmetricLanguage(r, counts)))
+    p = draw(st.frozensets(st.integers(0, max(len(clauses) - 1, 0))))
+    return Instance(n, tuple(clauses)), draw(st.integers(0, 3)), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_improve_case())
+# an empty clause list, with and without variables
+@example((Instance(0, ()), 0, frozenset()))
+@example((Instance(4, ()), 1, frozenset()))
+# variables 0, 2 and 4 in no clause, k = 0
+@example((Instance(5, (_unit(0, 1), _unit(1, 3, 1))), 0, frozenset({0})))
+# duplicate clauses, one of them proposed
+@example((Instance(3, (_unit(0, 2), _unit(1, 2))), 0, frozenset({1})))
+# a proposal no assignment is within k of: x and not x
+@example((Instance(3, (_unit(0, 1), _unit(1, 1, 1))), 0, frozenset({0, 1})))
+def test_improve_matches_full_enumeration(case):
+    # enumerating only the clause variables loses no optimum and keeps both
+    # lex-min witnesses
+    inst, k, p = case
+    assert brute_force_improve(inst, k, p) == _full_improve(inst, k, p)
+
+
 def test_improve_guard():
+    # the guard counts the variables that occur in some clause
+    over = Instance(25, tuple(_unit(v, v) for v in range(IMPROVE_GUARD_VARS + 1)))
     with pytest.raises(GuardError):
-        brute_force_improve(Instance(25, ()), 0, frozenset())
+        brute_force_improve(over, 0, frozenset())
+
+
+def test_improve_skips_variables_outside_every_clause():
+    # 30 variables, 12 of them in clauses; the answer is the full
+    # enumeration of the instance with the unused variables deleted, each
+    # witness padded with 0 at the deleted variables
+    rng = random.Random(30)
+    used = sorted(rng.sample(range(30), 12))
+    clauses = []
+    for i in range(20):
+        r = rng.randint(1, 3)
+        clauses.append(Clause(i, tuple(rng.randint(0, 1) for _ in range(r)),
+                              tuple(rng.sample(used, r)), and_language(r)))
+    inst = Instance(30, tuple(clauses))
+    p = frozenset(i for i in range(20) if rng.random() < 0.5)
+    pos = {v: i for i, v in enumerate(used)}
+    small = Instance(12, tuple(
+        Clause(c.id, c.neg, tuple(pos[v] for v in c.scope), c.language) for c in clauses
+    ))
+
+    def pad(witness):
+        full = [0] * 30
+        for v, b in zip(used, witness):
+            full[v] = b
+        return tuple(full)
+
+    for k in (0, 2, 5):
+        ref = _full_improve(small, k, p)
+        rep = brute_force_improve(inst, k, p)
+        assert rep.global_value == ref.global_value and rep.global_witness == pad(ref.global_witness)
+        assert rep.promise_holds == ref.promise_holds
+        assert rep.neighborhood_value == ref.neighborhood_value
+        if ref.promise_holds:
+            assert rep.neighborhood_witness == pad(ref.neighborhood_witness)
 
 
 def test_cut_oracle_examples():
