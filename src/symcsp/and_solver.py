@@ -4,11 +4,11 @@ Pipeline: branch on variables whose literals conflict inside the proposed
 clause set (each branch fixes a value and pays budget for clauses it kills),
 until the proposed set is conflict-free; satisfy it outright; renormalize
 the proposal to the satisfier's full satisfied set; then search flip sets
-around the satisfier.  The flip search runs one weighted-hypergraph
-selection per coloring in a separating family: label-1 variables are
-grouped into classes joined by shared proposed clauses, a class costs the
-proposed clauses it touches, and a hyperedge worth 1 appears for every
-non-proposed clause that flipping the label-1 set would satisfy.
+around the satisfier.  The flip search runs one closure selection per
+coloring in a separating family: a coloring that gains too few
+non-proposed clauses is skipped; otherwise the label-1 parts of the
+proposed clauses merge into groups, each costing its proposed clauses, and
+each gained clause, worth 1, needs the groups it meets.
 
 Clauses, variable sets and assignments are bitmasks over the variables
 (bit v stands for variable v) from normalization on; only `solve_and`
@@ -26,7 +26,7 @@ from .core import (
     DEFAULT_DELTA, GuardError, Instance, ProposedSolution, SolveContext, StructureError,
 )
 from .coloring import build_coloring_family
-from .flow import WeightedHypergraph, solve_mis_vw
+from .flow import closure_assignment
 
 # Each clause's masks are as wide as its highest variable, so normalization
 # allocates about this many bits per mask set at most.
@@ -167,12 +167,6 @@ class FlipTable:
     outside: tuple  # (V_c, N_c) of every other clause
     relevant: int
 
-    def value(self, flip: int) -> int:
-        """instance_value of alpha with the bits of flip flipped."""
-        return sum(1 for v, n in self.proposed if flip & v == n) + sum(
-            1 for v, n in self.outside if flip & v == n
-        )
-
 
 def flip_table(inst: AndInstance, alpha: int) -> FlipTable:
     """The bitmask table of a renormalized instance around alpha."""
@@ -184,50 +178,47 @@ def flip_table(inst: AndInstance, alpha: int) -> FlipTable:
     return FlipTable(tuple(proposed), tuple(outside), relevant)
 
 
-def build_flip_class_hypergraph(table: FlipTable, key: int) -> tuple:
-    """(hypergraph, classes): the selection subproblem for the coloring whose
-    label-1 variables are `key`.  The classes partition the label-1
-    variables: the merged label-1 parts of the proposed clauses plus
-    singletons, each a variable mask, in order of lowest bit.  Class weights
-    count incident proposed clauses; hyperedges are the non-proposed clauses
-    a full label-1 flip would satisfy, as tuples of class indices."""
-    groups = []  # (class mask, weight), masks pairwise disjoint
+def build_flip_class_hypergraph(table: FlipTable, key: int, need: int):
+    """(groups, caps, edges, gained) for the label-1 set `key`, or None if
+    it gains fewer than `need` clauses.  `gained[j]` is N_c of the j-th
+    non-proposed clause that flipping all of key satisfies, `edges[j]` the
+    groups it meets; `groups` are the label-1 parts of the proposed clauses
+    merged where they meet (disjoint), `caps[i]` the proposed clauses in
+    group i.  Loose bits, outside every group, touch no proposed clause."""
+    gained = [n for v, n in table.outside if key & v == n]
+    if 0 in gained:
+        raise StructureError(
+            "clause outside the proposal satisfied by flipping nothing; "
+            "instance was not renormalized"
+        )
+    if len(gained) < need:
+        return None
+    groups, caps = [], []
     for vbits, _ in table.proposed:
         part = vbits & key
         if not part:
             continue
-        weight, rest = 1, []
-        for mask, w in groups:
-            if mask & part:
-                part |= mask
-                weight += w
-            else:
-                rest.append((mask, w))
-        rest.append((part, weight))
-        groups = rest
-    loose = key
-    for mask, _ in groups:
-        loose &= ~mask
-    while loose:
-        low = loose & -loose
-        groups.append((low, 0))
-        loose ^= low
-    groups.sort(key=lambda g: g[0] & -g[0])
-    classes = tuple(mask for mask, _ in groups)
+        weight = 1
+        for i in range(len(groups) - 1, -1, -1):
+            if groups[i] & part:
+                part |= groups.pop(i)
+                weight += caps.pop(i)
+        groups.append(part)
+        caps.append(weight)
+    edges = [[i for i, g in enumerate(groups) if g & n] for n in gained]
+    return groups, caps, edges, gained
 
-    edges = []
-    for vbits, nbits in table.outside:
-        if key & vbits != nbits:
-            continue
-        if not nbits:
-            raise StructureError(
-                "clause outside the proposal satisfied by flipping nothing; "
-                "instance was not renormalized"
-            )
-        edges.append(tuple(i for i, cls in enumerate(classes) if cls & nbits))
 
-    hg = WeightedHypergraph(len(classes), tuple(edges), tuple(w for _, w in groups))
-    return hg, classes
+def select_flip(key: int, sub) -> tuple:
+    """(flip, lost): the subproblem's dead groups plus the loose bits of its
+    reached gained clauses, and the proposed clauses of the dead groups."""
+    groups, caps, edges, gained = sub
+    dead, reached = closure_assignment(caps, edges)
+    flip = sum(groups[i] for i in dead)  # the groups are disjoint
+    loose = key & ~sum(groups)
+    for j in reached:
+        flip |= gained[j] & loose
+    return flip, sum(caps[i] for i in dead)
 
 
 def _coloring_keys(family, relevant: int, fixed: int):
@@ -288,22 +279,20 @@ def solve_satisfiable_p(inst: AndInstance, alpha: int, ctx: SolveContext) -> int
     budget = min(n, max(0, inst.max_arity() * inst.k))
     family = build_coloring_family(n, budget, budget, ctx.mode, ctx.seed, ctx.delta)
 
-    base_value = table.value(0)
+    # renormalized: alpha satisfies exactly the proposed clauses
+    base_value = len(table.proposed)
     best_value = base_value
     best = alpha
     poll = ctx.deadline is not None
     for key in _coloring_keys(family, table.relevant, inst.fixed):
         if poll and ctx.expired():
             break
-        hg, classes = build_flip_class_hypergraph(table, key)
+        sub = build_flip_class_hypergraph(table, key, max(1, best_value - base_value))
         ctx.colorings_tried += 1
-        if not hg.hyperedges or base_value + len(hg.hyperedges) < best_value:
+        if sub is None:
             continue
-        v0, _ = solve_mis_vw(hg)
-        flip = 0
-        for ci in v0:
-            flip |= classes[ci]
-        value = table.value(flip)
+        flip, lost = select_flip(key, sub)
+        value = base_value - lost + sum(1 for v, n in table.outside if flip & v == n)
         if value < best_value:
             continue
         cand = alpha ^ flip

@@ -5,11 +5,12 @@ a vertex set V0 maximizing |E(H(V0))| - sum of w over V0.  As a
 maximum-weight closure whose hyperedges all carry profit 1, it is a
 capacitated assignment: each hyperedge goes to at most one of its
 positive-weight vertices, and vertex v takes at most w(v) of them.
-`solve_mis_vw` finds a maximum assignment by augmenting paths and reads the
-optimum off the residual side reachable from the unassigned hyperedges,
-which is the same for every maximum assignment, so no search or hyperedge
-order changes the answer.  Dinic's `max_flow_min_cut` serves the cut
-pipeline.
+`closure_assignment`, the one routine for it, finds a maximum assignment
+by augmenting paths and reads the optimum off the residual side reachable
+from the unassigned hyperedges, the same for every maximum assignment, so
+no search or hyperedge order changes the answer.  Its callers are
+`solve_mis_vw` (a `WeightedHypergraph`) and the AND flip search.  Dinic's
+`max_flow_min_cut` serves the cut pipeline.
 """
 
 from __future__ import annotations
@@ -134,28 +135,22 @@ def selection_objective(h: WeightedHypergraph, v0) -> int:
     return inside - sum(h.weights[v] for v in v0)
 
 
-def solve_mis_vw(h: WeightedHypergraph) -> tuple:
-    """Exact optimum of the selection problem; returns (vertex frozenset, value).
+def closure_assignment(caps, edges) -> tuple:
+    """(dead, reached) of a maximum assignment of each hyperedge j to a
+    vertex of `edges[j]`, vertex v taking at most `caps[v]` > 0 of them.
 
     Hyperedges are placed in order, each by a breadth-first search for an
-    alternating path to a positive vertex below its weight.  A failed search
-    visits only full vertices whose hyperedges lead back among them or to
-    earlier dead vertices, so no later path can pass there: they are marked
-    dead for good.  The dead vertices are then exactly the positive vertices
-    reachable from the unassigned hyperedges, the source side of the
-    inclusion-minimal minimum cut, which every maximum assignment shares.
-
-    Ties go to the inclusion-minimal optimum (also lexicographically smallest
-    characteristic vector): V0 is the dead vertices, every negative-weight
-    vertex, and the zero-weight vertices of the reached hyperedges (the
-    unassigned ones and those held by dead vertices).
+    alternating path to a vertex below its capacity.  A failed search visits
+    only full vertices whose hyperedges lead back among them or to earlier
+    dead vertices, so no later path can pass there: they are marked dead for
+    good.  `dead` is then the vertices reachable from the unassigned
+    hyperedges, which every maximum assignment shares, and `reached` the
+    hyperedges whose vertices are all dead; both ascend.
     """
-    w = h.weights
-    edges = [[v for v in e if w[v] > 0] for e in h.hyperedges]
     m = len(edges)
     owner = [-1] * m  # the vertex each hyperedge is assigned to
-    held = [set() for _ in w]
-    mark = [-1] * len(w)  # the last search that visited a vertex; m = dead
+    held = [set() for _ in caps]
+    mark = [-1] * len(caps)  # the last search that visited a vertex; m = dead
     for i in range(m):
         parent = {}  # visited vertex -> the hyperedge that reached it
         queue = [i]
@@ -165,7 +160,7 @@ def solve_mis_vw(h: WeightedHypergraph) -> tuple:
                 if mark[u] < i:
                     mark[u] = i
                     parent[u] = j
-                    if len(held[u]) < w[u]:
+                    if len(held[u]) < caps[u]:
                         end = u
                         break
                     queue.extend(held[u])
@@ -182,12 +177,20 @@ def solve_mis_vw(h: WeightedHypergraph) -> tuple:
             v, owner[j] = owner[j], v
             if v >= 0:
                 held[v].discard(j)
+    dead = [v for v, seen in enumerate(mark) if seen == m]
+    return dead, [j for j, holder in enumerate(owner) if holder < 0 or mark[holder] == m]
 
-    v0 = {v for v, seen in enumerate(mark) if seen == m}
-    v0.update(v for v, wv in enumerate(w) if wv < 0)
-    reached = 0
-    for e, holder in zip(h.hyperedges, owner):
-        if holder < 0 or mark[holder] == m:
-            reached += 1
-            v0.update(v for v in e if w[v] == 0)
-    return frozenset(v0), reached - sum(w[v] for v in v0)
+
+def solve_mis_vw(h: WeightedHypergraph) -> tuple:
+    """Exact optimum of the selection problem; returns (vertex frozenset, value).
+
+    Ties go to the inclusion-minimal optimum (also lexicographically smallest
+    characteristic vector): V0 is the dead positive vertices, every negative
+    vertex, and the zero-weight vertices of the reached hyperedges.
+    """
+    w = h.weights
+    dead, reached = closure_assignment(w, [[v for v in e if w[v] > 0] for e in h.hyperedges])
+    v0 = set(dead).union(v for v, wv in enumerate(w) if wv < 0)
+    for j in reached:
+        v0.update(v for v in h.hyperedges[j] if w[v] == 0)
+    return frozenset(v0), len(reached) - sum(w[v] for v in v0)

@@ -17,6 +17,7 @@ IMPROVE_GUARD_VARS = 24
 CUT_GUARD_VERTICES = 20
 MISVW_GUARD_VERTICES = 20
 NEIGHBORHOOD_GUARD_VARS = 16
+IMPROVE_BLOCK = 1 << 20  # assignments brute_force_improve scores at a time
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,14 @@ def _lex_min_index(indices: np.ndarray, n: int) -> int:
     return int(indices[int(np.argmin(rev))])
 
 
-def _value_delta_tables(instance: Instance, p_ids, variables) -> tuple:
-    """Value and proposal distance of every assignment to `variables`
+def _value_delta_tables(instance: Instance, p_ids, variables, idx) -> tuple:
+    """Value and proposal distance of the assignments `idx` to `variables`
     (index bit i is variables[i]); no clause reads any other variable."""
     pos = {v: i for i, v in enumerate(variables)}
-    big = 1 << len(variables)
-    idx = np.arange(big, dtype=np.int64)
-    values = np.zeros(big, dtype=np.int32)
-    deltas = np.zeros(big, dtype=np.int32)
+    values = np.zeros(len(idx), dtype=np.int32)
+    deltas = np.zeros(len(idx), dtype=np.int32)
     for c in instance.clauses:
-        count = np.zeros(big, dtype=np.int32)
+        count = np.zeros(len(idx), dtype=np.int32)
         for v, b in zip(c.scope, c.neg):
             count += ((idx >> pos[v]) & 1).astype(np.int32) ^ b
         sat = np.isin(count, sorted(c.language.counts))
@@ -62,31 +61,45 @@ def _value_delta_tables(instance: Instance, p_ids, variables) -> tuple:
     return values, deltas
 
 
+def _block_optima(instance: Instance, p_ids, variables, k: int, lo: int, hi: int) -> tuple:
+    """(value, lex-min witness) of the optimum and of the optimum within
+    distance k (None if none) over the assignments lo..hi-1."""
+    idx = np.arange(lo, hi, dtype=np.int64)
+    values, deltas = _value_delta_tables(instance, p_ids, variables, idx)
+    m, n = len(variables), instance.num_vars
+    gmax = int(values.max())
+    best = gmax, _assignment_of(_lex_min_index(idx[values == gmax], m), variables, n)
+    near = deltas <= k
+    if not near.any():
+        return best, None
+    nmax = int(values[near].max())
+    return best, (nmax, _assignment_of(_lex_min_index(idx[near & (values == nmax)], m), variables, n))
+
+
 def brute_force_improve(instance: Instance, k: int, p_ids) -> OracleReport:
     """Exact optimum and optimum-in-k-neighborhood by full enumeration of
     the variables that occur in some clause; every other variable is 0.
 
     Values and distances do not read the other variables, and 0 is the
     lex-smaller bit, so both lex-min witnesses are those of the full 2^n
-    enumeration.  The guard counts the enumerated variables.
+    enumeration.  The guard counts the enumerated variables; the
+    assignments are scored in blocks of `IMPROVE_BLOCK`.
     """
-    n = instance.num_vars
     variables = sorted({v for c in instance.clauses for v in c.scope})
     m = len(variables)
     if m > IMPROVE_GUARD_VARS:
         raise GuardError(
             f"brute_force_improve guarded at {IMPROVE_GUARD_VARS} clause variables"
         )
-    values, deltas = _value_delta_tables(instance, frozenset(p_ids), variables)
-    gmax = int(values.max())
-    gwit = _assignment_of(_lex_min_index(np.nonzero(values == gmax)[0], m), variables, n)
-    near = deltas <= k
-    if near.any():
-        nmax = int(values[near].max())
-        cand = np.nonzero(near & (values == nmax))[0]
-        nwit = _assignment_of(_lex_min_index(cand, m), variables, n)
-        return OracleReport(gmax, gwit, True, nmax, nwit)
-    return OracleReport(gmax, gwit, False, None, None)
+    p_ids, big = frozenset(p_ids), 1 << m
+    blocks = [_block_optima(instance, p_ids, variables, k, lo, min(lo + IMPROVE_BLOCK, big))
+              for lo in range(0, big, IMPROVE_BLOCK)]
+    # the higher value wins, then the lex-smaller witness
+    best = min((b for b, _ in blocks), key=lambda b: (-b[0], b[1]))
+    near = [b for _, b in blocks if b is not None]
+    if not near:
+        return OracleReport(*best, False, None, None)
+    return OracleReport(*best, True, *min(near, key=lambda b: (-b[0], b[1])))
 
 
 def neighborhood_optima(instance: Instance, k: int, p_ids):
@@ -95,7 +108,7 @@ def neighborhood_optima(instance: Instance, k: int, p_ids):
     if n > NEIGHBORHOOD_GUARD_VARS:
         raise GuardError(f"neighborhood_optima guarded at {NEIGHBORHOOD_GUARD_VARS} variables")
     variables = range(n)
-    values, deltas = _value_delta_tables(instance, frozenset(p_ids), variables)
+    values, deltas = _value_delta_tables(instance, frozenset(p_ids), variables, np.arange(1 << n))
     near = deltas <= k
     if not near.any():
         return []

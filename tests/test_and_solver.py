@@ -5,7 +5,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symcsp import and_solver
@@ -21,6 +21,7 @@ from symcsp.and_solver import (
     flip_table,
     instance_value,
     renormalize,
+    select_flip,
     solve_and,
     solve_satisfiable_p,
 )
@@ -195,10 +196,25 @@ def test_flip_hypergraph_weights_and_edges():
     alpha = _bits((1, 1))
     ren = renormalize(ai, alpha)
     table = flip_table(ren, alpha)
-    hg, classes = build_flip_class_hypergraph(table, _mask_of({0, 1}))
-    assert tuple(_vars_of(m) for m in classes) == (frozenset({0, 1}),)
-    assert hg.weights == (1,)
-    assert hg.hyperedges == ((0,),)
+    groups, caps, edges, gained = build_flip_class_hypergraph(table, _mask_of({0, 1}), 1)
+    assert tuple(_vars_of(m) for m in groups) == (frozenset({0, 1}),)
+    assert caps == [1]
+    assert edges == [[0]]
+    assert gained == [_mask_of({0})]
+
+
+def _class_hypergraph(key, sub):
+    """(hypergraph, classes) of a subproblem with each loose bit made a
+    weight-0 singleton class after the groups: the selection instance the
+    flip search solves, in `WeightedHypergraph` form."""
+    groups, caps, edges, gained = sub
+    loose = [1 << v for v in sorted(_vars_of(key & ~sum(groups)))]
+    classes = tuple(groups) + tuple(loose)
+    hyperedges = tuple(
+        tuple(e) + tuple(len(groups) + i for i, b in enumerate(loose) if b & n)
+        for e, n in zip(edges, gained)
+    )
+    return WeightedHypergraph(len(classes), hyperedges, tuple(caps) + (0,) * len(loose)), classes
 
 
 def test_flip_improvement_never_below_objective():
@@ -217,7 +233,7 @@ def test_flip_improvement_never_below_objective():
         if not l1:
             continue
         table = flip_table(ren, alpha)
-        hg, classes = build_flip_class_hypergraph(table, l1)
+        hg, classes = _class_hypergraph(l1, build_flip_class_hypergraph(table, l1, 0))
         for mask in range(1 << len(classes)):
             chosen = [i for i in range(len(classes)) if (mask >> i) & 1]
             cand = alpha
@@ -239,9 +255,12 @@ def test_flip_hypergraph_rejects_unrenormalized_instance():
     alpha = (1, 1)
     table = flip_table(ai, _bits(alpha))
     with pytest.raises(StructureError, match="flipping nothing"):
-        build_flip_class_hypergraph(table, _mask_of({0}))
+        build_flip_class_hypergraph(table, _mask_of({0}), 1)
     with pytest.raises(StructureError, match="flipping nothing"):
         _ref_build_flip_class_hypergraph(ai, alpha, [0])
+    # the check runs before the gained count is compared with `need`
+    with pytest.raises(StructureError, match="flipping nothing"):
+        build_flip_class_hypergraph(table, _mask_of({0}), 5)
 
 
 # The flip search as it was before the bitmask table: one tuple-of-literals
@@ -383,9 +402,9 @@ def _solve_both(n, rows, p, k, setting):
     for new in (True, False):
         visited = []
         if new:
-            def build(table, key, _real=build_flip_class_hypergraph):
+            def build(table, key, *args, _real=build_flip_class_hypergraph):
                 visited.append(_vars_of(key))
-                return _real(table, key)
+                return _real(table, key, *args)
             patches = (mock.patch.object(and_solver, "build_flip_class_hypergraph", build),)
         else:
             def build(ai, alpha, l1, _real=_ref_build_flip_class_hypergraph):
@@ -633,3 +652,70 @@ def test_zero_deadline_marks_context_timed_out():
     inst, prop = gen_and_instance(4)
     out, run = solve_and(inst, prop, deadline=Deadline(0))
     assert run.timed_out and run.fallbacks >= 1 and len(out) == inst.num_vars
+
+
+@st.composite
+def _flip_case(draw):
+    """A conflict-free conjunction instance (its proposal is satisfied by a
+    drawn assignment) and a label-1 key over its variables."""
+    n = draw(st.integers(1, 8))
+    planted = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    rows, p = [], set()
+    for i in range(draw(st.integers(1, 10))):
+        scope = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        neg = draw(st.lists(st.integers(0, 1), min_size=len(scope), max_size=len(scope)))
+        rows.append((tuple(neg), tuple(scope)))
+        if all(planted[v] ^ b for v, b in zip(scope, neg)) and draw(st.booleans()):
+            p.add(i)
+    return n, rows, p, draw(st.integers(1, (1 << n) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flip_case())
+def test_flip_matches_reference_selection(case):
+    # the flip of one key is the union of the V0 classes that solve_mis_vw
+    # picks on the reference hypergraph, and its value is the formula the
+    # search uses
+    n, rows, p, key = case
+    inst, prop = and_inst(n, rows, p, 1)
+    ai = and_instance_from(inst, prop)
+    alpha = find_assignment_satisfying_p(ai)  # no conflict: the planted one satisfies p
+    ren = renormalize(ai, alpha)
+    table = flip_table(ren, alpha)
+    key &= table.relevant
+    assume(key)
+    flip, lost = select_flip(key, build_flip_class_hypergraph(table, key, 0))
+
+    alpha_tuple = tuple(alpha >> v & 1 for v in range(n))
+    hg, classes = _ref_build_flip_class_hypergraph(ren, alpha_tuple, _vars_of(key))
+    v0, _ = solve_mis_vw(hg)
+    assert flip == _mask_of(v for ci in v0 for v in classes[ci])
+    gained_value = sum(1 for v, nb in table.outside if flip & v == nb)
+    assert instance_value(ren, alpha ^ flip) == len(table.proposed) - lost + gained_value
+
+
+def test_pruned_keys_count_but_run_no_selection():
+    # a key with fewer gained clauses than the best improvement so far is
+    # still walked and counted, but never reaches the selection
+    inst, prop = _sparse_inst(10, list(range(8)), 3)
+    needs, subs, selections = [], [], []
+    real_build = and_solver.build_flip_class_hypergraph
+    real_select = and_solver.closure_assignment
+
+    def build(table, key, need):
+        needs.append(need)
+        subs.append(real_build(table, key, need))
+        return subs[-1]
+
+    def select(*args):
+        selections.append(args)
+        return real_select(*args)
+
+    with mock.patch.object(and_solver, "build_flip_class_hypergraph", build), \
+            mock.patch.object(and_solver, "closure_assignment", select):
+        _, run = solve_and(inst, prop)
+    pruned = sum(sub is None for sub in subs)
+    assert run.colorings_tried == len(subs) == (1 << 8) - 1
+    assert pruned and len(selections) == len(subs) - pruned
+    # the bound rises once a flip improves on the satisfier
+    assert max(needs) > 1

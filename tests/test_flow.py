@@ -9,6 +9,7 @@ from symcsp.core import StructureError
 from symcsp.flow import (
     FlowNetwork,
     WeightedHypergraph,
+    closure_assignment,
     max_flow_min_cut,
     selection_objective,
     solve_mis_vw,
@@ -219,6 +220,20 @@ def _hypergraphs(draw):
 @example(WeightedHypergraph(2, (frozenset({0, 1}),) * 4, (10**12, 1)))
 def test_misvw_matches_closure_reference(h):
     assert solve_mis_vw(h) == closure_reference(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hypergraphs())
+def test_assignment_routine_matches_misvw_on_positive_capacities(h):
+    # with every weight positive the selection is the dead set alone, the
+    # reached hyperedges are those inside it, and hyperedge order is free
+    caps = tuple(abs(w) + 1 for w in h.weights)
+    edges = [sorted(e, reverse=True) for e in h.hyperedges][::-1]
+    dead, reached = closure_assignment(caps, edges)
+    v0, value = solve_mis_vw(WeightedHypergraph(h.num_vertices, h.hyperedges, caps))
+    assert frozenset(dead) == v0 and dead == sorted(dead)
+    assert reached == [j for j, e in enumerate(edges) if set(e) <= v0]
+    assert len(reached) - sum(caps[v] for v in dead) == value
 
 
 def _path_orders(n):

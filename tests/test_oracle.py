@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -219,6 +220,17 @@ def test_improve_matches_full_enumeration(case):
     # lex-min witnesses
     inst, k, p = case
     assert brute_force_improve(inst, k, p) == _full_improve(inst, k, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_improve_case(), st.integers(0, 4))
+def test_improve_blocks_match_one_block(case, log_block):
+    # scoring the assignments in blocks of 2^log_block merges to the
+    # one-block report
+    inst, k, p = case
+    one = brute_force_improve(inst, k, p)
+    with mock.patch.object(oracle, "IMPROVE_BLOCK", 1 << log_block):
+        assert brute_force_improve(inst, k, p) == one
 
 
 def test_improve_guard():
