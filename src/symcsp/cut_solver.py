@@ -26,6 +26,7 @@ labels, the marked edges (which must stay cut), and the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -87,7 +88,9 @@ class CutGraph:
                 sets.union(e.u, e.v)
         return sets.groups()
 
+    @cached_property
     def is_connected(self) -> bool:
+        """Computed once per graph object: instances built on one graph share it."""
         return len(self.components(range(self.num_vertices))) <= 1
 
 
@@ -122,29 +125,34 @@ def partition_blocks(graph: CutGraph, masks: range, a_mask: int = 0, marked=froz
     """Score the partitions in `masks` in ascending numpy blocks of at most
     KERNEL_BLOCK.  Yields per block the masks, their crossing counts, `cut_value`s,
     distances to `a_mask` (satisfied-set symmetric difference sizes) and
-    whether they cut every marked edge.  Guarded at ENUM_VERTEX_GUARD vertices."""
+    whether they cut every marked edge.  Guarded at ENUM_VERTEX_GUARD vertices.
+
+    Crossing an edge satisfies it iff it wants to be cut, and moves it away
+    from `a_mask` iff `a_mask` leaves it uncut, so each block only counts the
+    crossed edges of each class 2 * etype + (a_mask cuts it), and the crossed
+    marked edges, in counters wide enough for the edge count."""
     if graph.num_vertices > ENUM_VERTEX_GUARD:
         raise GuardError(f"partition enumeration guarded at {ENUM_VERTEX_GUARD} vertices")
-    n_type0 = sum(1 for e in graph.edges if e.etype == 0)
-    a_crossed = [((a_mask >> e.u) ^ (a_mask >> e.v)) & 1 for e in graph.edges]
+    edges = graph.edges
+    classes = [2 * e.etype + (((a_mask >> e.u) ^ (a_mask >> e.v)) & 1) for e in edges]
+    n_type0 = sum(e.etype == 0 for e in edges)
+    n_a_cut = sum(c & 1 for c in classes)
+    n_marked = sum(e.id in marked for e in edges)
+    width = np.min_scalar_type(len(edges))
     for lo in range(0, len(masks), KERNEL_BLOCK):
         part = masks[lo:lo + KERNEL_BLOCK]
         block = np.arange(part.start, part.stop, part.step, dtype=np.int64)
-        bits = [((block >> v) & 1).astype(np.int8) for v in range(graph.num_vertices)]
-        crossing = np.zeros(len(block), dtype=np.int32)
-        value = np.full(len(block), n_type0, dtype=np.int32)
-        delta = np.full(len(block), sum(a_crossed), dtype=np.int32)
-        marked_cut = np.ones(len(block), dtype=bool)
-        for e, a_cut in zip(graph.edges, a_crossed):
-            # crossing an edge satisfies it iff it wants to be cut, and moves
-            # it away from a_mask iff a_mask leaves it uncut
-            crossed = bits[e.u] ^ bits[e.v]
-            crossing += crossed
-            value += crossed if e.etype else -crossed
-            delta += -crossed if a_cut else crossed
+        bits = [((block >> v) & 1).astype(np.uint8) for v in range(graph.num_vertices)]
+        counts = np.zeros((5, len(block)), dtype=width)
+        crossed = np.empty(len(block), dtype=np.uint8)
+        for e, c in zip(edges, classes):
+            np.bitwise_xor(bits[e.u], bits[e.v], out=crossed)
+            counts[c] += crossed
             if e.id in marked:
-                marked_cut &= crossed == 1
-        yield block, crossing, value, delta, marked_cut
+                counts[4] += crossed
+        c0, c1, c2, c3 = counts[:4].astype(np.int32)
+        yield (block, c0 + c1 + c2 + c3, n_type0 - c0 - c1 + c2 + c3,
+               n_a_cut + c0 - c1 + c2 - c3, counts[4] == n_marked)
 
 
 def matching_conflict(pairs):
@@ -168,7 +176,7 @@ class CutInstance:
     k: int
 
     def __post_init__(self):
-        if not self.graph.is_connected():
+        if not self.graph.is_connected:
             raise StructureError("cut instances must be connected")
         ids = {e.id for e in self.graph.edges}
         if not self.p_ids <= ids:
@@ -315,6 +323,10 @@ def _bipartization_compress(num_vertices: int, arcs, removed, k: int):
     removed_list = sorted(removed)
     best = None
     for bits in product((0, 1), repeat=len(terminals)):
+        if bits[:1] == (1,):
+            # every later split complements an earlier one: the same cost_x
+            # and minimum cut with the sides swapped, so it cannot do better
+            break
         flip_in = {v for v in terminals if bits[tpos[v]]}
         cost_x = 0
         for i in removed_list:
@@ -370,8 +382,9 @@ def edge_bipartization(num_vertices: int, arcs, k: int):
     return removed
 
 
-def mincsp_2ae_compression(graph: CutGraph, k: int):
-    """(mask, cost) of a partition violating <= k edges, or None."""
+def _gadget_arcs(graph: CutGraph) -> tuple:
+    """(gadget vertex count, arcs, unsatisfiable loop count): each type-1
+    edge is one arc, each type-0 edge two arcs through a fresh vertex."""
     arcs = []
     loop_cost = 0
     gadget_n = graph.num_vertices
@@ -387,17 +400,23 @@ def mincsp_2ae_compression(graph: CutGraph, k: int):
             gadget_n += 1
             arcs.append((e.u, w))
             arcs.append((w, e.v))
+    return gadget_n, arcs, loop_cost
+
+
+def _side_mask(psi, num_vertices: int) -> int:
+    return sum(psi[v] << v for v in range(num_vertices))
+
+
+def mincsp_2ae_compression(graph: CutGraph, k: int):
+    """(mask, cost) of a partition violating <= k edges, or None."""
+    gadget_n, arcs, loop_cost = _gadget_arcs(graph)
     if loop_cost > k:
         return None
     removed = edge_bipartization(gadget_n, arcs, k - loop_cost)
     if removed is None:
         return None
     keep = [arcs[j] for j in range(len(arcs)) if j not in removed]
-    psi = _two_coloring(gadget_n, keep)
-    mask = 0
-    for v in range(graph.num_vertices):
-        if psi[v]:
-            mask |= 1 << v
+    mask = _side_mask(_two_coloring(gadget_n, keep), graph.num_vertices)
     cost = len(graph.edges) - cut_value(graph, mask)
     if cost > k:
         return None
@@ -411,29 +430,52 @@ def mincsp_2ae(graph: CutGraph, k: int):
     return mincsp_2ae_compression(graph, k)
 
 
-def mincsp_2ae_minimum(graph: CutGraph) -> tuple:
-    """(mask, minimum cost): one brute-force pass, or compression deciding
-    k = 0, 1, ... in turn, which ends since the cost is at most |edges|."""
+def greedy_partition(graph: CutGraph) -> int:
+    """The fallback start: the first pass of `edge_bipartization`, keeping
+    each gadget arc in turn unless it closes an odd cycle with the arcs kept
+    before it, then the 2-coloring of the kept arcs."""
+    gadget_n, arcs, _ = _gadget_arcs(graph)
+    sets = DisjointSets(range(2 * gadget_n))
+    kept = [a for a in arcs if _join_opposite(sets, gadget_n, *a)]
+    return _side_mask(_two_coloring(gadget_n, kept), graph.num_vertices)
+
+
+def mincsp_2ae_minimum(graph: CutGraph, bound: int, run: SolveContext):
+    """(mask, minimum cost) if the minimum is at most `bound`, else None.
+    Below BRUTE_FORCE_VERTICES one brute-force pass finds the minimum
+    whatever the bound; from there compression decides k = 0, 1, ..., bound
+    in turn, and gives None once `run`'s deadline, polled between decisions,
+    has passed."""
     if graph.num_vertices < BRUTE_FORCE_VERTICES:
         return mincsp_2ae(graph, len(graph.edges))
-    for k in range(len(graph.edges) + 1):
+    top = min(bound, len(graph.edges))
+    for k in range(top + 1):
+        if k and run.expired():
+            return None
         out = mincsp_2ae(graph, k)
         if out is not None:
             return out
-    raise VerificationError("minimum-cost pass found no partition within |edges| violations")
+    _require(top < len(graph.edges), "minimum-cost pass found no partition within |edges| violations")
+    return None
 
 
-def edge_to_vertex_solution(ci: CutInstance) -> tuple:
+def edge_to_vertex_solution(ci: CutInstance, run: SolveContext) -> tuple:
     """Align the proposal with a vertex partition.
 
     Finds a partition satisfying a largest satisfiable subset of the
     proposal; the caller replaces the proposal by that partition's satisfied
-    set and triples the budget.  Returns (mask, 3k).
+    set and triples the budget.  Returns (mask, 3k).  Under the promise the
+    proposal's minimum cost is at most k, so the minimum is bounded by k;
+    when it gives None (the promise is violated or the deadline has passed)
+    the greedy partition is the start, counted in `run.fallbacks`.
     """
     sub_edges = tuple(e for e in ci.graph.edges if e.id in ci.p_ids)
     sub = CutGraph(ci.graph.num_vertices, sub_edges)
-    mask, _ = mincsp_2ae_minimum(sub)
-    return mask, 3 * ci.k
+    out = mincsp_2ae_minimum(sub, ci.k, run)
+    if out is None:
+        run.fallbacks += 1
+        return greedy_partition(sub), 3 * ci.k
+    return out[0], 3 * ci.k
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +558,7 @@ def find_kq_cut(graph: CutGraph, marked, k: int, q: int, ctx: SolveContext):
     coloring search (same contract) takes larger ones.
     """
     unmarked = sum(e.id not in marked for e in graph.edges)
-    if unmarked < 2 * q or (k == 0 and graph.is_connected()):
+    if unmarked < 2 * q or (k == 0 and graph.is_connected):
         return None
     if graph.num_vertices <= ENUM_VERTEX_GUARD:
         return find_kq_cut_enumeration(graph, marked, k, q)
@@ -537,7 +579,7 @@ class TerminalInstance:
     marked: frozenset
 
     def __post_init__(self):
-        if not self.graph.is_connected():
+        if not self.graph.is_connected:
             raise StructureError("terminal instances must be connected")
         if matching_conflict((e.u, e.v) for e in self.graph.edges if e.id in self.marked):
             raise StructureError("marked edges must form a matching-with-parallels")
@@ -576,11 +618,17 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
     regions range over all unions of connected label-1 components, which is
     every vertex set, so enumerating partitions yields the same table.
 
-    Each block of `partition_blocks` adds its best mask (highest value, then
-    smallest mask) per (distance, terminal bits); once the deadline polled
+    Only the masks that leave vertex n-1 on side 0 are scored: a complement
+    `mask ^ full` cuts the same edges, so it has the same value, distance and
+    marked cut, and flipped terminal bits.  Each block of `partition_blocks`
+    adds its best mask (highest value, then smallest mask) per (distance,
+    terminal bits), and the best complement per group, which is the
+    complement of the largest mask of highest value; once the deadline polled
     between blocks has passed, the table built so far is returned."""
     table = {}
-    blocks = partition_blocks(ti.graph, range(1 << ti.graph.num_vertices), ti.a_mask, ti.marked)
+    n = ti.graph.num_vertices
+    full = (1 << n) - 1
+    blocks = partition_blocks(ti.graph, range(1 << max(n - 1, 0)), ti.a_mask, ti.marked)
     for b, (masks, _, value, delta, marked_cut) in enumerate(blocks):
         if b and ctx.solve.expired():
             break
@@ -589,13 +637,14 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
         group = delta.astype(np.int64)
         for t in ti.terminals:
             group = 2 * group + ((masks >> t) & 1)
-        order = np.lexsort((masks, -value, group))
-        _, first = np.unique(group[order], return_index=True)
-        best = order[first]
-        for mask, val, d in zip(masks[best].tolist(), value[best].tolist(), delta[best].tolist()):
-            fbits = _terminal_bits(ti.terminals, mask)
-            for k2 in range(d, ti.k_prime + 1):
-                _table_update(table, (fbits, k2), mask, val, d)
+        for tie, flip in ((masks, 0), (-masks, full)):
+            order = np.lexsort((tie, -value, group))
+            _, first = np.unique(group[order], return_index=True)
+            best = order[first]
+            for mask, val, d in zip((masks[best] ^ flip).tolist(), value[best].tolist(), delta[best].tolist()):
+                fbits = _terminal_bits(ti.terminals, mask)
+                for k2 in range(d, ti.k_prime + 1):
+                    _table_update(table, (fbits, k2), mask, val, d)
     return table
 
 
@@ -899,14 +948,16 @@ def cut_improve(
     # admits nothing more; it would only size the table and the literal q
     k = min(ci.k, len(core_edges))
     core_ci = CutInstance(core, ci.p_ids & {e.id for e in core_edges}, k)
-    a_mask, k3 = edge_to_vertex_solution(core_ci)
+    a_mask, k3 = edge_to_vertex_solution(core_ci, run)
     q = q_override if q_override is not None else literal_q(k3)
     ctx = _Ctx(k_global=k3, q=q, q_literal=q_override is None, solve=run)
     ti = TerminalInstance(core, a_mask, k3, (), frozenset())
     table = solve_terminal(ti, ctx)
-    best_mask, best_value = a_mask, cut_value(ci.graph, a_mask)
-    for (fbits, _), (mask, _, _) in table.items():
-        value = cut_value(ci.graph, mask)
+    # every partition satisfies the type-0 loops and no type-1 loop
+    loops0 = sum(e.u == e.v and e.etype == 0 for e in ci.graph.edges)
+    best_mask, best_value = a_mask, cut_value(core, a_mask) + loops0
+    for mask, value, _ in table.values():
+        value += loops0
         if value > best_value or (value == best_value and mask < best_mask):
             best_mask, best_value = mask, value
     return best_mask, best_value, run

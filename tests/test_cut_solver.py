@@ -1,6 +1,12 @@
+import json
 import random
-from itertools import combinations
+import subprocess
+import sys
+import time
+from itertools import combinations, product
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +28,7 @@ from symcsp.cut_solver import (
     find_kq_cut,
     find_kq_cut_colorcoding,
     find_kq_cut_enumeration,
+    greedy_partition,
     kq_cut_conditions,
     literal_q,
     matching_conflict,
@@ -29,6 +36,7 @@ from symcsp.cut_solver import (
     mincsp_2ae_bruteforce,
     mincsp_2ae_compression,
     mincsp_2ae_minimum,
+    partition_blocks,
     recurse_step,
     satisfied_edges,
     solve_2ae,
@@ -164,11 +172,11 @@ def _mask_of(assignment, verts):
 
 def test_mincsp_examples():
     even_cycle = graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
-    mask, cost = mincsp_2ae_minimum(even_cycle)
+    mask, cost = mincsp_2ae_minimum(even_cycle, 4, SolveContext())
     assert cost == 0
 
     triangle = graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    assert mincsp_2ae_minimum(triangle)[1] == 1
+    assert mincsp_2ae_minimum(triangle, 3, SolveContext())[1] == 1
     assert mincsp_2ae(triangle, 0) is None
 
 
@@ -190,7 +198,7 @@ def test_mincsp_minimum_agrees_across_solvers():
     rng = random.Random(38)
     for _ in range(40):
         g = _random_connected_graph(rng, rng.randint(2, 7), rng.randint(0, 6))
-        _, brute_min = mincsp_2ae_minimum(g)
+        _, brute_min = mincsp_2ae_minimum(g, len(g.edges), SolveContext())
         comp_min = next(k for k in range(len(g.edges) + 1) if mincsp_2ae_compression(g, k))
         assert brute_min == comp_min
 
@@ -199,7 +207,7 @@ def test_edge_to_vertex_examples():
     # proposal already realizable: returned partition satisfies it exactly
     g = graph(3, [(0, 1, 1), (1, 2, 0)])
     ci = CutInstance(g, frozenset({0, 1}), 1)
-    mask, k3 = edge_to_vertex_solution(ci)
+    mask, k3 = edge_to_vertex_solution(ci, SolveContext())
     assert k3 == 3
     assert satisfied_edges(g, mask) >= ci.p_ids
 
@@ -207,14 +215,14 @@ def test_edge_to_vertex_examples():
     # returned partition satisfies two
     tri = graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     ci2 = CutInstance(tri, frozenset({0, 1, 2}), 1)
-    mask2, _ = edge_to_vertex_solution(ci2)
+    mask2, _ = edge_to_vertex_solution(ci2, SolveContext())
     assert len(satisfied_edges(tri, mask2) & ci2.p_ids) == 2
 
 
 def test_edge_to_vertex_within_3k_of_optimum():
     for seed in range(40):
         ci = gen_cut_instance(seed, max_vertices=8)
-        mask, k3 = edge_to_vertex_solution(ci)
+        mask, k3 = edge_to_vertex_solution(ci, SolveContext())
         rep = oracle_of(ci.graph, ci.p_ids, ci.k)
         got = satisfied_edges(ci.graph, mask)
         # some optimum within k of P must be 3k-close to the new proposal
@@ -609,7 +617,7 @@ def test_components_match_bfs_reference(case):
     assert sets.groups() == _bfs_components(g, range(g.num_vertices))
     for comp in sets.groups():
         assert all(sets.find(v) == comp[0] for v in comp)
-    assert g.is_connected() == (len(sets.groups()) <= 1)
+    assert g.is_connected == (len(sets.groups()) <= 1)
 
 
 def test_solve_2ae_random_mode_seed_none_means_zero():
@@ -632,10 +640,10 @@ def test_zero_deadline_marks_summed_context_timed_out():
 # ---------------------------------------------------------------------------
 
 
-def _ref_terminal_direct(ti, stop=None):
+def _ref_terminal_direct(ti, masks=None):
     p = satisfied_edges(ti.graph, ti.a_mask)
     table = {}
-    for mask in range(stop or 1 << ti.graph.num_vertices):
+    for mask in range(1 << ti.graph.num_vertices) if masks is None else masks:
         sat = satisfied_edges(ti.graph, mask)
         delta = len(sat ^ p)
         if delta > ti.k_prime or not ti.marked <= crossing_edges(ti.graph, mask):
@@ -686,6 +694,30 @@ def _ref_two_coloring(num_vertices, arcs):
     return color
 
 
+def _ref_bipartization_compress(num_vertices, arcs, removed, k):
+    """Every one of the 2^t terminal splits, each completed by the smallest
+    cheapest set of non-terminal vertices to flip with it (found by trying
+    them all); a later split wins only on a strictly smaller cost.  Arc i is
+    deleted iff the flipped 2-coloring gives its endpoints one color."""
+    keep = [arcs[i] for i in range(len(arcs)) if i not in removed]
+    psi = _ref_two_coloring(num_vertices, keep)
+    terminals = sorted({v for i in removed for v in arcs[i]})
+    free = [v for v in range(num_vertices) if v not in terminals]
+    best = None
+    for bits in product((0, 1), repeat=len(terminals)):
+        flipped = [v for v, b in zip(terminals, bits) if b]
+        options = []
+        for pick in product((0, 1), repeat=len(free)):
+            flip = set(flipped) | {v for v, b in zip(free, pick) if b}
+            color = [psi[v] ^ (v in flip) for v in range(num_vertices)]
+            deleted = {i for i, (u, v) in enumerate(arcs) if color[u] == color[v]}
+            options.append((len(deleted), sum(pick), deleted))
+        cost, _, deleted = min(options, key=lambda o: o[:2])
+        if cost <= k and (best is None or cost < best[0]):
+            best = (cost, deleted)
+    return None if best is None else best[1]
+
+
 def _ref_edge_bipartization(num_vertices, arcs, k):
     removed = set()
     for i in range(len(arcs)):
@@ -694,7 +726,7 @@ def _ref_edge_bipartization(num_vertices, arcs, k):
             continue
         removed.add(i)
         if len(removed) > k:
-            removed = cut_solver._bipartization_compress(num_vertices, arcs[: i + 1], removed, k)
+            removed = _ref_bipartization_compress(num_vertices, arcs[: i + 1], removed, k)
             if removed is None:
                 return None
     return removed
@@ -724,7 +756,11 @@ def _terminal_instance(draw):
         if not {e.u, e.v} & used:
             marked.add(eid)
             used |= {e.u, e.v}
-    terms = draw(st.lists(st.integers(0, g.num_vertices - 1), unique=True, max_size=4))
+    terms = set(draw(st.lists(st.integers(0, g.num_vertices - 1), unique=True, max_size=4)))
+    if draw(st.booleans()):
+        # the table scores only masks with vertex n-1 on side 0 and derives
+        # the rest as complements, flipping this terminal's bit
+        terms.add(g.num_vertices - 1)
     return TerminalInstance(g, a_mask, draw(st.integers(0, 5)), tuple(sorted(terms)), frozenset(marked))
 
 
@@ -750,7 +786,7 @@ def test_first_kq_cut_matches_per_mask_loop(case, k, q, mark):
 def test_bruteforce_minimum_matches_per_mask_loop(case, k):
     g, _ = case
     assert mincsp_2ae_bruteforce(g, k) == _ref_bruteforce(g, k)
-    assert mincsp_2ae_minimum(g) == _ref_bruteforce(g, len(g.edges))
+    assert mincsp_2ae_minimum(g, len(g.edges), SolveContext()) == _ref_bruteforce(g, len(g.edges))
 
 
 @settings(max_examples=300, deadline=None)
@@ -765,16 +801,67 @@ def test_edge_bipartization_matches_quadratic_reference(case):
     assert cut_solver.edge_bipartization(n, arcs, k) == _ref_edge_bipartization(n, arcs, k)
 
 
+def _ref_partition_blocks(g, masks, a_mask, marked):
+    p = satisfied_edges(g, a_mask)
+    return [
+        list(masks),
+        [len(crossing_edges(g, m)) for m in masks],
+        [cut_value(g, m) for m in masks],
+        [len(satisfied_edges(g, m) ^ p) for m in masks],
+        [marked <= crossing_edges(g, m) for m in masks],
+    ]
+
+
+def _assert_blocks_match(g, masks, a_mask, marked):
+    blocks = list(partition_blocks(g, masks, a_mask, marked))
+    assert [b[0][0] for b in blocks] == list(masks[::cut_solver.KERNEL_BLOCK])
+    got = [[x for b in blocks for x in b[i].tolist()] for i in range(5)]
+    assert got == _ref_partition_blocks(g, masks, a_mask, marked)
+    dtypes = (np.int64, np.int32, np.int32, np.int32, np.bool_)
+    assert all(b[i].dtype == t for b in blocks for i, t in enumerate(dtypes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_connected_multigraph(), st.data())
+def test_partition_blocks_match_per_mask_loop(case, data):
+    # loops and parallel edges come from the strategy; marked edges need not
+    # be cut by a_mask here, and small blocks split every range
+    g, a_mask = case
+    n = g.num_vertices
+    ids = [e.id for e in g.edges]
+    marked = frozenset(data.draw(st.sets(st.sampled_from(ids), max_size=3))) if ids else frozenset()
+    masks = data.draw(st.sampled_from([
+        range(1 << n),  # the full range
+        range(1 << max(n - 1, 0)),  # the terminal table's half range
+        range(2, (1 << n) - 1, 2),  # the (k, q)-cut enumeration
+        range(1, 1 << n, 3),
+    ]))
+    with mock.patch.object(cut_solver, "KERNEL_BLOCK", data.draw(st.sampled_from([1, 4, 16, 1 << 14]))):
+        _assert_blocks_match(g, masks, a_mask, marked)
+
+
+@pytest.mark.parametrize("copies", [300, (1 << 15) + 3, (1 << 16) + 3])
+def test_partition_blocks_counters_do_not_overflow(copies):
+    # one class of parallel edges past the 8-bit, 16-bit signed and 16-bit
+    # unsigned ranges, next to a marked edge and a loop
+    rows = [(0, 1, 1)] * copies + [(1, 2, 0), (2, 2, 0)]
+    g = graph(3, rows)
+    _assert_blocks_match(g, range(8), 0b010, frozenset({copies}))
+    _assert_blocks_match(g, range(4), 0b011, frozenset())
+
+
 def test_terminal_table_returns_blocks_done_when_deadline_passes():
     rng = random.Random(41)
     g = _random_connected_graph(rng, 16, 10)
-    ti = TerminalInstance(g, rng.randrange(1 << 16), 4, (), frozenset())
+    ti = TerminalInstance(g, rng.randrange(1 << 16), 4, (15,), frozenset())
     ctx = make_ctx(g, 4, 8)
     ctx.solve.deadline = Deadline(0)
     table = solve_terminal_direct(ti, ctx)
     assert ctx.solve.timed_out
-    # only the first block of masks was scored
-    assert table == _ref_terminal_direct(ti, stop=cut_solver.KERNEL_BLOCK)
+    # only the first block of masks and their complements were scored
+    first = range(cut_solver.KERNEL_BLOCK)
+    assert table == _ref_terminal_direct(ti, masks=[*first, *(m ^ 0xFFFF for m in first)])
+    assert {fbits for fbits, _ in table} == {(0,), (1,)}
     # one block: no poll, so the table is complete and the run not timed out
     small = TerminalInstance(_random_connected_graph(rng, 12, 6), 5, 3, (0,), frozenset())
     ctx12 = make_ctx(small.graph, 3, 8)
@@ -837,7 +924,58 @@ def test_minimum_cost_pass_raises_verification_error(monkeypatch):
     # from 12 vertices on the minimum is the compression loop over k
     cycle = graph(12, [(v, (v + 1) % 12, 1) for v in range(12)])
     with pytest.raises(VerificationError):
-        mincsp_2ae_minimum(cycle)
+        mincsp_2ae_minimum(cycle, 12, SolveContext())
+
+
+def _complete_graph(n):
+    return graph(n, [(u, v, 1) for u, v in combinations(range(n), 2)])
+
+
+def test_minimum_cost_step_decides_only_up_to_the_bound():
+    k12 = _complete_graph(12)  # minimum cost 30
+    assert mincsp_2ae_minimum(k12, 2, SolveContext()) is None
+    star = CutGraph(12, k12.edges[:13])  # the star at 0 and two triangles through it
+    mask, cost = mincsp_2ae_minimum(star, 2, SolveContext())
+    assert cost == 1 == 13 - cut_value(star, mask)
+    # the deadline is polled between decisions; the first always runs
+    run = SolveContext(deadline=Deadline(0))
+    assert mincsp_2ae_minimum(k12, 5, run) is None and run.timed_out
+    # below the compression threshold one brute-force pass finds the
+    # minimum whatever the bound
+    assert mincsp_2ae_minimum(_complete_graph(5), 0, SolveContext())[1] == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(_connected_multigraph())
+def test_greedy_partition_satisfies_every_realizable_proposal(case):
+    # edges typed by a_mask, without type-1 loops, are all satisfiable: the
+    # greedy pass keeps every arc and its partition satisfies every edge
+    g, a_mask = case
+    edges = tuple(CutEdge(e.id, e.u, e.v, ((a_mask >> e.u) ^ (a_mask >> e.v)) & 1) for e in g.edges)
+    typed = CutGraph(g.num_vertices, edges)
+    assert cut_value(typed, greedy_partition(typed)) == len(edges)
+
+
+def test_promise_violating_minimum_cost_step_falls_back(tmp_path):
+    # K13 with every edge proposed as type 1 has minimum cost 36 > k = 1:
+    # the minimum-cost step stops after deciding costs 0 and 1 and starts
+    # from the greedy partition (vertex 0 against the rest), counted
+    k13 = _complete_graph(13)
+    mask, value, run = cut_improve(CutInstance(k13, frozenset(range(78)), 1))
+    assert run.fallbacks == 1 and not run.timed_out
+    assert greedy_partition(k13) == (1 << 13) - 2 and value == cut_value(k13, mask) >= 12
+    rows = [{"u": e.u, "v": e.v, "type": 1, "in_P": True} for e in k13.edges]
+    path = tmp_path / "k13.json"
+    path.write_text(json.dumps({"num_vertices": 13, "k": 1, "edges": rows}))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "symcsp.cli", "solve", "--input", str(path), "--time-limit-ms", "1000"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert time.monotonic() - start < 30
+    out = json.loads(proc.stdout)
+    assert out["value"] == value and not out["timeout"]
 
 
 # ---------------------------------------------------------------------------
