@@ -124,6 +124,15 @@ def _graph_from_json(obj):
     return CutGraph(n, edges), p, k
 
 
+def _note_fallbacks(run) -> None:
+    """Say on stderr that the cut pipeline's minimum-cost step gave up; the
+    stdout JSON stays as it is."""
+    if run.fallbacks:
+        print(f"note: the minimum-cost step gave up on {run.fallbacks} component(s) "
+              "(promise violated or deadline passed); solved from the greedy partition",
+              file=sys.stderr)
+
+
 def cmd_solve(args):
     obj = _read_json(args.input)
     deadline = Deadline(args.time_limit_ms)
@@ -138,6 +147,7 @@ def cmd_solve(args):
             q_override=args.q_override,
             deadline=deadline,
         )
+        _note_fallbacks(run)
         mask = 0
         for sub_mask, verts in solved:
             for i, v in enumerate(verts):
@@ -194,6 +204,7 @@ def cmd_solve(args):
             instance, proposed, mode=args.coloring, seed=args.seed,
             delta=args.delta, q_override=args.q_override, deadline=deadline,
         )
+        _note_fallbacks(run)
         out["timeout"] = run.timed_out
         out["recurse_steps"] = run.recurse_steps
     elif algo == "oracle":

@@ -289,10 +289,11 @@ def _two_coloring(num_vertices: int, arcs) -> list | None:
     return [int(sets.find(v) > sets.find(n + v)) for v in range(n)]
 
 
-def _mincut_between(num_vertices: int, arcs, side_a, side_b):
+def _mincut_between(num_vertices: int, arcs, side_a, side_b, bound: int):
     """Min unit-capacity cut separating side_a from side_b; returns
-    (value, source-side vertex set).  With an empty side the cut is empty
-    and the source side degenerates to nothing or everything."""
+    (value, source-side vertex set) if it is at most `bound`, else
+    (bound + 1, None).  With an empty side the cut is empty and the source
+    side degenerates to nothing or everything."""
     if not side_a:
         return 0, frozenset()
     if not side_b:
@@ -308,8 +309,8 @@ def _mincut_between(num_vertices: int, arcs, side_a, side_b):
         net.add_arc(s, u, inf)
     for u in side_b:
         net.add_arc(u, t, inf)
-    value, side = max_flow_min_cut(net)
-    return value, frozenset(v for v in side if v < num_vertices)
+    value, side = max_flow_min_cut(net, bound)
+    return value, None if side is None else frozenset(v for v in side if v < num_vertices)
 
 
 def _bipartization_compress(num_vertices: int, arcs, removed, k: int):
@@ -342,7 +343,7 @@ def _bipartization_compress(num_vertices: int, arcs, removed, k: int):
         # between the flipped and unflipped terminal sides
         side_a = [v for v in terminals if v in flip_in]
         side_b = [v for v in terminals if v not in flip_in]
-        value, reach = _mincut_between(num_vertices, keep, side_a, side_b)
+        value, reach = _mincut_between(num_vertices, keep, side_a, side_b, k - cost_x)
         if cost_x + value <= k and (best is None or cost_x + value < best[0]):
             flip = set(reach)
             new_removed = set()
@@ -523,7 +524,8 @@ def find_kq_cut_enumeration(graph: CutGraph, marked, k: int, q: int):
 
 def find_kq_cut_colorcoding(graph: CutGraph, marked, k: int, q: int, ctx: SolveContext):
     """Edge-coloring search: drop color-0 edges, then try pairwise minimum
-    cuts between surviving components."""
+    cuts between surviving components.  None once `ctx`'s deadline, polled
+    before each coloring, has passed."""
     edges = graph.edges
     m = len(edges)
     n = graph.num_vertices
@@ -532,11 +534,13 @@ def find_kq_cut_colorcoding(graph: CutGraph, marked, k: int, q: int, ctx: SolveC
     )
     arcs = [(e.u, e.v) for e in edges if e.u != e.v]
     for coloring in family.colorings:
+        if ctx.expired():
+            return None
         kept = CutGraph(n, tuple(e for i, e in enumerate(edges) if (coloring >> i) & 1))
         comps = kept.components(range(n))
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
-                value, side = _mincut_between(n, arcs, comps[i], comps[j])
+                value, side = _mincut_between(n, arcs, comps[i], comps[j], k)
                 if value > k:
                     continue
                 mask = 0

@@ -9,13 +9,14 @@ positive-weight vertices, and vertex v takes at most w(v) of them.
 by augmenting paths and reads the optimum off the residual side reachable
 from the unassigned hyperedges, the same for every maximum assignment, so
 no search or hyperedge order changes the answer.  Its callers are
-`solve_mis_vw` (a `WeightedHypergraph`) and the AND flip search.  Dinic's
-`max_flow_min_cut` serves the cut pipeline.
+`solve_mis_vw` (a `WeightedHypergraph`) and the AND flip search.
+
+`max_flow_min_cut` serves the cut pipeline, which only asks whether a
+minimum cut is within a budget and, if so, for its source side.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .core import StructureError
@@ -51,65 +52,37 @@ class FlowNetwork:
         return aid
 
 
-def max_flow_min_cut(net: FlowNetwork) -> tuple:
-    """Dinic max flow; returns (value, source-side vertex frozenset).
+def max_flow_min_cut(net: FlowNetwork, bound: int) -> tuple:
+    """(value, source side) of a minimum cut of at most `bound`, else
+    (bound + 1, None): one unit along a shortest augmenting path at a time.
 
-    The returned side is the set of nodes reachable from the source in the
-    residual network, i.e. the canonical minimum cut.
-    """
-    n, s, t = net.num_nodes, net.source, net.sink
+    The search that finds no path reaches the source side of the residual
+    network, the inclusion-minimal minimum cut, the same for every maximum
+    flow."""
+    s, t = net.source, net.sink
     to, cap, adj = net.to, net.cap, net.adj
     total = 0
-    while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
+    while total <= bound:
+        via = {s: -1}  # reached node -> the arc that reached it
+        queue = [s]
+        for u in queue:
             for aid in adj[u]:
                 v = to[aid]
-                if cap[aid] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+                if cap[aid] > 0 and v not in via:
+                    via[v] = aid
                     queue.append(v)
-        if level[t] < 0:
-            break
-        # blocking flow along current arcs; the path is an explicit stack of
-        # arc ids, so long networks cannot exhaust the call stack
-        it = [0] * n
-        path = []
-        u = s
-        while True:
-            if u == t:
-                pushed = min(cap[aid] for aid in path)
-                for aid in path:
-                    cap[aid] -= pushed
-                    cap[aid ^ 1] += pushed
-                total += pushed
-                path.clear()
-                u = s
-            arcs, i, next_level = adj[u], it[u], level[u] + 1
-            while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == next_level):
-                i += 1
-            it[u] = i
-            if i < len(arcs):
-                path.append(arcs[i])
-                u = to[arcs[i]]
-            elif not path:
+            if t in via:
                 break
-            else:  # dead end: retreat past the arc that led here
-                u = to[path.pop() ^ 1]
-                it[u] += 1
-
-    side = set([s])
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for aid in adj[u]:
-            v = to[aid]
-            if cap[aid] > 0 and v not in side:
-                side.add(v)
-                queue.append(v)
-    return total, frozenset(side)
+        else:
+            return total, frozenset(via)
+        v = t
+        while v != s:  # one unit back along the path
+            aid = via[v]
+            cap[aid] -= 1
+            cap[aid ^ 1] += 1
+            v = to[aid ^ 1]
+        total += 1
+    return total, None
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcsp.core import Deadline, GuardError, Instance, ProposedSolution, SolveContext, StructureError, SymmetricLanguage, Clause, DisjointSets, satisfied_set
-from symcsp import cut_solver
+from symcsp.core import Deadline, GuardError, Instance, ProposedSolution, SolveContext, StructureError, SymmetricLanguage, Clause, DisjointSets, instance_to_json, satisfied_set
+from symcsp import cli, cut_solver
 from symcsp.cut_solver import (
     CutEdge,
     CutGraph,
@@ -899,6 +899,23 @@ def test_find_kq_cut_exits_for_k_zero_on_connected_graph(monkeypatch):
         assert find_kq_cut(g, frozenset(), 0, 1, SolveContext()) is None
 
 
+def test_colorcoding_search_stops_at_an_expired_deadline(monkeypatch):
+    # above the enumeration guard in random mode, a deadline that has passed
+    # ends the coloring search before its first minimum cut
+    calls = []
+
+    def mincut(num_vertices, arcs, *sides_and_bound):
+        calls.append(sides_and_bound)
+        return len(arcs) + 1, None  # above any bound
+
+    monkeypatch.setattr(cut_solver, "_mincut_between", mincut)
+    g = _dumbbell_graph(random.Random(45), 11, 11, 2)
+    assert g.num_vertices > 20
+    run = SolveContext(mode="random", seed=1, deadline=Deadline(0))
+    assert find_kq_cut_colorcoding(g, frozenset(), 2, 2, run) is None
+    assert run.timed_out and not calls
+
+
 def test_cut_improve_literal_q_matches_oracle_15_to_20_vertices():
     # the literal q never admits a balanced cut, so the terminal table runs
     # on the whole graph
@@ -956,7 +973,7 @@ def test_greedy_partition_satisfies_every_realizable_proposal(case):
     assert cut_value(typed, greedy_partition(typed)) == len(edges)
 
 
-def test_promise_violating_minimum_cost_step_falls_back(tmp_path):
+def test_promise_violating_minimum_cost_step_falls_back(tmp_path, capsys):
     # K13 with every edge proposed as type 1 has minimum cost 36 > k = 1:
     # the minimum-cost step stops after deciding costs 0 and 1 and starts
     # from the greedy partition (vertex 0 against the rest), counted
@@ -976,6 +993,21 @@ def test_promise_violating_minimum_cost_step_falls_back(tmp_path):
     assert time.monotonic() - start < 30
     out = json.loads(proc.stdout)
     assert out["value"] == value and not out["timeout"]
+    # the fallback shows on stderr only, for the graph and the CSP forms
+    assert [line for line in proc.stderr.splitlines() if line.startswith("note:")] == [
+        "note: the minimum-cost step gave up on 1 component(s) (promise violated "
+        "or deadline passed); solved from the greedy partition"
+    ]
+    inst, prop = cut_to_csp(CutInstance(k13, frozenset(range(78)), 1))
+    csp_path = tmp_path / "k13_csp.json"
+    csp_path.write_text(json.dumps(instance_to_json(inst, prop)))
+    assert cli.main(["solve", "--input", str(csp_path), "--algo", "cut"]) == 0
+    assert capsys.readouterr().err.count("note:") == 1
+    # a promise-holding solve prints no note
+    path_rows = [{"u": v, "v": v + 1, "type": 1, "in_P": v > 0} for v in range(12)]
+    path.write_text(json.dumps({"num_vertices": 13, "k": 1, "edges": path_rows}))
+    assert cli.main(["solve", "--input", str(path)]) == 0
+    assert "note:" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

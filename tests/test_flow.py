@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcsp.core import StructureError
+from symcsp.cut_solver import _mincut_between
 from symcsp.flow import (
     FlowNetwork,
     WeightedHypergraph,
@@ -16,11 +17,13 @@ from symcsp.flow import (
 )
 from symcsp.oracle import brute_force_misvw
 
+from dinic import dinic
+
 
 def test_single_arc():
     net = FlowNetwork(2, 0, 1)
     net.add_arc(0, 1, 3)
-    value, side = max_flow_min_cut(net)
+    value, side = max_flow_min_cut(net, 3)
     assert value == 3 and side == frozenset({0})
 
 
@@ -30,14 +33,23 @@ def test_two_disjoint_paths():
     net.add_arc(1, 3, 1)
     net.add_arc(0, 2, 1)
     net.add_arc(2, 3, 1)
-    value, side = max_flow_min_cut(net)
+    value, side = max_flow_min_cut(net, 2)
     assert value == 2 and 0 in side and 3 not in side
+
+
+def test_second_path_cancels_flow_of_the_first():
+    # the shortest path 0-1-3-6 blocks both of the maximum flow's paths,
+    # 0-1-4-5-6 and 0-2-3-6; the second search must undo the arc 1 -> 3
+    net = FlowNetwork(7, 0, 6)
+    for u, v in ((0, 1), (0, 2), (1, 3), (2, 3), (3, 6), (1, 4), (4, 5), (5, 6)):
+        net.add_arc(u, v, 1)
+    assert max_flow_min_cut(net, 2) == (2, frozenset({0}))
 
 
 def test_zero_capacity_allowed():
     net = FlowNetwork(2, 0, 1)
     net.add_arc(0, 1, 0)
-    assert max_flow_min_cut(net)[0] == 0
+    assert max_flow_min_cut(net, 0)[0] == 0
     with pytest.raises(StructureError):
         net.add_arc(0, 1, -1)
 
@@ -58,13 +70,16 @@ def test_max_flow_matches_cut_enumeration():
         n = rng.randint(2, 7)
         arcs = []
         net = FlowNetwork(n, 0, n - 1)
+        ref = FlowNetwork(n, 0, n - 1)
         for _ in range(rng.randint(1, 14)):
             u, v = rng.sample(range(n), 2)
             c = rng.randint(0, 5)
             arcs.append((u, v, c))
             net.add_arc(u, v, c)
-        value, side = max_flow_min_cut(net)
+            ref.add_arc(u, v, c)
+        value, side = max_flow_min_cut(net, sum(c for _, _, c in arcs))
         assert value == brute_cut_value(n, arcs, 0, n - 1)
+        assert (value, side) == dinic(ref)
         assert 0 in side and (n - 1) not in side
         # returned side is exactly the min cut it claims to be
         assert value == sum(
@@ -88,7 +103,7 @@ def test_min_cut_sides_connected_on_connected_graphs():
             net.add_arc(u, v, c)
             net.add_arc(v, u, c)
             und.append((u, v))
-        _, side = max_flow_min_cut(net)
+        _, side = max_flow_min_cut(net, 4 * len(chosen))
         for part in (side, frozenset(range(n)) - side):
             assert part
             seen = {min(part)}
@@ -168,9 +183,64 @@ def test_long_path_network():
     net = FlowNetwork(n, 0, n - 1)
     for u in range(n - 1):
         net.add_arc(u, u + 1, 2 if u in (1234, 3000) else 5)
-    value, side = max_flow_min_cut(net)
+    value, side = max_flow_min_cut(net, 2)
     assert value == 2
     assert side == frozenset(range(1235))
+
+
+@st.composite
+def _unit_cut_cases(draw):
+    """A unit multigraph (parallel edges, isolated vertices), disjoint
+    source and sink sides (either may be empty) and a bound up to the edge
+    count."""
+    n = draw(st.integers(1, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    arcs = draw(st.lists(pair, max_size=16)) if n > 1 else []
+    if arcs:  # repeat some edges verbatim
+        arcs += draw(st.lists(st.sampled_from(arcs), max_size=4))
+    label = draw(st.lists(st.sampled_from("ab-"), min_size=n, max_size=n))
+    side_a = [v for v in range(n) if label[v] == "a"]
+    side_b = [v for v in range(n) if label[v] == "b"]
+    return n, arcs, side_a, side_b, draw(st.integers(0, len(arcs)))
+
+
+def _dinic_between(n, arcs, side_a, side_b):
+    """`_mincut_between` without a bound, solved by Dinic."""
+    if not side_a:
+        return 0, frozenset()
+    if not side_b:
+        return 0, frozenset(range(n))
+    net = FlowNetwork(n + 2, n, n + 1)
+    for u, v in arcs:
+        net.add_arc(u, v, 1)
+        net.add_arc(v, u, 1)
+    for u in side_a:
+        net.add_arc(n, u, len(arcs) + 1)
+    for u in side_b:
+        net.add_arc(u, n + 1, len(arcs) + 1)
+    value, side = dinic(net)
+    return value, frozenset(v for v in side if v < n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_cut_cases())
+@example((3, [(0, 1)] * 3 + [(1, 2)], [0], [2], 0))
+@example((4, [(0, 1), (2, 3)], [0, 1], [], 0))
+@example((4, [(0, 1), (2, 3)], [], [2], 0))
+def test_bounded_min_cut_matches_dinic(case):
+    n, arcs, side_a, side_b, bound = case
+    value, side = _mincut_between(n, arcs, side_a, side_b, bound)
+    ref_value, ref_side = _dinic_between(n, arcs, side_a, side_b)
+    if ref_value <= bound:
+        assert (value, side) == (ref_value, ref_side)
+    else:
+        assert (value, side) == (bound + 1, None)
+
+
+def test_bounded_min_cut_stops_above_the_bound():
+    # 50 parallel unit edges: three augmenting paths exceed the bound 2
+    assert _mincut_between(2, [(0, 1)] * 50, [0], [1], 2) == (3, None)
+    assert _mincut_between(2, [(0, 1)] * 50, [0], [1], 50) == (50, frozenset({0}))
 
 
 def closure_reference(h):
@@ -191,7 +261,7 @@ def closure_reference(h):
                 net.add_arc(1 + i, 1 + m + pos_index[v], inf)
     for v in pos:
         net.add_arc(1 + m + pos_index[v], t, h.weights[v])
-    _, side = max_flow_min_cut(net)
+    _, side = dinic(net)
     v0 = {v for v in pos if 1 + m + pos_index[v] in side}
     v0.update(v for v in range(h.num_vertices) if h.weights[v] < 0)
     for i, e in enumerate(h.hyperedges):
