@@ -10,9 +10,11 @@ subcommand accepts only the options it reads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from itertools import chain
 
 from . import classifier, generators, oracle, reductions
 from .and_solver import solve_and
@@ -25,6 +27,9 @@ from .core import (
     dumps_canonical,
     instance_from_json,
     instance_to_json,
+    json_int,
+    json_ints,
+    require_ints,
     satisfied_set,
 )
 from .coloring import DEFAULT_DELTA
@@ -107,12 +112,12 @@ def cmd_classify(args):
 def _graph_from_json(obj):
     try:
         rows = obj["edges"]
-        k = int(obj["k"])
+        k = json_int(obj["k"])
         edges = tuple(
-            CutEdge(i, int(r["u"]), int(r["v"]), int(r["type"]))
+            CutEdge(i, json_int(r["u"]), json_int(r["v"]), json_int(r["type"]))
             for i, r in enumerate(rows)
         )
-        n = int(obj.get("num_vertices", max((max(e.u, e.v) for e in edges), default=-1) + 1))
+        n = json_int(obj.get("num_vertices", max((max(e.u, e.v) for e in edges), default=-1) + 1))
         p = frozenset(i for i, r in enumerate(rows) if r["in_P"])
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad graph object: {e}")
@@ -236,10 +241,11 @@ def cmd_solve(args):
 def cmd_misvw(args):
     obj = _read_json(args.input)
     try:
+        rows = obj["hyperedges"]
+        # types per membership: a set would merge 1.0 or true into 1
+        require_ints(chain.from_iterable(rows))
         h = WeightedHypergraph(
-            int(obj["num_vertices"]),
-            tuple(frozenset(int(v) for v in e) for e in obj["hyperedges"]),
-            tuple(int(w) for w in obj["weights"]),
+            json_int(obj["num_vertices"]), tuple(map(frozenset, rows)), json_ints(obj["weights"])
         )
     except (KeyError, TypeError, ValueError, StructureError) as e:
         raise SchemaError(f"bad hypergraph: {e}")
@@ -419,7 +425,10 @@ def cmd_verify(args):
     return EXIT_OK if total_failures == 0 else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on first use.  It holds no
+    handler: `main` looks up `cmd_<command>` in this module when it runs."""
     parser = argparse.ArgumentParser(
         prog="symcsp",
         description="Improvement solvers, classifier, and hardness reductions "
@@ -436,18 +445,17 @@ def build_parser():
                              "correctness then rests on the oracle checks"),
     }
 
-    def subcommand(name, func, summary, *shared):
+    def subcommand(name, summary, *shared):
         p = sub.add_parser(name, help=summary)
         for flag in ("--output",) + shared:
             p.add_argument(flag, **shared_options[flag])
-        p.set_defaults(func=func)
         return p
 
-    p = subcommand("classify", cmd_classify, "place a language on the dichotomy")
+    p = subcommand("classify", "place a language on the dichotomy")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--S", required=True, help="comma-separated accepted counts")
 
-    p = subcommand("solve", cmd_solve, "solve an improvement instance",
+    p = subcommand("solve", "solve an improvement instance",
                    "--input", "--seed", "--q-override")
     p.add_argument("--coloring", choices=("exhaustive", "random"),
                    default="exhaustive",
@@ -461,20 +469,20 @@ def build_parser():
                    help="solver selection; auto dispatches on the language "
                    "classification")
 
-    subcommand("misvw", cmd_misvw, "weighted hypergraph selection (debug)", "--input")
+    subcommand("misvw", "weighted hypergraph selection (debug)", "--input")
 
-    p = subcommand("reduce", cmd_reduce, "run a hardness reduction", "--input")
+    p = subcommand("reduce", "run a hardness reduction", "--input")
     p.add_argument("--source", required=True,
                    choices=("paired-cut", "mcis", "2sat", "mincsp", "pad-ae"))
     p.add_argument("--to", choices=("4ae", "3ae"), default="4ae")
     p.add_argument("--r", type=int, default=None)
 
-    p = subcommand("gen", cmd_gen, "generate a seeded source or instance", "--seed")
+    p = subcommand("gen", "generate a seeded source or instance", "--seed")
     p.add_argument("--what", required=True,
                    choices=("paired-cut", "mcis", "and", "2ae", "cut"))
     p.add_argument("--l", type=_positive_int, default=2)
 
-    p = subcommand("verify", cmd_verify, "solver-vs-oracle batches",
+    p = subcommand("verify", "solver-vs-oracle batches",
                    "--seed", "--q-override")
     p.add_argument("--suite", choices=("and", "cut", "misvw", "all"), default="all")
     p.add_argument("--count", type=_positive_int, default=25)
@@ -482,10 +490,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -227,14 +227,35 @@ def is_good(instance: Instance, a: Assignment, reference_value: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def require_ints(xs) -> None:
+    """Raise TypeError at the first item of the iterable `xs` that is not a
+    JSON integer: a bool, float or string is not truncated or converted."""
+    for x in xs:
+        if type(x) is not int:
+            raise TypeError(f"{x!r} is not an integer")
+
+
+def json_int(x) -> int:
+    """`x`, checked by `require_ints`."""
+    require_ints((x,))
+    return x
+
+
+def json_ints(xs) -> tuple:
+    """The items of the JSON list `xs` as a tuple, checked by `require_ints`."""
+    xs = tuple(xs)
+    require_ints(xs)
+    return xs
+
+
 def instance_from_json(obj) -> tuple:
     """Parse the instance schema; returns (Instance, ProposedSolution)."""
     if not isinstance(obj, dict):
         raise SchemaError("instance JSON must be an object")
     try:
         mode = obj["mode"]
-        num_vars = int(obj["num_vars"])
-        k = int(obj["k"])
+        num_vars = json_int(obj["num_vars"])
+        k = json_int(obj["k"])
         raw_clauses = obj["clauses"]
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad instance object: {e}")
@@ -246,7 +267,7 @@ def instance_from_json(obj) -> tuple:
     lang = None
     if mode == "sym":
         try:
-            lang = SymmetricLanguage(int(obj["r"]), frozenset(int(x) for x in obj["S"]))
+            lang = SymmetricLanguage(json_int(obj["r"]), frozenset(json_ints(obj["S"])))
         except (KeyError, TypeError, ValueError, StructureError) as e:
             raise SchemaError(f"bad (r, S): {e}")
 
@@ -254,8 +275,8 @@ def instance_from_json(obj) -> tuple:
     p_ids = set()
     for i, rc in enumerate(raw_clauses):
         try:
-            neg = tuple(int(x) for x in rc["neg"])
-            scope = tuple(int(x) for x in rc["scope"])
+            neg = json_ints(rc["neg"])
+            scope = json_ints(rc["scope"])
             in_p = bool(rc["in_P"])
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad clause {i}: {e}")
@@ -265,9 +286,7 @@ def instance_from_json(obj) -> tuple:
             clang = and_language(len(scope))
         else:
             try:
-                clang = SymmetricLanguage(
-                    len(scope), frozenset(int(x) for x in rc["S"])
-                )
+                clang = SymmetricLanguage(len(scope), frozenset(json_ints(rc["S"])))
             except (KeyError, TypeError, ValueError, StructureError) as e:
                 raise SchemaError(f"bad clause {i} count set: {e}")
         try:

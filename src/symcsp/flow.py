@@ -94,12 +94,13 @@ class WeightedHypergraph:
     def __post_init__(self):
         if len(self.weights) != self.num_vertices:
             raise StructureError("one weight per vertex required")
-        for e in self.hyperedges:
-            if not e:
-                raise StructureError("hyperedges must be nonempty")
-            for v in e:
-                if not (0 <= v < self.num_vertices):
-                    raise StructureError(f"hyperedge vertex {v} out of range")
+        if not all(self.hyperedges):
+            raise StructureError("hyperedges must be nonempty")
+        vertices = frozenset().union(*self.hyperedges)
+        if vertices:
+            low, high = min(vertices), max(vertices)
+            if low < 0 or high >= self.num_vertices:
+                raise StructureError(f"hyperedge vertex {low if low < 0 else high} out of range")
 
 
 def selection_objective(h: WeightedHypergraph, v0) -> int:
@@ -112,19 +113,38 @@ def closure_assignment(caps, edges) -> tuple:
     """(dead, reached) of a maximum assignment of each hyperedge j to a
     vertex of `edges[j]`, vertex v taking at most `caps[v]` > 0 of them.
 
-    Hyperedges are placed in order, each by a breadth-first search for an
-    alternating path to a vertex below its capacity.  A failed search visits
-    only full vertices whose hyperedges lead back among them or to earlier
-    dead vertices, so no later path can pass there: they are marked dead for
-    good.  `dead` is then the vertices reachable from the unassigned
-    hyperedges, which every maximum assignment shares, and `reached` the
-    hyperedges whose vertices are all dead; both ascend.
+    Hyperedges are placed in order.  One with a vertex below its capacity
+    goes directly to the first such vertex in list order, and one whose
+    vertices are all dead stays unassigned: there a breadth-first search
+    would stop with a path of one step, or visit nothing.  Any other is
+    placed by a breadth-first search for an alternating path to a vertex
+    below its capacity.  A failed search visits only full vertices whose
+    hyperedges lead back among them or to earlier dead vertices, so no later
+    path can pass there: they are marked dead for good.  Direct placement
+    leaves the assignment the search would, and the marks it skips do not
+    matter: full vertices stay full, and a mark set by search i reads the
+    same as an older one to every later search.  `dead` is then the vertices
+    reachable from the unassigned hyperedges, which every maximum assignment
+    shares, and `reached` the hyperedges whose vertices are all dead; both
+    ascend.
     """
     m = len(edges)
     owner = [-1] * m  # the vertex each hyperedge is assigned to
     held = [set() for _ in caps]
+    free = list(caps)  # the capacity each vertex has left
     mark = [-1] * len(caps)  # the last search that visited a vertex; m = dead
-    for i in range(m):
+    for i, e in enumerate(edges):
+        alive = False  # some vertex of e is not dead
+        for u in e:
+            if mark[u] < m:
+                if free[u] > 0:  # direct placement
+                    owner[i] = u
+                    held[u].add(i)
+                    free[u] -= 1
+                    break
+                alive = True
+        if owner[i] >= 0 or not alive:
+            continue
         parent = {}  # visited vertex -> the hyperedge that reached it
         queue = [i]
         end = -1
@@ -133,7 +153,7 @@ def closure_assignment(caps, edges) -> tuple:
                 if mark[u] < i:
                     mark[u] = i
                     parent[u] = j
-                    if len(held[u]) < caps[u]:
+                    if free[u] > 0:
                         end = u
                         break
                     queue.extend(held[u])
@@ -143,6 +163,7 @@ def closure_assignment(caps, edges) -> tuple:
             for v in parent:
                 mark[v] = m
             continue
+        free[end] -= 1
         v = end
         while v >= 0:  # shift each hyperedge on the path one step along it
             j = parent[v]
@@ -162,8 +183,9 @@ def solve_mis_vw(h: WeightedHypergraph) -> tuple:
     vertex, and the zero-weight vertices of the reached hyperedges.
     """
     w = h.weights
-    dead, reached = closure_assignment(w, [[v for v in e if w[v] > 0] for e in h.hyperedges])
+    positive = [wv > 0 for wv in w]
+    dead, reached = closure_assignment(w, [[v for v in e if positive[v]] for e in h.hyperedges])
     v0 = set(dead).union(v for v, wv in enumerate(w) if wv < 0)
-    for j in reached:
-        v0.update(v for v in h.hyperedges[j] if w[v] == 0)
-    return frozenset(v0), len(reached) - sum(w[v] for v in v0)
+    zero = {v for v, wv in enumerate(w) if wv == 0}
+    v0 |= zero.intersection(frozenset().union(*map(h.hyperedges.__getitem__, reached)))
+    return frozenset(v0), len(reached) - sum(map(w.__getitem__, v0))

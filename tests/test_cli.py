@@ -451,3 +451,70 @@ def test_and_clause_mask_guard_fires_before_allocating(tmp_path, capsys, count):
     assert code == 3 and err.startswith("guard: clause masks of ") and "Traceback" not in err
     # the masks alone would take count * 2^18 / 8 bytes
     assert peak < count * 4096
+
+
+# inputs carrying one integer field as a bool, a float or a string; each
+# was once truncated or converted and must now be a schema error
+NON_INTEGER_INPUTS = {
+    "misvw-vertex-float": (["misvw"], {"num_vertices": 2, "hyperedges": [[0.7, 1]],
+                                       "weights": [1, 1]}),
+    "misvw-float-equal-to-vertex": (["misvw"], {"num_vertices": 2, "hyperedges": [[1, 1.0]],
+                                                "weights": [1, 1]}),
+    "misvw-vertex-bool": (["misvw"], {"num_vertices": 2, "hyperedges": [[True]],
+                                      "weights": [1, 1]}),
+    "misvw-weight-float": (["misvw"], {"num_vertices": 2, "hyperedges": [[0, 1]],
+                                       "weights": [1.9, -0.5]}),
+    "misvw-weight-string": (["misvw"], {"num_vertices": 1, "hyperedges": [[0]],
+                                        "weights": ["3"]}),
+    "misvw-size-float": (["misvw"], {"num_vertices": 1.0, "hyperedges": [[0]], "weights": [1]}),
+    "graph-k-float": (["solve"], {"num_vertices": 2, "k": 1.9,
+                                  "edges": [{"u": 0, "v": 1, "type": 1, "in_P": True}]}),
+    "graph-u-float": (["solve"], {"num_vertices": 2, "k": 1,
+                                  "edges": [{"u": 0.2, "v": 1, "type": 1, "in_P": True}]}),
+    "graph-type-string": (["solve"], {"num_vertices": 2, "k": 1,
+                                      "edges": [{"u": 0, "v": 1, "type": "1", "in_P": True}]}),
+    "graph-size-bool": (["solve"], {"num_vertices": True, "k": 0, "edges": []}),
+    "csp-num-vars-float": (["solve"], {"mode": "and", "num_vars": 2.0, "k": 0, "clauses": []}),
+    "csp-k-bool": (["solve"], {"mode": "and", "num_vars": 2, "k": True, "clauses": []}),
+    "csp-r-string": (["solve"], {"mode": "sym", "r": "2", "S": [0, 2], "num_vars": 2, "k": 0,
+                                 "clauses": []}),
+    "csp-S-float": (["solve"], {"mode": "sym", "r": 2, "S": [0, 2.0], "num_vars": 2, "k": 0,
+                                "clauses": []}),
+    "csp-neg-bool": (["solve"], {"mode": "and", "num_vars": 2, "k": 0,
+                                 "clauses": [{"neg": [0, True], "scope": [0, 1], "in_P": True}]}),
+    "csp-scope-float": (["reduce", "--source", "mincsp"],
+                        {"mode": "and", "num_vars": 2, "k": 0,
+                         "clauses": [{"neg": [0, 0], "scope": [0, 1.5], "in_P": True}]}),
+    "csp-multi-S-string": (["solve"], {"mode": "multi", "num_vars": 2, "k": 0,
+                                       "clauses": [{"neg": [0, 0], "scope": [0, 1], "S": ["0", 2],
+                                                    "in_P": True}]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_INPUTS))
+def test_integer_fields_reject_bools_floats_and_strings(name, tmp_path, capsys):
+    from symcsp.cli import main
+
+    argv, doc = NON_INTEGER_INPUTS[name]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("schema error: ")
+    assert "is not an integer" in out.err and out.err.count("\n") == 1
+
+
+def test_parser_is_built_once_and_handlers_are_looked_up_per_call(monkeypatch, capsys):
+    from symcsp import cli
+
+    cli.build_parser.cache_clear()
+    assert cli.main(["classify", "--r", "2", "--S", "0,2"]) == 0
+    assert cli.main(["classify", "--r", "3", "--S", "0,3"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    capsys.readouterr()
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.input) or 0)
+    assert cli.main(["solve", "--input", "patched.json"]) == 0
+    assert seen == ["patched.json"]
+    assert cli.build_parser.cache_info().misses == 1

@@ -17,6 +17,7 @@ from symcsp.flow import (
 )
 from symcsp.oracle import brute_force_misvw
 
+from bfs_assignment import closure_assignment_bfs, solve_mis_vw_bfs
 from dinic import dinic
 
 
@@ -174,6 +175,10 @@ def test_hypergraph_validation():
         WeightedHypergraph(2, (frozenset({5}),), (0, 0))
     with pytest.raises(StructureError):
         WeightedHypergraph(2, (), (0,))
+    with pytest.raises(StructureError, match="vertex -1 out of range"):
+        WeightedHypergraph(3, (frozenset({0, 2}), frozenset({-1, 5})), (0, 0, 0))
+    with pytest.raises(StructureError, match="vertex 5 out of range"):
+        WeightedHypergraph(3, (frozenset({0, 2}), frozenset({1, 5})), (0, 0, 0))
 
 
 def test_long_path_network():
@@ -350,3 +355,49 @@ def test_misvw_bench_sized_instance_matches_reference():
     edges = tuple(frozenset(rng.sample(range(nv), rng.randint(1, 3))) for _ in range(m))
     h = WeightedHypergraph(nv, edges, tuple(rng.randint(-2, 6) for _ in range(nv)))
     assert solve_mis_vw(h) == closure_reference(h)
+
+
+@st.composite
+def _assignment_inputs(draw):
+    """(caps, edges) as the selection and the AND flip search pass them:
+    hyperedges may be empty or repeat a vertex, capacities are 1, small or
+    large, and an optional tail of copies of one hyperedge can outrun the
+    capacity of its vertices, so every later search finds them dead."""
+    n = draw(st.integers(1, 10))
+    cap = st.one_of(st.just(1), st.integers(1, 3), st.integers(10**6, 10**12))
+    caps = draw(st.lists(cap, min_size=n, max_size=n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.lists(vertex, max_size=5), max_size=40))
+    tail = draw(st.lists(vertex, min_size=1, max_size=3))
+    edges += [tail] * draw(st.integers(0, 8))
+    edges += draw(st.lists(st.lists(vertex, max_size=3), max_size=5))
+    return caps, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_assignment_inputs())
+@example(([1, 1], [[0, 1]] * 3 + [[0], [1, 1], [], [1, 0]]))
+@example(([1, 10**12], [[0, 0], [0], [1, 0], [0, 0, 0], []]))
+def test_direct_placement_matches_the_search_alone(case):
+    caps, edges = case
+    assert closure_assignment(caps, edges) == closure_assignment_bfs(caps, edges)
+
+
+@st.composite
+def _hypergraphs_with_repeats(draw):
+    """Hypergraphs whose hyperedges are frozensets or tuples that may
+    repeat a vertex, with zero, negative, small and large weights."""
+    n = draw(st.integers(1, 12))
+    weight = st.one_of(st.integers(-2, 3), st.just(0), st.integers(-(10**12), 10**12))
+    weights = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=5), max_size=30))
+    as_set = draw(st.booleans())
+    return WeightedHypergraph(n, tuple(frozenset(r) if as_set else tuple(r) for r in rows), weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hypergraphs_with_repeats())
+@example(WeightedHypergraph(3, ((0, 0, 1), (1, 2, 2), (2,)), (0, 1, 0)))
+@example(WeightedHypergraph(2, ((0, 1),) * 5, (1, -1)))
+def test_selection_matches_the_search_alone(h):
+    assert solve_mis_vw(h) == solve_mis_vw_bfs(h)
