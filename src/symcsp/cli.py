@@ -242,11 +242,9 @@ def cmd_misvw(args):
     obj = _read_json(args.input)
     try:
         rows = obj["hyperedges"]
-        # types per membership: a set would merge 1.0 or true into 1
+        # types per membership: true or 1.0 must not stand for vertex 1
         require_ints(chain.from_iterable(rows))
-        h = WeightedHypergraph(
-            json_int(obj["num_vertices"]), tuple(map(frozenset, rows)), json_ints(obj["weights"])
-        )
+        h = WeightedHypergraph(json_int(obj["num_vertices"]), rows, json_ints(obj["weights"]))
     except (KeyError, TypeError, ValueError, StructureError) as e:
         raise SchemaError(f"bad hypergraph: {e}")
     v0, value = solve_mis_vw(h)
@@ -269,17 +267,17 @@ def _paired_cut_to_json(src):
 def _paired_cut_from_json(obj):
     try:
         src = PairedMinCutInstance(
-            int(obj["num_vertices"]),
-            tuple(tuple(e) for e in obj["edges"]),
-            int(obj["s"]),
-            int(obj["t"]),
-            int(obj["l"]),
-            tuple(tuple(p) for p in obj["pairs"]),
-            tuple(tuple(p) for p in obj["paths"]),
+            json_int(obj["num_vertices"]),
+            tuple(map(json_ints, obj["edges"])),
+            json_int(obj["s"]),
+            json_int(obj["t"]),
+            json_int(obj["l"]),
+            tuple(map(json_ints, obj["pairs"])),
+            tuple(map(json_ints, obj["paths"])),
         )
-    except (KeyError, TypeError, ValueError) as e:
+        validate_paired_cut(src)  # an edge that is not a pair, a path id out of range
+    except (KeyError, TypeError, ValueError, IndexError) as e:
         raise SchemaError(f"bad paired-cut object: {e}")
-    validate_paired_cut(src)
     return src
 
 
@@ -294,13 +292,13 @@ def _mcis_to_json(src):
 def _mcis_from_json(obj):
     try:
         src = MulticoloredISInstance(
-            int(obj["num_vertices"]),
-            tuple(tuple(p) for p in obj["parts"]),
-            tuple(tuple(e) for e in obj["edges"]),
+            json_int(obj["num_vertices"]),
+            tuple(map(json_ints, obj["parts"])),
+            tuple(map(json_ints, obj["edges"])),
         )
+        validate_mcis(src)  # an edge that is not a pair
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad multicolored-IS object: {e}")
-    validate_mcis(src)
     return src
 
 

@@ -87,6 +87,8 @@ def max_flow_min_cut(net: FlowNetwork, bound: int) -> tuple:
 
 @dataclass(frozen=True)
 class WeightedHypergraph:
+    """Each hyperedge is a nonempty sequence of vertex ids, repeats allowed."""
+
     num_vertices: int
     hyperedges: tuple
     weights: tuple
@@ -111,28 +113,29 @@ def selection_objective(h: WeightedHypergraph, v0) -> int:
 
 def closure_assignment(caps, edges) -> tuple:
     """(dead, reached) of a maximum assignment of each hyperedge j to a
-    vertex of `edges[j]`, vertex v taking at most `caps[v]` > 0 of them.
+    vertex of `edges[j]`, vertex v taking at most `caps[v]` of them.
 
-    Hyperedges are placed in order.  One with a vertex below its capacity
-    goes directly to the first such vertex in list order, and one whose
-    vertices are all dead stays unassigned: there a breadth-first search
-    would stop with a path of one step, or visit nothing.  Any other is
-    placed by a breadth-first search for an alternating path to a vertex
-    below its capacity.  A failed search visits only full vertices whose
-    hyperedges lead back among them or to earlier dead vertices, so no later
-    path can pass there: they are marked dead for good.  Direct placement
-    leaves the assignment the search would, and the marks it skips do not
-    matter: full vertices stay full, and a mark set by search i reads the
-    same as an older one to every later search.  `dead` is then the vertices
-    reachable from the unassigned hyperedges, which every maximum assignment
-    shares, and `reached` the hyperedges whose vertices are all dead; both
-    ascend.
+    A vertex of capacity at most 0 is dead from the start: nothing is
+    placed on it or searched through it.  Hyperedges are placed in order.
+    One with a vertex below its capacity goes directly to the first such
+    vertex in list order, and one whose vertices are all dead stays
+    unassigned: there a breadth-first search would stop with a path of one
+    step, or visit nothing.  Any other is placed by a breadth-first search
+    for an alternating path to a vertex below its capacity.  A failed search
+    visits only full vertices whose hyperedges lead back among them or to
+    earlier dead vertices, so no later path can pass there: they are marked
+    dead for good.  Direct placement leaves the assignment the search would,
+    and the marks it skips do not matter: full vertices stay full, and a
+    mark set by search i reads the same as an older one to every later
+    search.  `dead` is then those vertices and the ones reachable from the
+    unassigned hyperedges, which every maximum assignment shares, and
+    `reached` the hyperedges whose vertices are all dead; both ascend.
     """
     m = len(edges)
     owner = [-1] * m  # the vertex each hyperedge is assigned to
     held = [set() for _ in caps]
     free = list(caps)  # the capacity each vertex has left
-    mark = [-1] * len(caps)  # the last search that visited a vertex; m = dead
+    mark = [m if c <= 0 else -1 for c in caps]  # the last search to visit; m = dead
     for i, e in enumerate(edges):
         alive = False  # some vertex of e is not dead
         for u in e:
@@ -183,9 +186,8 @@ def solve_mis_vw(h: WeightedHypergraph) -> tuple:
     vertex, and the zero-weight vertices of the reached hyperedges.
     """
     w = h.weights
-    positive = [wv > 0 for wv in w]
-    dead, reached = closure_assignment(w, [[v for v in e if positive[v]] for e in h.hyperedges])
-    v0 = set(dead).union(v for v, wv in enumerate(w) if wv < 0)
+    dead, reached = closure_assignment(w, h.hyperedges)
+    v0 = {v for v in dead if w[v] > 0}.union(v for v, wv in enumerate(w) if wv < 0)
     zero = {v for v, wv in enumerate(w) if wv == 0}
     v0 |= zero.intersection(frozenset().union(*map(h.hyperedges.__getitem__, reached)))
     return frozenset(v0), len(reached) - sum(map(w.__getitem__, v0))

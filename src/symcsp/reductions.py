@@ -314,7 +314,7 @@ def validate_mcis(src: MulticoloredISInstance) -> None:
             if v in seen:
                 raise StructureError("parts must be disjoint")
             seen.add(v)
-    if seen != set(range(src.num_vertices)):
+    if len(seen) != src.num_vertices or seen != set(range(len(seen))):
         raise StructureError("parts must cover the vertex set")
     incident = set()
     for u, v in src.edges:

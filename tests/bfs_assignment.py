@@ -2,8 +2,10 @@
 
 `symcsp.flow.closure_assignment` places a hyperedge directly when one of
 its vertices has capacity left, and skips one whose vertices are all dead,
-before it searches.  The routines here search for every hyperedge, as the
-program did before that shortcut, and are the reference it must match.
+before it searches; a vertex of capacity at most 0 starts dead.  The
+routines here search for every hyperedge, over hyperedges cut down to their
+positive-capacity vertices, as the program did before those shortcuts, and
+are the reference it must match.
 """
 
 from __future__ import annotations

@@ -91,6 +91,24 @@ def test_misvw_subcommand(tmp_path):
     assert out == {"objective": 1, "selected": [0, 1]}
 
 
+def test_misvw_reads_rows_as_they_are(tmp_path, capsys):
+    # a repeated vertex, a row of non-positive vertices only and an isolated
+    # zero-weight vertex (7): the rows reach the selection as JSON lists
+    from symcsp.cli import main
+    from symcsp.core import dumps_canonical
+    from symcsp.flow import WeightedHypergraph
+    from symcsp.oracle import brute_force_misvw
+
+    rows = [[2, 2, 5], [0, 1], [1, 3, 3], [0, 4], [5, 2], [6, 1, 2], [4]]
+    weights = [-1, 0, 1, 2, -2, 1, 3, 0]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"num_vertices": 8, "hyperedges": rows, "weights": weights}))
+    assert main(["misvw", "--input", str(path)]) == 0
+    h = WeightedHypergraph(8, tuple(map(frozenset, rows)), tuple(weights))
+    v0, value = brute_force_misvw(h)
+    assert capsys.readouterr().out == dumps_canonical({"selected": sorted(v0), "objective": value})
+
+
 def test_reduce_solve_decode_round_trip(tmp_path):
     run_cli("gen", "--what", "paired-cut", "--seed", "1", "--l", "1",
             "--output", str(tmp_path / "src.json"))
@@ -453,8 +471,15 @@ def test_and_clause_mask_guard_fires_before_allocating(tmp_path, capsys, count):
     assert peak < count * 4096
 
 
+# valid reduction sources, as `symcsp gen --seed 1` writes them
+PAIRED_CUT = {"num_vertices": 4, "edges": [[0, 3], [3, 1], [0, 2], [2, 1]], "s": 0, "t": 1,
+              "l": 1, "pairs": [[0, 2], [1, 3]], "paths": [[0, 1], [2, 3]]}
+MCIS = {"num_vertices": 6, "parts": [[0, 1, 2], [3, 4, 5]],
+        "edges": [[0, 1], [0, 4], [1, 5], [2, 3], [3, 5]]}
+
 # inputs carrying one integer field as a bool, a float or a string; each
-# was once truncated or converted and must now be a schema error
+# was once truncated, converted or raised a traceback and must now be a
+# schema error
 NON_INTEGER_INPUTS = {
     "misvw-vertex-float": (["misvw"], {"num_vertices": 2, "hyperedges": [[0.7, 1]],
                                        "weights": [1, 1]}),
@@ -488,6 +513,20 @@ NON_INTEGER_INPUTS = {
     "csp-multi-S-string": (["solve"], {"mode": "multi", "num_vars": 2, "k": 0,
                                        "clauses": [{"neg": [0, 0], "scope": [0, 1], "S": ["0", 2],
                                                     "in_P": True}]}),
+    "paired-cut-size-float": (["reduce", "--source", "paired-cut"],
+                              {**PAIRED_CUT, "num_vertices": 6.9}),
+    "paired-cut-s-float": (["reduce", "--source", "paired-cut"], {**PAIRED_CUT, "s": 0.4}),
+    "paired-cut-edge-float": (["reduce", "--source", "paired-cut"],
+                              {**PAIRED_CUT, "edges": [[0, 3.0], [3, 1], [0, 2], [2, 1]]}),
+    "paired-cut-pair-float": (["reduce", "--source", "paired-cut"],
+                              {**PAIRED_CUT, "pairs": [[0, 2.0], [1, 3]]}),
+    "paired-cut-path-float": (["reduce", "--source", "paired-cut"],
+                              {**PAIRED_CUT, "paths": [[0.0, 1], [2, 3]]}),
+    "mcis-part-bool": (["reduce", "--source", "mcis"],
+                       {**MCIS, "parts": [[False, 1, 2], [3, 4, 5]]}),
+    "mcis-edge-float": (["reduce", "--source", "mcis"],
+                        {**MCIS, "edges": [[0, 1.0], [0, 4], [1, 5], [2, 3], [3, 5]]}),
+    "mcis-size-float": (["reduce", "--source", "mcis"], {**MCIS, "num_vertices": 6.9}),
 }
 
 
@@ -502,6 +541,35 @@ def test_integer_fields_reject_bools_floats_and_strings(name, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("schema error: ")
     assert "is not an integer" in out.err and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["reduce", "--source", "paired-cut"],
+     {**PAIRED_CUT, "edges": [[0, 3, 1], [3, 1], [0, 2], [2, 1]]}, "too many values to unpack"),
+    (["reduce", "--source", "paired-cut"], {**PAIRED_CUT, "paths": [[0, 9], [2, 3]]},
+     "index out of range"),
+    (["reduce", "--source", "mcis"], {**MCIS, "edges": [[0], [0, 4], [1, 5], [2, 3], [3, 5]]},
+     "not enough values to unpack"),
+], ids=["paired-cut-edge-triple", "paired-cut-path-id", "mcis-edge-single"])
+def test_reduction_source_shapes_are_schema_errors(tmp_path, capsys, argv, doc, message):
+    # each once escaped the schema check and printed a traceback
+    from symcsp.cli import main
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("schema error: ") and message in out.err
+
+
+def test_mcis_cover_check_builds_no_vertex_range(tmp_path, capsys):
+    # the parts cover 6 vertices; the check once built a set of all
+    # num_vertices ids before it compared
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({**MCIS, "num_vertices": 10 ** 6}))
+    code, peak = _peak_bytes(["reduce", "--source", "mcis", "--input", str(path)])
+    assert code == 2 and peak < 1 << 20
+    assert capsys.readouterr().err == "schema error: parts must cover the vertex set\n"
 
 
 def test_parser_is_built_once_and_handlers_are_looked_up_per_call(monkeypatch, capsys):

@@ -360,11 +360,13 @@ def test_misvw_bench_sized_instance_matches_reference():
 @st.composite
 def _assignment_inputs(draw):
     """(caps, edges) as the selection and the AND flip search pass them:
-    hyperedges may be empty or repeat a vertex, capacities are 1, small or
-    large, and an optional tail of copies of one hyperedge can outrun the
-    capacity of its vertices, so every later search finds them dead."""
+    hyperedges may be empty or repeat a vertex, capacities are 1, small,
+    large, zero or negative (raw selection weights), and an optional tail of
+    copies of one hyperedge can outrun the capacity of its vertices, so
+    every later search finds them dead."""
     n = draw(st.integers(1, 10))
-    cap = st.one_of(st.just(1), st.integers(1, 3), st.integers(10**6, 10**12))
+    cap = st.one_of(st.just(1), st.integers(1, 3), st.integers(10**6, 10**12),
+                    st.just(0), st.integers(-(10**12), -1))
     caps = draw(st.lists(cap, min_size=n, max_size=n))
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.lists(vertex, max_size=5), max_size=40))
@@ -378,26 +380,36 @@ def _assignment_inputs(draw):
 @given(_assignment_inputs())
 @example(([1, 1], [[0, 1]] * 3 + [[0], [1, 1], [], [1, 0]]))
 @example(([1, 10**12], [[0, 0], [0], [1, 0], [0, 0, 0], []]))
+@example(([0, 1, -3], [[0, 1], [2, 0], [1], [1, 2, 2], [0]]))
 def test_direct_placement_matches_the_search_alone(case):
+    # a vertex of capacity at most 0 starts dead: the search over the
+    # hyperedges without it reaches the same hyperedges and live vertices
     caps, edges = case
-    assert closure_assignment(caps, edges) == closure_assignment_bfs(caps, edges)
+    dead, reached = closure_assignment(caps, edges)
+    live = [[u for u in e if caps[u] > 0] for e in edges]
+    ref_dead, ref_reached = closure_assignment_bfs(caps, live)
+    assert reached == ref_reached
+    assert [v for v in dead if caps[v] > 0] == ref_dead
+    assert {v for v, c in enumerate(caps) if c <= 0} <= set(dead) and dead == sorted(dead)
 
 
 @st.composite
 def _hypergraphs_with_repeats(draw):
-    """Hypergraphs whose hyperedges are frozensets or tuples that may
-    repeat a vertex, with zero, negative, small and large weights."""
+    """Hypergraphs whose hyperedges are frozensets, or tuples or lists (as
+    `symcsp misvw` reads them) that may repeat a vertex, with zero,
+    negative, small and large weights."""
     n = draw(st.integers(1, 12))
     weight = st.one_of(st.integers(-2, 3), st.just(0), st.integers(-(10**12), 10**12))
     weights = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
     rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=5), max_size=30))
-    as_set = draw(st.booleans())
-    return WeightedHypergraph(n, tuple(frozenset(r) if as_set else tuple(r) for r in rows), weights)
+    form = draw(st.sampled_from((frozenset, tuple, list)))
+    return WeightedHypergraph(n, tuple(map(form, rows)), weights)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_hypergraphs_with_repeats())
 @example(WeightedHypergraph(3, ((0, 0, 1), (1, 2, 2), (2,)), (0, 1, 0)))
 @example(WeightedHypergraph(2, ((0, 1),) * 5, (1, -1)))
+@example(WeightedHypergraph(4, ([2, 2, 1], [0, 3], [1, 1], [3]), (1, 0, 2, -1)))
 def test_selection_matches_the_search_alone(h):
     assert solve_mis_vw(h) == solve_mis_vw_bfs(h)
