@@ -157,15 +157,48 @@ def renormalize(inst: AndInstance, alpha: int) -> AndInstance:
     )
 
 
+class _HalfTable(dict):
+    """Outside-clause matches on one half of the relevant variables, each
+    entry filled on its first lookup: entry h (a submask of `mask`) is the
+    bitset of the outside clauses c with ``h & V_c == N_c & mask``, bit j
+    standing for the j-th."""
+
+    __slots__ = ("mask", "rows")
+
+    def __init__(self, mask: int, outside: tuple):
+        super().__init__()
+        self.mask = mask
+        self.rows = [(v & mask, n & mask, 1 << j) for j, (v, n) in enumerate(outside)]
+
+    def __missing__(self, h: int) -> int:
+        hits = self[h] = sum([bit for v, n, bit in self.rows if h & v == n])
+        return hits
+
+
 @dataclass(frozen=True)
 class FlipTable:
     """A renormalized instance around its satisfier alpha.  For clause c,
     V_c is its variables and N_c = (alpha ^ want) & V_c the variables where
-    alpha disagrees with c, so flipping F satisfies c iff ``F & V_c == N_c``."""
+    alpha disagrees with c, so flipping F satisfies c iff ``F & V_c == N_c``.
+
+    That test splits over the two halves of the relevant variables, so the
+    outside clauses a flip F (a submask of `relevant`) satisfies are
+    ``low[F & low.mask] & high[F & high.mask]``: two lookups in tables
+    filled on demand, so building them costs O(min(2^ceil(R/2), flips
+    looked up) * |outside|) for R relevant variables.  `nothing` is the
+    bitset of the outside clauses with N_c = 0, which a renormalized
+    instance has none of."""
 
     proposed: tuple  # (V_c, N_c) of every proposed clause
     outside: tuple  # (V_c, N_c) of every other clause
     relevant: int
+    low: _HalfTable
+    high: _HalfTable
+    nothing: int
+
+    def hits(self, flip: int) -> int:
+        """Bitset of the outside clauses that flipping `flip` satisfies."""
+        return self.low[flip & self.low.mask] & self.high[flip & self.high.mask]
 
 
 def flip_table(inst: AndInstance, alpha: int) -> FlipTable:
@@ -175,24 +208,39 @@ def flip_table(inst: AndInstance, alpha: int) -> FlipTable:
     for c in inst.clauses:
         relevant |= c.care
         (proposed if c.in_p else outside).append((c.care, (alpha & c.care) ^ c.want))
-    return FlipTable(tuple(proposed), tuple(outside), relevant)
+    high = relevant
+    for _ in range((relevant.bit_count() + 1) // 2):
+        high &= high - 1  # the low half takes the lowest relevant variable
+    outside = tuple(outside)
+    nothing = sum(1 << j for j, (_, n) in enumerate(outside) if not n)
+    return FlipTable(
+        tuple(proposed), outside, relevant,
+        _HalfTable(relevant ^ high, outside), _HalfTable(high, outside), nothing,
+    )
 
 
 def build_flip_class_hypergraph(table: FlipTable, key: int, need: int):
-    """(groups, caps, edges, gained) for the label-1 set `key`, or None if
-    it gains fewer than `need` clauses.  `gained[j]` is N_c of the j-th
-    non-proposed clause that flipping all of key satisfies, `edges[j]` the
-    groups it meets; `groups` are the label-1 parts of the proposed clauses
-    merged where they meet (disjoint), `caps[i]` the proposed clauses in
-    group i.  Loose bits, outside every group, touch no proposed clause."""
-    gained = [n for v, n in table.outside if key & v == n]
-    if 0 in gained:
+    """(groups, caps, edges, gained) for the label-1 set `key` (a submask of
+    the relevant variables), or None if it gains fewer than `need` clauses;
+    a rejected key costs two table lookups and a popcount.  `gained[j]` is
+    N_c of the j-th non-proposed clause that flipping all of key satisfies,
+    `edges[j]` the groups it meets; `groups` are the label-1 parts of the
+    proposed clauses merged where they meet (disjoint), `caps[i]` the
+    proposed clauses in group i.  Loose bits, outside every group, touch no
+    proposed clause."""
+    hits = table.hits(key)
+    if hits & table.nothing:
         raise StructureError(
             "clause outside the proposal satisfied by flipping nothing; "
             "instance was not renormalized"
         )
-    if len(gained) < need:
+    if hits.bit_count() < need:
         return None
+    gained = []
+    while hits:
+        low = hits & -hits
+        gained.append(table.outside[low.bit_length() - 1][1])
+        hits ^= low
     groups, caps = [], []
     for vbits, _ in table.proposed:
         part = vbits & key
@@ -268,6 +316,11 @@ def solve_satisfiable_p(inst: AndInstance, alpha: int, ctx: SolveContext) -> int
     the exhaustive cap bounds the keys actually walked, and it fires before
     the first one.
 
+    Every key is walked and counted in `colorings_tried`; one that gains
+    fewer than max(1, best improvement so far) clauses is rejected by two
+    lookups in the table's half tables, and only the rest run a selection.
+    The deadline is polled before every key, and not at all without one.
+
     Requires alpha to satisfy the proposed set and the instance to be
     renormalized (proposal == satisfied set of alpha).
     """
@@ -283,21 +336,25 @@ def solve_satisfiable_p(inst: AndInstance, alpha: int, ctx: SolveContext) -> int
     base_value = len(table.proposed)
     best_value = base_value
     best = alpha
+    need = 1  # a key must gain at least max(1, best_value - base_value)
     poll = ctx.deadline is not None
     for key in _coloring_keys(family, table.relevant, inst.fixed):
         if poll and ctx.expired():
             break
-        sub = build_flip_class_hypergraph(table, key, max(1, best_value - base_value))
+        sub = build_flip_class_hypergraph(table, key, need)
         ctx.colorings_tried += 1
         if sub is None:
             continue
         flip, lost = select_flip(key, sub)
-        value = base_value - lost + sum(1 for v, n in table.outside if flip & v == n)
+        value = base_value - lost + table.hits(flip).bit_count()  # flip is within key
         if value < best_value:
             continue
         cand = alpha ^ flip
-        if value > best_value or _precedes(cand, best):
+        if value > best_value:
             best_value, best = value, cand
+            need = max(1, value - base_value)
+        elif _precedes(cand, best):
+            best = cand
     return best
 
 

@@ -140,7 +140,8 @@ def _note_fallbacks(run) -> None:
 
 def cmd_solve(args):
     obj = _read_json(args.input)
-    deadline = Deadline(args.time_limit_ms)
+    # no limit, no deadline: the solvers then never poll a clock
+    deadline = None if args.time_limit_ms is None else Deadline(args.time_limit_ms)
     if "edges" in obj and "clauses" not in obj:
         graph, p_ids, k = _graph_from_json(obj)
         # each connected component is solved on its own, keeping its sides
@@ -275,6 +276,12 @@ def _paired_cut_from_json(obj):
             tuple(map(json_ints, obj["pairs"])),
             tuple(map(json_ints, obj["paths"])),
         )
+        if src.num_vertices > SOLVE_SIZE_GUARD:
+            # the acyclicity check sizes lists by the vertices, and the reduced
+            # instance has one variable per vertex
+            raise GuardError(
+                f"paired-cut source of {src.num_vertices} vertices exceeds guard {SOLVE_SIZE_GUARD}"
+            )
         validate_paired_cut(src)  # an edge that is not a pair, a path id out of range
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise SchemaError(f"bad paired-cut object: {e}")

@@ -719,3 +719,129 @@ def test_pruned_keys_count_but_run_no_selection():
     assert pruned and len(selections) == len(subs) - pruned
     # the bound rises once a flip improves on the satisfier
     assert max(needs) > 1
+
+
+def _submasks(mask):
+    """Every submask of mask, 0 included."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+@st.composite
+def _half_table_case(draw):
+    """R relevant variables at scattered positions and outside clauses
+    (V_c, N_c) over them: some wholly inside the low or the high half, some
+    repeated, some with N_c = 0."""
+    r = draw(st.integers(0, 7))
+    variables = sorted(draw(st.sets(st.integers(0, 40), min_size=r, max_size=r)))
+    pools = [pool for pool in (variables[:(r + 1) // 2], variables[(r + 1) // 2:], variables)
+             if pool]
+    outside = []
+    for _ in range(draw(st.integers(0, 8)) if pools else 0):
+        scope = draw(st.sets(st.sampled_from(draw(st.sampled_from(pools))), min_size=1))
+        flipped = draw(st.sets(st.sampled_from(sorted(scope))))
+        outside.append((_mask_of(scope), _mask_of(flipped)))
+    if outside:
+        outside += draw(st.lists(st.sampled_from(outside), max_size=3))
+    return variables, draw(st.permutations(outside))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_half_table_case())
+@example(([], []))  # R = 0
+@example(([5], [(1 << 5, 1 << 5), (1 << 5, 0)]))  # R = 1, one clause flipping nothing
+# odd R: a clause in each half, a repeated one, one across the halves
+@example(([0, 3, 9], [(1, 1), (1 << 9, 0), (1 << 3 | 1 << 9, 1 << 9),
+                      (1 << 3 | 1 << 9, 1 << 9), (1 | 1 << 9, 1 << 9)]))
+def test_half_tables_match_the_direct_scan(case):
+    # the two half-table lookups give exactly the outside clauses the direct
+    # ``key & V_c == N_c`` scan gives, for every key over the relevant
+    # variables; the build raises on a clause flipping nothing whatever
+    # `need` is, and otherwise prunes at exactly `need`
+    variables, outside = case
+    relevant = _mask_of(variables)
+    # a proposed clause over every variable makes them all relevant; with
+    # alpha = 0 each clause's N_c is its `want`
+    clauses = [AndClause(0, relevant, 0, True)]
+    clauses += [AndClause(j + 1, v, n, False) for j, (v, n) in enumerate(outside)]
+    table = flip_table(AndInstance(41, tuple(clauses), 1), 0)
+    assert table.relevant == relevant and table.outside == tuple(outside)
+    assert table.low.mask == _mask_of(variables[:(len(variables) + 1) // 2])
+    assert table.high.mask == relevant ^ table.low.mask
+    for key in _submasks(relevant):
+        direct = [j for j, (v, n) in enumerate(outside) if key & v == n]
+        assert table.hits(key) == sum(1 << j for j in direct)
+        gained = [outside[j][1] for j in direct]
+        if 0 in gained:
+            for need in (0, len(gained) + 1):
+                with pytest.raises(StructureError, match="flipping nothing"):
+                    build_flip_class_hypergraph(table, key, need)
+            continue
+        assert build_flip_class_hypergraph(table, key, len(gained) + 1) is None
+        assert build_flip_class_hypergraph(table, key, len(gained))[3] == gained
+
+
+def test_random_mode_fills_half_tables_only_for_lookups():
+    # 40 relevant variables at k = 1 in random mode: eager half tables would
+    # hold 2^20 entries each.  Filled on demand, each holds at most one entry
+    # per walked key and one per selected flip (the value recount)
+    inst, prop = _sparse_inst(40, list(range(40)), 1)
+    tables, selections = [], []
+    real_table, real_select = and_solver.flip_table, and_solver.closure_assignment
+
+    def table_spy(*args):
+        tables.append(real_table(*args))
+        return tables[-1]
+
+    def select_spy(*args):
+        selections.append(args)
+        return real_select(*args)
+
+    with mock.patch.object(and_solver, "flip_table", table_spy), \
+            mock.patch.object(and_solver, "closure_assignment", select_spy):
+        _, run = solve_and(inst, prop, mode="random", seed=1)
+    (table,) = tables
+    assert table.relevant.bit_count() == 40 and 0 < run.colorings_tried < 1 << 12
+    for half in (table.low, table.high):
+        assert 0 < len(half) <= run.colorings_tried + len(selections)
+
+
+def test_need_follows_the_best_value():
+    # each key is built with need = max(1, best value so far - base value),
+    # the best value recounted here by the direct scan from every selected
+    # flip, and a new flip search starts again from need 1
+    cases = [(gen_and_instance(seed), mode) for seed in range(40)
+             for mode in ("exhaustive", "random")]
+    cases.append((_sparse_inst(10, list(range(8)), 3), "exhaustive"))
+    raised = 0
+    for (inst, prop), mode in cases:
+        log = []
+        real_build, real_select = and_solver.build_flip_class_hypergraph, and_solver.select_flip
+
+        def build(table, key, need):
+            log.append(("build", table, need))
+            return real_build(table, key, need)
+
+        def select(key, sub):
+            log.append(("select",) + real_select(key, sub))
+            return log[-1][1:]
+
+        with mock.patch.object(and_solver, "build_flip_class_hypergraph", build), \
+                mock.patch.object(and_solver, "select_flip", select):
+            solve_and(inst, prop, mode=mode, seed=2)
+        table = None
+        for kind, a, b in log:
+            if kind == "select":
+                flip, lost = a, b
+                best = max(best, base - lost + sum(1 for v, n in table.outside if flip & v == n))
+                continue
+            if a is not table:
+                table, base = a, len(a.proposed)
+                best = base
+            assert b == max(1, best - base)
+            raised += b > 1
+    assert raised

@@ -572,6 +572,52 @@ def test_mcis_cover_check_builds_no_vertex_range(tmp_path, capsys):
     assert capsys.readouterr().err == "schema error: parts must cover the vertex set\n"
 
 
+def test_paired_cut_vertex_guard_fires_before_allocating(tmp_path, capsys):
+    # the acyclicity check once sized two lists by num_vertices before any
+    # guard; the reduced instance would have one variable per vertex
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({**PAIRED_CUT, "num_vertices": 10 ** 8}))
+    code, peak = _peak_bytes(["reduce", "--source", "paired-cut", "--input", str(path)])
+    assert code == 3 and peak < 1 << 20
+    assert capsys.readouterr().err == (
+        "guard: paired-cut source of 100000000 vertices exceeds guard 262144\n"
+    )
+
+
+SOLVE_DOCS = {
+    "and": {"mode": "and", "num_vars": 5, "k": 2, "clauses": [
+        {"neg": [0, 0], "scope": [0, 1], "in_P": True},
+        {"neg": [1], "scope": [0], "in_P": False},
+        {"neg": [0, 1], "scope": [2, 3], "in_P": False},
+        {"neg": [0], "scope": [4], "in_P": True},
+    ]},
+    "graph": {"k": 1, "edges": [
+        {"u": 0, "v": 1, "type": 1, "in_P": True},
+        {"u": 1, "v": 2, "type": 0, "in_P": False},
+        {"u": 0, "v": 2, "type": 1, "in_P": False},
+    ]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVE_DOCS))
+def test_solve_polls_a_clock_only_with_a_limit(tmp_path, capsys, monkeypatch, kind):
+    from symcsp import core
+    from symcsp.cli import main
+
+    polls = []
+    real = core.Deadline.expired
+    monkeypatch.setattr(core.Deadline, "expired", lambda self: polls.append(1) or real(self))
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(SOLVE_DOCS[kind]))
+    assert main(["solve", "--input", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert not polls and out["timeout"] is False
+    if kind == "and":
+        assert out["colorings_tried"] == 31  # the flip search ran, unpolled
+    assert main(["solve", "--input", str(path), "--time-limit-ms", "0"]) == 0
+    assert polls and json.loads(capsys.readouterr().out)["timeout"] is True
+
+
 def test_parser_is_built_once_and_handlers_are_looked_up_per_call(monkeypatch, capsys):
     from symcsp import cli
 
