@@ -8,12 +8,9 @@ from .core import (
     Instance,
     ProposedSolution,
     SymmetricLanguage,
-    cost,
     eval_clause,
     instance_from_json,
     instance_to_json,
-    is_good,
-    neighborhood_distance,
     normalize_language,
     satisfied_set,
 )
@@ -34,13 +31,10 @@ __all__ = [
     "WeightedHypergraph",
     "brute_force_improve",
     "classify",
-    "cost",
     "cut_improve",
     "eval_clause",
     "instance_from_json",
     "instance_to_json",
-    "is_good",
-    "neighborhood_distance",
     "normalize_language",
     "satisfied_set",
     "solve_2ae",

@@ -187,7 +187,16 @@ class FlipTable:
     filled on demand, so building them costs O(min(2^ceil(R/2), flips
     looked up) * |outside|) for R relevant variables.  `nothing` is the
     bitset of the outside clauses with N_c = 0, which a renormalized
-    instance has none of."""
+    instance has none of.
+
+    `through[b]` is the bitset of the proposed clauses through the variable
+    bit b (bit j standing for the j-th), and `spanned` the variables of
+    the proposed clauses.  `stack` carries the proposed-clause groups from
+    key to key: entry i holds the top i set bits of the last key built
+    (restricted to `spanned`) and their groups, as three parallel lists:
+    the groups' variable masks, their caps and their proposed-clause
+    bitsets (a cap is the bitset's popcount).  It never holds more than
+    R + 1 entries."""
 
     proposed: tuple  # (V_c, N_c) of every proposed clause
     outside: tuple  # (V_c, N_c) of every other clause
@@ -195,6 +204,9 @@ class FlipTable:
     low: _HalfTable
     high: _HalfTable
     nothing: int
+    through: dict
+    spanned: int
+    stack: list
 
     def hits(self, flip: int) -> int:
         """Bitset of the outside clauses that flipping `flip` satisfies."""
@@ -213,9 +225,16 @@ def flip_table(inst: AndInstance, alpha: int) -> FlipTable:
         high &= high - 1  # the low half takes the lowest relevant variable
     outside = tuple(outside)
     nothing = sum(1 << j for j, (_, n) in enumerate(outside) if not n)
+    through = {}
+    for j, (vbits, _) in enumerate(proposed):
+        while vbits:
+            b = vbits & -vbits
+            through[b] = through.get(b, 0) | 1 << j
+            vbits ^= b
     return FlipTable(
         tuple(proposed), outside, relevant,
         _HalfTable(relevant ^ high, outside), _HalfTable(high, outside), nothing,
+        through, sum(through), [(0, [], [], [])],
     )
 
 
@@ -227,7 +246,13 @@ def build_flip_class_hypergraph(table: FlipTable, key: int, need: int):
     `edges[j]` the groups it meets; `groups` are the label-1 parts of the
     proposed clauses merged where they meet (disjoint), `caps[i]` the
     proposed clauses in group i.  Loose bits, outside every group, touch no
-    proposed clause."""
+    proposed clause.
+
+    The groups are carried over from the last key built (union-find with
+    rollback, Westbrook-Tarjan 1989): the table's stack keeps the entries
+    of the high bits the two keys share and pushes one merge per remaining
+    bit, from high to low.  A merge fuses the bit with every group whose
+    proposed clauses pass through it."""
     hits = table.hits(key)
     if hits & table.nothing:
         raise StructureError(
@@ -241,20 +266,36 @@ def build_flip_class_hypergraph(table: FlipTable, key: int, need: int):
         low = hits & -hits
         gained.append(table.outside[low.bit_length() - 1][1])
         hits ^= low
-    groups, caps = [], []
-    for vbits, _ in table.proposed:
-        part = vbits & key
-        if not part:
-            continue
-        weight = 1
-        for i in range(len(groups) - 1, -1, -1):
-            if groups[i] & part:
-                part |= groups.pop(i)
-                weight += caps.pop(i)
-        groups.append(part)
-        caps.append(weight)
+    stack = table.stack
+    key &= table.spanned
+    entry = stack[-1]
+    if key != entry[0]:
+        top = (key ^ entry[0]).bit_length()  # the bits from `top` up are shared
+        del stack[(entry[0] >> top).bit_count() + 1:]
+        prefix, groups, _, clauses = stack[-1]
+        rest = key & ((1 << top) - 1)
+        through = table.through
+        while rest:
+            bit = 1 << (rest.bit_length() - 1)
+            rest ^= bit
+            prefix |= bit
+            meets = through[bit]
+            part, joined, kept, kept_clauses = bit, meets, [], []
+            for g, c in zip(groups, clauses):
+                if c & meets:
+                    part |= g
+                    joined |= c
+                else:
+                    kept.append(g)
+                    kept_clauses.append(c)
+            kept.append(part)
+            kept_clauses.append(joined)
+            groups, clauses = kept, kept_clauses
+            stack.append((prefix, groups, [c.bit_count() for c in clauses], clauses))
+        entry = stack[-1]
+    groups = entry[1]
     edges = [[i for i, g in enumerate(groups) if g & n] for n in gained]
-    return groups, caps, edges, gained
+    return groups, entry[2], edges, gained
 
 
 def select_flip(key: int, sub) -> tuple:
@@ -269,17 +310,22 @@ def select_flip(key: int, sub) -> tuple:
     return flip, sum(caps[i] for i in dead)
 
 
-def _coloring_keys(family, relevant: int, fixed: int):
+def _coloring_keys(family, relevant: int, fixed: int, ctx: SolveContext):
     """Label-1 sets restricted to the relevant variables, each once, in the
     order the family first shows them; the empty coloring is skipped.
     Family bit i stands for the i-th variable outside `fixed`, or for the
-    i-th relevant variable when the solve sized the family by them."""
+    i-th relevant variable when the solve sized the family by them.  The
+    deadline is polled before every coloring, a repeated random draw too,
+    and not at all without one."""
+    poll = ctx.deadline is not None
     if family.mode == "exhaustive":
         # either way bit i maps to a variable in ascending order and the
         # first mask of range(2^n) with a given key is the key itself, so the
         # keys are the submasks of `relevant` in ascending order
         sub = relevant & -relevant
         while sub:
+            if poll and ctx.expired():
+                return
             yield sub
             sub = (sub - relevant) & relevant
         return
@@ -293,6 +339,8 @@ def _coloring_keys(family, relevant: int, fixed: int):
     relevant_bits = sum(b for b, _ in bits)
     seen = set()
     for mask in family.colorings:
+        if poll and ctx.expired():
+            return
         key = mask & relevant_bits
         if key not in seen:
             seen.add(key)
@@ -319,7 +367,7 @@ def solve_satisfiable_p(inst: AndInstance, alpha: int, ctx: SolveContext) -> int
     Every key is walked and counted in `colorings_tried`; one that gains
     fewer than max(1, best improvement so far) clauses is rejected by two
     lookups in the table's half tables, and only the rest run a selection.
-    The deadline is polled before every key, and not at all without one.
+    The walk ends early once the deadline has passed.
 
     Requires alpha to satisfy the proposed set and the instance to be
     renormalized (proposal == satisfied set of alpha).
@@ -337,10 +385,7 @@ def solve_satisfiable_p(inst: AndInstance, alpha: int, ctx: SolveContext) -> int
     best_value = base_value
     best = alpha
     need = 1  # a key must gain at least max(1, best_value - base_value)
-    poll = ctx.deadline is not None
-    for key in _coloring_keys(family, table.relevant, inst.fixed):
-        if poll and ctx.expired():
-            break
+    for key in _coloring_keys(family, table.relevant, inst.fixed, ctx):
         sub = build_flip_class_hypergraph(table, key, need)
         ctx.colorings_tried += 1
         if sub is None:

@@ -6,7 +6,8 @@ with 1 and all of B with 0.  Exhaustive mode emits every coloring (complete
 by construction, capped, and lazy: a ``range``); randomized mode draws
 Monte-Carlo colorings whose per-pair failure probability is at most delta,
 unless emitting every coloring is no larger, and refuses a draw larger than
-``RANDOM_CAP``.  The derandomized splitter construction is deliberately not
+``RANDOM_CAP``.  Random draws are lazy too, so a consumer that polls a
+deadline between colorings stops the drawing as well.  The derandomized splitter construction is deliberately not
 reimplemented; consumers depend only on the covering contract, which both
 modes realize.
 """
@@ -24,10 +25,33 @@ EXHAUSTIVE_CAP = 1 << 16
 RANDOM_CAP = 1 << 20  # largest Monte-Carlo family drawn
 
 
+class _Draws(Sequence):
+    """`size` seeded colorings over n elements, each bit 1 with chance p1,
+    drawn again on each pass from a fresh generator, so every pass yields
+    the same masks in the same order.  Indexing and equality draw them all."""
+
+    def __init__(self, n: int, p1: float, size: int, seed: int):
+        self.n, self.p1, self.size, self.seed = n, p1, size, seed
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        rng = random.Random(self.seed)
+        for _ in range(self.size):
+            yield sum(1 << i for i in range(self.n) if rng.random() < self.p1)
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, _Draws) else other)
+
+
 @dataclass(frozen=True)
 class ColoringFamily:
     """Colorings stored as bitmasks: bit i set means element i has color 1.
-    Exhaustive families hold ``range(2 ** n)``, random ones a tuple."""
+    Exhaustive families hold ``range(2 ** n)``, random ones lazy draws."""
 
     n: int
     a: int
@@ -80,14 +104,6 @@ def build_coloring_family(
         if 2 ** n > EXHAUSTIVE_CAP:
             raise GuardError(f"exhaustive family of 2^{n} colorings exceeds cap {EXHAUSTIVE_CAP}")
         return ColoringFamily(n, a, b, mode, range(2 ** n))
-    rng = random.Random(seed)
     p1 = a / (a + b) if a + b > 0 else 0.0
-    colorings = []
-    for _ in range(size):
-        mask = 0
-        for i in range(n):
-            if rng.random() < p1:
-                mask |= 1 << i
-        colorings.append(mask)
-    return ColoringFamily(n, a, b, mode, tuple(colorings))
+    return ColoringFamily(n, a, b, mode, _Draws(n, p1, size, seed))
 

@@ -200,18 +200,6 @@ def satisfied_set(instance: Instance, a: Assignment) -> frozenset:
     )
 
 
-def cost(instance: Instance, a: Assignment) -> int:
-    return len(instance.clauses) - len(satisfied_set(instance, a))
-
-
-def neighborhood_distance(a_ids: Iterable, b_ids: Iterable) -> int:
-    return len(frozenset(a_ids) ^ frozenset(b_ids))
-
-
-def is_good(instance: Instance, a: Assignment, reference_value: int) -> bool:
-    return len(satisfied_set(instance, a)) >= reference_value
-
-
 # ---------------------------------------------------------------------------
 # JSON instance schema.
 #

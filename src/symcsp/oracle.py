@@ -16,7 +16,6 @@ from .flow import WeightedHypergraph, selection_objective
 IMPROVE_GUARD_VARS = 24
 CUT_GUARD_VERTICES = 20
 MISVW_GUARD_VERTICES = 20
-NEIGHBORHOOD_GUARD_VARS = 16
 IMPROVE_BLOCK = 1 << 20  # assignments brute_force_improve scores at a time
 
 
@@ -100,29 +99,6 @@ def brute_force_improve(instance: Instance, k: int, p_ids) -> OracleReport:
     if not near:
         return OracleReport(*best, False, None, None)
     return OracleReport(*best, True, *min(near, key=lambda b: (-b[0], b[1])))
-
-
-def neighborhood_optima(instance: Instance, k: int, p_ids):
-    """All assignments attaining the optimum-in-k-neighborhood."""
-    n = instance.num_vars
-    if n > NEIGHBORHOOD_GUARD_VARS:
-        raise GuardError(f"neighborhood_optima guarded at {NEIGHBORHOOD_GUARD_VARS} variables")
-    variables = range(n)
-    values, deltas = _value_delta_tables(instance, frozenset(p_ids), variables, np.arange(1 << n))
-    near = deltas <= k
-    if not near.any():
-        return []
-    nmax = int(values[near].max())
-    return [
-        _assignment_of(int(i), variables, n)
-        for i in np.nonzero(near & (values == nmax))[0]
-    ]
-
-
-def brute_force_mincsp(instance: Instance) -> tuple:
-    """(minimum cost, lexicographically smallest witness)."""
-    report = brute_force_improve(instance, 0, frozenset(c.id for c in instance.clauses))
-    return len(instance.clauses) - report.global_value, report.global_witness
 
 
 def brute_force_misvw(h: WeightedHypergraph) -> tuple:

@@ -273,26 +273,6 @@ def pad_ae(instance: Instance, proposed: ProposedSolution):
     return Instance(next_var, tuple(clauses)), proposed
 
 
-def uniformize_ae(instance: Instance, proposed: ProposedSolution, target_arity: int):
-    """Repeated padding of the shorter clauses only, until all-equal clauses
-    share the target arity."""
-    if not instance.is_ae_family():
-        raise StructureError("uniformize requires all-equal clauses")
-    clauses = list(instance.clauses)
-    next_var = instance.num_vars
-    out = []
-    for c in clauses:
-        if c.language.arity > target_arity:
-            raise StructureError("clause arity above target")
-        neg, scope = c.neg, c.scope
-        while len(scope) < target_arity:
-            scope = scope + (next_var,)
-            neg = neg + (neg[0],)
-            next_var += 1
-        out.append(Clause(c.id, neg, scope, ae_language(target_arity)))
-    return Instance(next_var, tuple(out)), proposed
-
-
 # ---------------------------------------------------------------------------
 # Multicolored independent set sources
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from symcsp.oracle import (
     brute_force_cut,
     brute_force_improve,
     brute_force_misvw,
-    neighborhood_optima,
 )
 from symcsp.reductions import (
     decode_mcis,
@@ -48,6 +47,7 @@ from symcsp.reductions import (
 )
 
 from covering import verify_covering
+from oracle_helpers import neighborhood_optima
 from relations import language_bijunctive, language_ihsb, language_members
 
 AND_COUNT = 500

@@ -40,7 +40,9 @@ from symcsp.core import (
 )
 from symcsp.flow import WeightedHypergraph, selection_objective, solve_mis_vw
 from symcsp.generators import gen_and_instance
-from symcsp.oracle import brute_force_improve, neighborhood_optima
+from symcsp.oracle import brute_force_improve
+
+from oracle_helpers import neighborhood_optima
 
 
 def and_inst(num_vars, rows, p, k):
@@ -692,6 +694,55 @@ def test_flip_matches_reference_selection(case):
     assert flip == _mask_of(v for ci in v0 for v in classes[ci])
     gained_value = sum(1 for v, nb in table.outside if flip & v == nb)
     assert instance_value(ren, alpha ^ flip) == len(table.proposed) - lost + gained_value
+
+
+def _ref_groups(table, key):
+    """(groups, caps) of a key rebuilt from nothing: the label-1 parts of the
+    proposed clauses, each merged with every earlier group it meets.  This
+    is the per-key merge the flip search ran before it carried its groups
+    from key to key."""
+    groups, caps = [], []
+    for vbits, _ in table.proposed:
+        part = vbits & key
+        if not part:
+            continue
+        weight = 1
+        for i in range(len(groups) - 1, -1, -1):
+            if groups[i] & part:
+                part |= groups.pop(i)
+                weight += caps.pop(i)
+        groups.append(part)
+        caps.append(weight)
+    return groups, caps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flip_case(), st.randoms(use_true_random=False))
+def test_carried_groups_match_the_per_key_merge(case, rng):
+    # keys in ascending order (exhaustive mode) and shuffled (random mode's
+    # order): the groups carried on the table's stack are the per-key
+    # merge's, up to their order, with the same caps, gained clauses and
+    # edges; the stack never holds more than R + 1 entries
+    n, rows, p, _ = case
+    inst, prop = and_inst(n, rows, p, 1)
+    ai = and_instance_from(inst, prop)
+    alpha = find_assignment_satisfying_p(ai)
+    ren = renormalize(ai, alpha)
+    relevant = flip_table(ren, alpha).relevant
+    ascending = sorted(_submasks(relevant))[1:]
+    shuffled = ascending[:]
+    rng.shuffle(shuffled)
+    for keys in (ascending, shuffled):
+        table = flip_table(ren, alpha)  # a fresh stack for each order
+        for key in keys:
+            groups, caps, edges, gained = build_flip_class_hypergraph(table, key, 0)
+            ref_groups, ref_caps = _ref_groups(table, key)
+            assert sorted(zip(groups, caps)) == sorted(zip(ref_groups, ref_caps))
+            assert gained == [n for v, n in table.outside if key & v == n]
+            assert [sorted(groups[i] for i in e) for e in edges] == [
+                sorted(g for g in ref_groups if g & n) for n in gained
+            ]
+            assert len(table.stack) <= relevant.bit_count() + 1
 
 
 def test_pruned_keys_count_but_run_no_selection():

@@ -2,6 +2,8 @@ import json
 import random
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -632,3 +634,21 @@ def test_parser_is_built_once_and_handlers_are_looked_up_per_call(monkeypatch, c
     assert cli.main(["solve", "--input", "patched.json"]) == 0
     assert seen == ["patched.json"]
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_random_family_draws_stop_at_the_deadline(tmp_path, capsys):
+    # 40 relevant variables, 30 clauses of arity 4, k = 2: the random family
+    # holds 908,522 colorings, which took seconds to draw in full before the
+    # first deadline poll.  Drawn lazily, the walk polls between draws.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import inputs
+    from symcsp.cli import main
+
+    raw = inputs.and_raw("item11", 40, 2, 30, (4,), list(range(40)), True)
+    path = tmp_path / "and.json"
+    path.write_text(json.dumps(inputs.and_json(raw)))
+    start = time.perf_counter()
+    code = main(["solve", "--input", str(path), "--coloring", "random", "--seed", "1",
+                 "--time-limit-ms", "50"])
+    assert code == 0 and time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["timeout"] is True

@@ -13,15 +13,27 @@ from symcsp.core import (
     StructureError,
     SymmetricLanguage,
     and_language,
-    cost,
     eval_clause,
     instance_from_json,
     instance_to_json,
-    is_good,
-    neighborhood_distance,
     normalize_language,
     satisfied_set,
 )
+
+
+# The paper's cost, proposal distance and good-assignment test, written out
+# over satisfied_set; the package itself works with satisfied sets directly.
+def cost(instance: Instance, a) -> int:
+    return len(instance.clauses) - len(satisfied_set(instance, a))
+
+
+def neighborhood_distance(a_ids, b_ids) -> int:
+    return len(frozenset(a_ids) ^ frozenset(b_ids))
+
+
+def is_good(instance: Instance, a, reference_value: int) -> bool:
+    return len(satisfied_set(instance, a)) >= reference_value
+
 
 EQ2 = SymmetricLanguage(2, frozenset({0, 2}))
 NE_COUNTS = SymmetricLanguage(2, frozenset({1}))

@@ -23,10 +23,10 @@ from symcsp.oracle import (
     OracleReport,
     brute_force_cut,
     brute_force_improve,
-    brute_force_mincsp,
     brute_force_misvw,
-    neighborhood_optima,
 )
+
+from oracle_helpers import brute_force_mincsp, neighborhood_optima
 
 EQ2 = SymmetricLanguage(2, frozenset({0, 2}))
 NE2 = SymmetricLanguage(2, frozenset({1}))

@@ -15,7 +15,7 @@ from symcsp.core import (
     sat_language,
     satisfied_set,
 )
-from symcsp.oracle import brute_force_improve, brute_force_mincsp
+from symcsp.oracle import brute_force_improve
 from symcsp.reductions import (
     MulticoloredISInstance,
     PairedMinCutInstance,
@@ -33,10 +33,12 @@ from symcsp.reductions import (
     solve_mcis_bruteforce,
     solve_paired_cut_bruteforce,
     twosat_to_le1,
-    uniformize_ae,
     validate_mcis,
     validate_paired_cut,
 )
+
+from oracle_helpers import brute_force_mincsp
+from uniformize import uniformize_ae
 
 TOY = PairedMinCutInstance(2, ((0, 1), (0, 1)), 0, 1, 1, ((0, 1),), ((0,), (1,)))
 
