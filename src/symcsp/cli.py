@@ -22,6 +22,7 @@ from .core import (
     Deadline,
     GuardError,
     SchemaError,
+    SolveContext,
     StructureError,
     VerificationError,
     dumps_canonical,
@@ -219,7 +220,9 @@ def cmd_solve(args):
                 "refusing exhaustive search on a hard language without "
                 "--force-oracle"
             )
-        report = oracle.brute_force_improve(instance, proposed.k, proposed.clause_ids)
+        run = SolveContext(deadline=deadline)
+        report = oracle.brute_force_improve(instance, proposed.k, proposed.clause_ids, run)
+        out["timeout"] = run.timed_out
         assignment = (
             report.neighborhood_witness
             if report.neighborhood_witness is not None

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GuardError, Instance, VerificationError
+from .core import GuardError, Instance, SolveContext, VerificationError
 from .flow import WeightedHypergraph, selection_objective
 
 IMPROVE_GUARD_VARS = 24
@@ -36,69 +36,85 @@ def _assignment_of(index: int, variables, n: int) -> tuple:
     return tuple(out)
 
 
-def _lex_min_index(indices: np.ndarray, n: int) -> int:
-    # lex order of assignment tuples = numeric order after bit reversal
-    rev = np.zeros_like(indices)
-    for v in range(n):
-        rev |= ((indices >> v) & 1) << (n - 1 - v)
-    return int(indices[int(np.argmin(rev))])
-
-
-def _value_delta_tables(instance: Instance, p_ids, variables, idx) -> tuple:
-    """Value and proposal distance of the assignments `idx` to `variables`
-    (index bit i is variables[i]); no clause reads any other variable."""
+def _value_delta_tables(instance: Instance, p_ids, variables, lo: int, hi: int) -> tuple:
+    """Value and proposal distance of the assignments lo..hi-1 to `variables`
+    (index bit i is variables[i]); no clause reads any other variable.
+    The clauses of one arity r form a stack, scored in chunks of at most
+    `IMPROVE_BLOCK` cells: their literals' bit rows add up to a count per
+    clause and assignment, read in the clause's (r+1)-entry table."""
+    index = np.arange(lo, hi, dtype=np.min_scalar_type(hi - 1))
+    bits = np.empty((len(variables), hi - lo), dtype=np.uint8)
+    for i in range(len(variables)):
+        np.bitwise_and(index >> i, 1, out=bits[i], casting="unsafe")
+    del index  # the stacks read only the bit rows
     pos = {v: i for i, v in enumerate(variables)}
-    values = np.zeros(len(idx), dtype=np.int32)
-    deltas = np.zeros(len(idx), dtype=np.int32)
-    for c in instance.clauses:
-        count = np.zeros(len(idx), dtype=np.int32)
-        for v, b in zip(c.scope, c.neg):
-            count += ((idx >> pos[v]) & 1).astype(np.int32) ^ b
-        sat = np.isin(count, sorted(c.language.counts))
-        values += sat
-        deltas += sat != (c.id in p_ids)
+    # no sum exceeds the clause count
+    values = np.zeros(hi - lo, dtype=np.min_scalar_type(len(instance.clauses)))
+    deltas = np.zeros_like(values)
+    for r in {len(c.scope) for c in instance.clauses}:
+        stack = [c for c in instance.clauses if len(c.scope) == r]
+        scope = np.array([[pos[v] for v in c.scope] for c in stack], dtype=np.intp).reshape(-1, r)
+        neg = np.array([c.neg for c in stack], dtype=np.uint8).reshape(-1, r, 1)
+        rows = {s: [x in s for x in range(r + 1)] for s in {c.language.counts for c in stack}}
+        # clause i's table starts at entry i(r+1), where its count starts
+        accepts = np.array([rows[c.language.counts] for c in stack]).ravel()
+        start = np.arange(0, accepts.size, r + 1, dtype=np.min_scalar_type(accepts.size))[:, None]
+        proposed = np.array([[c.id in p_ids] for c in stack])
+        step = max(1, IMPROVE_BLOCK // (hi - lo))
+        for a in range(0, len(stack), step):
+            count = np.repeat(start[a:a + step], hi - lo, axis=1)
+            for j in range(r):
+                count += bits[scope[a:a + step, j]] ^ neg[a:a + step, j]
+            sat = accepts.take(count)
+            values += sat.sum(axis=0, dtype=values.dtype)
+            deltas += (sat != proposed[a:a + step]).sum(axis=0, dtype=values.dtype)
     return values, deltas
 
 
 def _block_optima(instance: Instance, p_ids, variables, k: int, lo: int, hi: int) -> tuple:
     """(value, lex-min witness) of the optimum and of the optimum within
     distance k (None if none) over the assignments lo..hi-1."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    values, deltas = _value_delta_tables(instance, p_ids, variables, idx)
-    m, n = len(variables), instance.num_vars
+    values, deltas = _value_delta_tables(instance, p_ids, variables, lo, hi)
+    n = instance.num_vars
     gmax = int(values.max())
-    best = gmax, _assignment_of(_lex_min_index(idx[values == gmax], m), variables, n)
+    best = gmax, _assignment_of(lo + int(np.argmax(values == gmax)), variables, n)
     near = deltas <= k
     if not near.any():
         return best, None
     nmax = int(values[near].max())
-    return best, (nmax, _assignment_of(_lex_min_index(idx[near & (values == nmax)], m), variables, n))
+    return best, (nmax, _assignment_of(lo + int(np.argmax(near & (values == nmax))), variables, n))
 
 
-def brute_force_improve(instance: Instance, k: int, p_ids) -> OracleReport:
+def brute_force_improve(instance: Instance, k: int, p_ids, run: SolveContext | None = None) -> OracleReport:
     """Exact optimum and optimum-in-k-neighborhood by full enumeration of
     the variables that occur in some clause; every other variable is 0.
 
     Values and distances do not read the other variables, and 0 is the
     lex-smaller bit, so both lex-min witnesses are those of the full 2^n
-    enumeration.  The guard counts the enumerated variables; the
-    assignments are scored in blocks of `IMPROVE_BLOCK`.
+    enumeration.  The lowest variable is the highest index bit, so index
+    order is lex order.  The guard counts the enumerated variables; the
+    assignments are scored in blocks of `IMPROVE_BLOCK`.  `run`'s deadline
+    is polled before each block but the first; once it has passed, the
+    blocks scored so far answer and `run.timed_out` is set.
     """
-    variables = sorted({v for c in instance.clauses for v in c.scope})
+    variables = sorted({v for c in instance.clauses for v in c.scope}, reverse=True)
     m = len(variables)
     if m > IMPROVE_GUARD_VARS:
         raise GuardError(
             f"brute_force_improve guarded at {IMPROVE_GUARD_VARS} clause variables"
         )
     p_ids, big = frozenset(p_ids), 1 << m
-    blocks = [_block_optima(instance, p_ids, variables, k, lo, min(lo + IMPROVE_BLOCK, big))
-              for lo in range(0, big, IMPROVE_BLOCK)]
-    # the higher value wins, then the lex-smaller witness
-    best = min((b for b, _ in blocks), key=lambda b: (-b[0], b[1]))
+    blocks = []
+    for lo in range(0, big, IMPROVE_BLOCK):
+        if lo and run is not None and run.expired():
+            break
+        blocks.append(_block_optima(instance, p_ids, variables, k, lo, min(lo + IMPROVE_BLOCK, big)))
+    # blocks come in lex order: the first block of the highest value wins
+    best = max((b for b, _ in blocks), key=lambda b: b[0])
     near = [b for _, b in blocks if b is not None]
     if not near:
         return OracleReport(*best, False, None, None)
-    return OracleReport(*best, True, *min(near, key=lambda b: (-b[0], b[1])))
+    return OracleReport(*best, True, *max(near, key=lambda b: b[0]))
 
 
 def brute_force_misvw(h: WeightedHypergraph) -> tuple:
@@ -109,16 +125,17 @@ def brute_force_misvw(h: WeightedHypergraph) -> tuple:
     big = 1 << n
     masks = np.arange(big, dtype=np.int64)
     obj = np.zeros(big, dtype=np.int64)
+    # vertex v is bit n-1-v, so index order is lex order
     for e in h.hyperedges:
         emask = 0
         for v in e:
-            emask |= 1 << v
+            emask |= 1 << (n - 1 - v)
         obj += (masks & emask) == emask
     for v in range(n):
-        obj -= h.weights[v] * ((masks >> v) & 1)
+        obj -= h.weights[v] * ((masks >> (n - 1 - v)) & 1)
     best = int(obj.max())
-    wit_index = _lex_min_index(np.nonzero(obj == best)[0], n)
-    v0 = frozenset(v for v in range(n) if (wit_index >> v) & 1)
+    wit_index = int(np.argmax(obj == best))
+    v0 = frozenset(v for v in range(n) if (wit_index >> (n - 1 - v)) & 1)
     if selection_objective(h, v0) != best:
         raise VerificationError("brute_force_misvw witness misses the optimum")
     return v0, best

@@ -22,7 +22,7 @@ def neighborhood_optima(instance: Instance, k: int, p_ids):
     if n > NEIGHBORHOOD_GUARD_VARS:
         raise GuardError(f"neighborhood_optima guarded at {NEIGHBORHOOD_GUARD_VARS} variables")
     variables = range(n)
-    values, deltas = _value_delta_tables(instance, frozenset(p_ids), variables, np.arange(1 << n))
+    values, deltas = _value_delta_tables(instance, frozenset(p_ids), variables, 0, 1 << n)
     near = deltas <= k
     if not near.any():
         return []

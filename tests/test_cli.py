@@ -652,3 +652,37 @@ def test_random_family_draws_stop_at_the_deadline(tmp_path, capsys):
                  "--time-limit-ms", "50"])
     assert code == 0 and time.perf_counter() - start < 1.0
     assert json.loads(capsys.readouterr().out)["timeout"] is True
+
+
+def test_forced_oracle_stops_at_the_deadline(tmp_path, capsys, monkeypatch):
+    # 24 clause variables: 2^24 assignments, scored in 16 blocks.  Under a
+    # 1 ms limit the first block is scored and the deadline, polled between
+    # blocks, skips the rest; without a limit no clock is polled.
+    from symcsp import core
+    from symcsp.cli import main
+
+    rng = random.Random(22)
+    scopes = [[3 * i, 3 * i + 1, 3 * i + 2] for i in range(8)]
+    scopes += [rng.sample(range(24), 3) for _ in range(16)]
+    doc = {"mode": "sym", "r": 3, "S": [0, 3], "num_vars": 24, "k": 2, "clauses": [
+        {"neg": [rng.randint(0, 1) for _ in s], "scope": s, "in_P": rng.random() < 0.5}
+        for s in scopes
+    ]}
+    path = tmp_path / "hard24.json"
+    path.write_text(json.dumps(doc))
+    polls = []
+    real = core.Deadline.expired
+    monkeypatch.setattr(core.Deadline, "expired", lambda self: polls.append(1) or real(self))
+
+    start = time.perf_counter()
+    assert main(["solve", "--input", str(path), "--force-oracle"]) == 0
+    unlimited = time.perf_counter() - start
+    assert json.loads(capsys.readouterr().out)["timeout"] is False and not polls
+
+    start = time.perf_counter()
+    assert main(["solve", "--input", str(path), "--force-oracle", "--time-limit-ms", "1"]) == 0
+    limited = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert out["timeout"] is True and polls
+    assert len(out["assignment"]) == 24
+    assert limited < unlimited / 4

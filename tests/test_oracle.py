@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from itertools import product
 from unittest import mock
 
@@ -185,17 +187,18 @@ def _unit(i, v, neg=0):
 @st.composite
 def _improve_case(draw):
     """(instance, k, proposal): variables at or above `used` are in no
-    clause; clauses may repeat one another; any proposal, so the promise
+    clause; arities 1-6 mix in one instance and a scope may repeat a
+    variable; clauses may repeat one another; any proposal, so the promise
     may break."""
     n = draw(st.integers(0, 10))
     used = draw(st.integers(0, n))
     clauses = []
-    for i in range(draw(st.integers(0, 8)) if used else 0):
+    for i in range(draw(st.integers(0, 10)) if used else 0):
         if clauses and draw(st.booleans()):
             c = draw(st.sampled_from(clauses))
             clauses.append(Clause(i, c.neg, c.scope, c.language))
             continue
-        scope = draw(st.lists(st.integers(0, used - 1), min_size=1, max_size=3))
+        scope = draw(st.lists(st.integers(0, used - 1), min_size=1, max_size=6))
         r = len(scope)
         neg = draw(st.lists(st.integers(0, 1), min_size=r, max_size=r))
         counts = draw(st.frozensets(st.integers(0, r)))
@@ -215,6 +218,17 @@ def _improve_case(draw):
 @example((Instance(3, (_unit(0, 2), _unit(1, 2))), 0, frozenset({1})))
 # a proposal no assignment is within k of: x and not x
 @example((Instance(3, (_unit(0, 1), _unit(1, 1, 1))), 0, frozenset({0, 1})))
+# a scope that repeats a variable: x0 + not x0 + x2 counts 1 + x2
+@example((Instance(3, (Clause(0, (0, 1, 0), (0, 0, 2), SymmetricLanguage(3, frozenset({2}))),)),
+          0, frozenset({0})))
+# a clause that accepts no count, next to one that accepts every count
+@example((Instance(2, (Clause(0, (0, 0), (0, 1), SymmetricLanguage(2, frozenset())),
+                       Clause(1, (1, 0), (0, 1), SymmetricLanguage(2, frozenset({0, 1, 2}))))),
+          1, frozenset({0, 1})))
+# one clause per arity 1-4, each the only member of its stack
+@example((Instance(5, tuple(
+    Clause(i, (i % 2,) * (i + 1), tuple(range(i, -1, -1)), SymmetricLanguage(i + 1, frozenset({i // 2 + 1})))
+    for i in range(4))), 1, frozenset({1, 3})))
 def test_improve_matches_full_enumeration(case):
     # enumerating only the clause variables loses no optimum and keeps both
     # lex-min witnesses
@@ -231,6 +245,43 @@ def test_improve_blocks_match_one_block(case, log_block):
     one = brute_force_improve(inst, k, p)
     with mock.patch.object(oracle, "IMPROVE_BLOCK", 1 << log_block):
         assert brute_force_improve(inst, k, p) == one
+
+
+def _guard_instance():
+    """24 clause variables: 8 clauses of arity 3 cover them, 22 more have
+    arity 1-4; each clause gets random negations and a random count set."""
+    rng = random.Random(24)
+    scopes = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(8)]
+    scopes += [tuple(rng.sample(range(24), rng.randint(1, 4))) for _ in range(22)]
+    clauses = tuple(
+        Clause(i, tuple(rng.randint(0, 1) for _ in s), s,
+               SymmetricLanguage(len(s), frozenset(x for x in range(len(s) + 1) if rng.random() < 0.5)))
+        for i, s in enumerate(scopes)
+    )
+    return Instance(24, clauses), frozenset(i for i in range(30) if rng.random() < 0.5)
+
+
+def test_improve_at_the_guard_stays_in_time_and_memory():
+    # the report the per-clause enumeration gave on this instance; it took
+    # 11.3 s and a 36.0 MB traced peak on a 2-core host (Python 3.11,
+    # numpy 2.4), so neither the stacks nor a chunk may hold a temporary
+    # per clause variable and assignment beyond the uint8 bit rows
+    inst, p = _guard_instance()
+    assert len({v for c in inst.clauses for v in c.scope}) == IMPROVE_GUARD_VARS
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rep = brute_force_improve(inst, 3, p)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == OracleReport(
+        25, (0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 1),
+        True, 15, (0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1),
+    )
+    assert peak < 1.5 * 36.0 * 2**20
+    assert elapsed < 11.3
 
 
 def test_improve_guard():
