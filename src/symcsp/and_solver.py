@@ -4,11 +4,11 @@ Pipeline: branch on variables whose literals conflict inside the proposed
 clause set (each branch fixes a value and pays budget for clauses it kills),
 until the proposed set is conflict-free; satisfy it outright; renormalize
 the proposal to the satisfier's full satisfied set; then search flip sets
-around the satisfier.  The flip search runs one closure selection per
-coloring in a separating family: a coloring that gains too few
-non-proposed clauses is skipped; otherwise the label-1 parts of the
-proposed clauses merge into groups, each costing its proposed clauses, and
-each gained clause, worth 1, needs the groups it meets.
+around the satisfier.  For each coloring of a separating family that gains
+enough non-proposed clauses, the label-1 parts of the proposed clauses
+merge into groups, each costing its proposed clauses; each gained clause,
+worth 1, needs the groups it meets.  A group sharing no gained clause with
+another is kept or dropped by a count, the rest by a closure selection.
 
 Clauses, variable sets and assignments are bitmasks over the variables
 (bit v stands for variable v) from normalization on; only `solve_and`
@@ -190,13 +190,14 @@ class FlipTable:
     instance has none of.
 
     `through[b]` is the bitset of the proposed clauses through the variable
-    bit b (bit j standing for the j-th), and `spanned` the variables of
-    the proposed clauses.  `stack` carries the proposed-clause groups from
-    key to key: entry i holds the top i set bits of the last key built
-    (restricted to `spanned`) and their groups, as three parallel lists:
-    the groups' variable masks, their caps and their proposed-clause
-    bitsets (a cap is the bitset's popcount).  It never holds more than
-    R + 1 entries."""
+    bit b (bit j standing for the j-th), `touching[b]` that of the outside
+    clauses whose N_c holds b, and `spanned` the variables of the proposed
+    clauses.  `stack` carries the proposed-clause groups from key to key:
+    entry i holds the top i set bits of the last key built (restricted to
+    `spanned`) and their groups, as four parallel lists: the groups'
+    variable masks, their caps, their proposed-clause bitsets (a cap is the
+    bitset's popcount) and their `touching` bitsets, each the OR over the
+    group's bits.  It never holds more than R + 1 entries."""
 
     proposed: tuple  # (V_c, N_c) of every proposed clause
     outside: tuple  # (V_c, N_c) of every other clause
@@ -205,6 +206,7 @@ class FlipTable:
     high: _HalfTable
     nothing: int
     through: dict
+    touching: dict
     spanned: int
     stack: list
 
@@ -225,34 +227,39 @@ def flip_table(inst: AndInstance, alpha: int) -> FlipTable:
         high &= high - 1  # the low half takes the lowest relevant variable
     outside = tuple(outside)
     nothing = sum(1 << j for j, (_, n) in enumerate(outside) if not n)
-    through = {}
-    for j, (vbits, _) in enumerate(proposed):
-        while vbits:
-            b = vbits & -vbits
-            through[b] = through.get(b, 0) | 1 << j
-            vbits ^= b
+    through = _bit_index(v for v, _ in proposed)
     return FlipTable(
         tuple(proposed), outside, relevant,
         _HalfTable(relevant ^ high, outside), _HalfTable(high, outside), nothing,
-        through, sum(through), [(0, [], [], [])],
+        through, _bit_index(n for _, n in outside), sum(through), [(0, [], [], [], [])],
     )
 
 
+def _bit_index(masks) -> dict:
+    """Each variable bit b -> the bitset of the j whose j-th mask holds b."""
+    index = {}
+    for j, mask in enumerate(masks):
+        while mask:
+            b = mask & -mask
+            index[b] = index.get(b, 0) | 1 << j
+            mask ^= b
+    return index
+
+
 def build_flip_class_hypergraph(table: FlipTable, key: int, need: int):
-    """(groups, caps, edges, gained) for the label-1 set `key` (a submask of
+    """(groups, caps, meets, hits) for the label-1 set `key` (a submask of
     the relevant variables), or None if it gains fewer than `need` clauses;
-    a rejected key costs two table lookups and a popcount.  `gained[j]` is
-    N_c of the j-th non-proposed clause that flipping all of key satisfies,
-    `edges[j]` the groups it meets; `groups` are the label-1 parts of the
-    proposed clauses merged where they meet (disjoint), `caps[i]` the
-    proposed clauses in group i.  Loose bits, outside every group, touch no
-    proposed clause.
+    a rejected key costs two table lookups and a popcount.  `hits` is the
+    bitset of the key's gained clauses; `groups` are the label-1 parts of
+    the proposed clauses merged where they meet (disjoint), `caps[i]` the
+    proposed clauses in group i and `meets[i]` the gained clauses whose N_c
+    meets it.  Loose bits, outside every group, touch no proposed clause.
 
     The groups are carried over from the last key built (union-find with
     rollback, Westbrook-Tarjan 1989): the table's stack keeps the entries
     of the high bits the two keys share and pushes one merge per remaining
     bit, from high to low.  A merge fuses the bit with every group whose
-    proposed clauses pass through it."""
+    proposed clauses pass through it, and ORs their `touching` bitsets."""
     hits = table.hits(key)
     if hits & table.nothing:
         raise StructureError(
@@ -261,53 +268,75 @@ def build_flip_class_hypergraph(table: FlipTable, key: int, need: int):
         )
     if hits.bit_count() < need:
         return None
-    gained = []
-    while hits:
-        low = hits & -hits
-        gained.append(table.outside[low.bit_length() - 1][1])
-        hits ^= low
     stack = table.stack
     key &= table.spanned
     entry = stack[-1]
     if key != entry[0]:
         top = (key ^ entry[0]).bit_length()  # the bits from `top` up are shared
         del stack[(entry[0] >> top).bit_count() + 1:]
-        prefix, groups, _, clauses = stack[-1]
+        prefix, groups, _, clauses, touches = stack[-1]
         rest = key & ((1 << top) - 1)
-        through = table.through
+        through, touching = table.through, table.touching
         while rest:
             bit = 1 << (rest.bit_length() - 1)
             rest ^= bit
             prefix |= bit
             meets = through[bit]
-            part, joined, kept, kept_clauses = bit, meets, [], []
-            for g, c in zip(groups, clauses):
+            part, joined, touch = bit, meets, touching.get(bit, 0)
+            kept, kept_clauses, kept_touches = [], [], []
+            for g, c, t in zip(groups, clauses, touches):
                 if c & meets:
                     part |= g
                     joined |= c
+                    touch |= t
                 else:
                     kept.append(g)
                     kept_clauses.append(c)
+                    kept_touches.append(t)
             kept.append(part)
             kept_clauses.append(joined)
-            groups, clauses = kept, kept_clauses
-            stack.append((prefix, groups, [c.bit_count() for c in clauses], clauses))
+            kept_touches.append(touch)
+            groups, clauses, touches = kept, kept_clauses, kept_touches
+            stack.append((prefix, groups, [c.bit_count() for c in clauses], clauses, touches))
         entry = stack[-1]
-    groups = entry[1]
-    edges = [[i for i, g in enumerate(groups) if g & n] for n in gained]
-    return groups, entry[2], edges, gained
+    return entry[1], entry[2], [t & hits for t in entry[4]], hits
 
 
-def select_flip(key: int, sub) -> tuple:
-    """(flip, lost): the subproblem's dead groups plus the loose bits of its
-    reached gained clauses, and the proposed clauses of the dead groups."""
-    groups, caps, edges, gained = sub
-    dead, reached = closure_assignment(caps, edges)
-    flip = sum(groups[i] for i in dead)  # the groups are disjoint
-    loose = key & ~sum(groups)
-    for j in reached:
-        flip |= gained[j] & loose
-    return flip, sum(caps[i] for i in dead)
+def select_flip(table: FlipTable, key: int, sub) -> tuple:
+    """(flip, lost) for the subproblem `sub` of `key`: the dead groups plus
+    the N_c of the reached gained clauses (met by no live group), and the
+    proposed clauses of the dead groups.  The minimal optimum splits over
+    the parts of the clause-group incidence (Picard 1976): a solo group,
+    meeting no gained clause another group meets, is dead iff it meets more
+    than its cap (a tie stays alive); only the groups meeting a shared
+    clause go to `closure_assignment`, with all their gained clauses."""
+    groups, caps, meets, hits = sub
+    seen = shared = 0
+    for m in meets:
+        shared |= seen & m
+        seen |= m
+    dead = ()
+    if shared:
+        tied = [i for i, m in enumerate(meets) if m & shared]
+        rest, edges = seen ^ sum(m for m in meets if not m & shared), []
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            edges.append([t for t, i in enumerate(tied) if meets[i] & bit])
+        dead = {tied[t] for t in closure_assignment([caps[i] for i in tied], edges)[0]}
+    flip = lost = live = 0
+    for i, m in enumerate(meets):
+        if i in dead if m & shared else m.bit_count() > caps[i]:
+            flip |= groups[i]
+            lost += caps[i]
+        else:
+            live |= m
+    reached = hits & ~live
+    while reached:
+        bit = reached & -reached
+        reached ^= bit
+        flip |= table.outside[bit.bit_length() - 1][1]
+    return flip, lost
 
 
 def _coloring_keys(family, relevant: int, fixed: int, ctx: SolveContext):
@@ -390,7 +419,7 @@ def solve_satisfiable_p(inst: AndInstance, alpha: int, ctx: SolveContext) -> int
         ctx.colorings_tried += 1
         if sub is None:
             continue
-        flip, lost = select_flip(key, sub)
+        flip, lost = select_flip(table, key, sub)
         value = base_value - lost + table.hits(flip).bit_count()  # flip is within key
         if value < best_value:
             continue

@@ -198,11 +198,24 @@ def test_flip_hypergraph_weights_and_edges():
     alpha = _bits((1, 1))
     ren = renormalize(ai, alpha)
     table = flip_table(ren, alpha)
-    groups, caps, edges, gained = build_flip_class_hypergraph(table, _mask_of({0, 1}), 1)
+    groups, caps, edges, gained = _edges_and_gained(
+        table, build_flip_class_hypergraph(table, _mask_of({0, 1}), 1))
     assert tuple(_vars_of(m) for m in groups) == (frozenset({0, 1}),)
     assert caps == [1]
     assert edges == [[0]]
     assert gained == [_mask_of({0})]
+
+
+def _edges_and_gained(table, sub):
+    """A build's (groups, caps, meets, hits) as (groups, caps, edges, gained):
+    gained[j] is N_c of the j-th gained clause in clause order and edges[j]
+    the groups whose `meets` hold it, ascending.  None stays None."""
+    if sub is None:
+        return None
+    groups, caps, meets, hits = sub
+    clauses = [j for j, _ in enumerate(table.outside) if hits >> j & 1]
+    edges = [[i for i, m in enumerate(meets) if m >> j & 1] for j in clauses]
+    return groups, caps, edges, [table.outside[j][1] for j in clauses]
 
 
 def _class_hypergraph(key, sub):
@@ -235,7 +248,8 @@ def test_flip_improvement_never_below_objective():
         if not l1:
             continue
         table = flip_table(ren, alpha)
-        hg, classes = _class_hypergraph(l1, build_flip_class_hypergraph(table, l1, 0))
+        hg, classes = _class_hypergraph(
+            l1, _edges_and_gained(table, build_flip_class_hypergraph(table, l1, 0)))
         for mask in range(1 << len(classes)):
             chosen = [i for i in range(len(classes)) if (mask >> i) & 1]
             cand = alpha
@@ -674,6 +688,21 @@ def _flip_case(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_flip_case())
+# a solo group of cap 2 whose two gained clauses tie with its cap: it stays
+# alive, and so does a cap-1 solo group with one
+@example((2, [((0,), (0,)), ((0, 0), (0, 1)), ((1,), (0,)), ((1,), (1,))], {0, 1}, 0b11))
+@example((1, [((0,), (0,)), ((1,), (0,))], {0}, 0b1))
+# groups {x0}, {x1}, {x2} chained by shared clauses (all three die
+# together), next to solo group {x3} over its cap, whose reached clauses
+# also flip loose x4
+@example((5, [((0,), (0,)), ((0,), (1,)), ((0,), (2,)), ((0,), (3,)),
+              ((1, 1), (0, 1)), ((1, 1), (0, 1)), ((1, 1), (1, 2)), ((1,), (2,)),
+              ((1,), (3,)), ((1, 0), (3, 4))], {0, 1, 2, 3}, 0b11111))
+# gained clauses over loose x1 and x2 meet no group; group {x0} ties
+@example((3, [((0,), (0,)), ((1,), (0,)), ((0,), (1,)), ((0, 0), (1, 2))], {0}, 0b111))
+# every group solo: {x0} over its cap, {x1} at it, {x2} with no gained clause
+@example((3, [((0,), (0,)), ((0,), (1,)), ((0,), (2,)), ((1,), (0,)), ((1,), (0,)),
+              ((1,), (1,))], {0, 1, 2}, 0b111))
 def test_flip_matches_reference_selection(case):
     # the flip of one key is the union of the V0 classes that solve_mis_vw
     # picks on the reference hypergraph, and its value is the formula the
@@ -686,7 +715,7 @@ def test_flip_matches_reference_selection(case):
     table = flip_table(ren, alpha)
     key &= table.relevant
     assume(key)
-    flip, lost = select_flip(key, build_flip_class_hypergraph(table, key, 0))
+    flip, lost = select_flip(table, key, build_flip_class_hypergraph(table, key, 0))
 
     alpha_tuple = tuple(alpha >> v & 1 for v in range(n))
     hg, classes = _ref_build_flip_class_hypergraph(ren, alpha_tuple, _vars_of(key))
@@ -735,7 +764,8 @@ def test_carried_groups_match_the_per_key_merge(case, rng):
     for keys in (ascending, shuffled):
         table = flip_table(ren, alpha)  # a fresh stack for each order
         for key in keys:
-            groups, caps, edges, gained = build_flip_class_hypergraph(table, key, 0)
+            groups, caps, edges, gained = _edges_and_gained(
+                table, build_flip_class_hypergraph(table, key, 0))
             ref_groups, ref_caps = _ref_groups(table, key)
             assert sorted(zip(groups, caps)) == sorted(zip(ref_groups, ref_caps))
             assert gained == [n for v, n in table.outside if key & v == n]
@@ -751,7 +781,7 @@ def test_pruned_keys_count_but_run_no_selection():
     inst, prop = _sparse_inst(10, list(range(8)), 3)
     needs, subs, selections = [], [], []
     real_build = and_solver.build_flip_class_hypergraph
-    real_select = and_solver.closure_assignment
+    real_select = and_solver.select_flip
 
     def build(table, key, need):
         needs.append(need)
@@ -763,7 +793,7 @@ def test_pruned_keys_count_but_run_no_selection():
         return real_select(*args)
 
     with mock.patch.object(and_solver, "build_flip_class_hypergraph", build), \
-            mock.patch.object(and_solver, "closure_assignment", select):
+            mock.patch.object(and_solver, "select_flip", select):
         _, run = solve_and(inst, prop)
     pruned = sum(sub is None for sub in subs)
     assert run.colorings_tried == len(subs) == (1 << 8) - 1
@@ -833,7 +863,8 @@ def test_half_tables_match_the_direct_scan(case):
                     build_flip_class_hypergraph(table, key, need)
             continue
         assert build_flip_class_hypergraph(table, key, len(gained) + 1) is None
-        assert build_flip_class_hypergraph(table, key, len(gained))[3] == gained
+        sub = build_flip_class_hypergraph(table, key, len(gained))
+        assert _edges_and_gained(table, sub)[3] == gained
 
 
 def test_random_mode_fills_half_tables_only_for_lookups():
@@ -877,8 +908,8 @@ def test_need_follows_the_best_value():
             log.append(("build", table, need))
             return real_build(table, key, need)
 
-        def select(key, sub):
-            log.append(("select",) + real_select(key, sub))
+        def select(table, key, sub):
+            log.append(("select",) + real_select(table, key, sub))
             return log[-1][1:]
 
         with mock.patch.object(and_solver, "build_flip_class_hypergraph", build), \

@@ -127,3 +127,22 @@ def test_random_mode_enumerates_when_no_larger():
     assert small.mode == "exhaustive" and tuple(small.colorings) == tuple(range(2 ** 7))
     large = build_coloring_family(8, 2, 2, "random", seed=3, delta=delta)
     assert large.mode == "random" and len(large.colorings) == size
+
+
+def test_random_family_failure_rate_at_large_delta():
+    # a = b = 2 and delta = 1/4 give ceil(ln 4 * 16) = 23 draws, and a fixed
+    # (A, B) pair escapes all of them with chance (15/16)^23 ~ 0.227 <= delta
+    # (Alon-Yuster-Zwick).  Over independent seeds the number of families
+    # missing the pair is binomial, so the observed rate stays within 4
+    # standard deviations of that chance
+    delta, seeds = 0.25, 4000
+    size = randomized_family_size(2, 2, delta)
+    miss = (1 - success_probability(2, 2)) ** size
+    assert size == 23 and miss == pytest.approx((15 / 16) ** 23) and miss <= delta
+    a_mask, b_mask = 0b00011, 0b01100
+    misses = 0
+    for seed in range(seeds):
+        fam = build_coloring_family(5, 2, 2, "random", seed=seed, delta=delta)
+        assert fam.mode == "random" and len(fam.colorings) == size
+        misses += not any(m & a_mask == a_mask and not m & b_mask for m in fam.colorings)
+    assert abs(misses / seeds - miss) <= 4 * math.sqrt(miss * (1 - miss) / seeds)
