@@ -209,9 +209,7 @@ def test_flip_hypergraph_weights_and_edges():
 def _edges_and_gained(table, sub):
     """A build's (groups, caps, meets, hits) as (groups, caps, edges, gained):
     gained[j] is N_c of the j-th gained clause in clause order and edges[j]
-    the groups whose `meets` hold it, ascending.  None stays None."""
-    if sub is None:
-        return None
+    the groups whose `meets` hold it, ascending."""
     groups, caps, meets, hits = sub
     clauses = [j for j, _ in enumerate(table.outside) if hits >> j & 1]
     edges = [[i for i, m in enumerate(meets) if m >> j & 1] for j in clauses]
@@ -873,7 +871,7 @@ def test_random_mode_fills_half_tables_only_for_lookups():
     # per walked key and one per selected flip (the value recount)
     inst, prop = _sparse_inst(40, list(range(40)), 1)
     tables, selections = [], []
-    real_table, real_select = and_solver.flip_table, and_solver.closure_assignment
+    real_table, real_select = and_solver.flip_table, and_solver.select_flip
 
     def table_spy(*args):
         tables.append(real_table(*args))
@@ -884,7 +882,7 @@ def test_random_mode_fills_half_tables_only_for_lookups():
         return real_select(*args)
 
     with mock.patch.object(and_solver, "flip_table", table_spy), \
-            mock.patch.object(and_solver, "closure_assignment", select_spy):
+            mock.patch.object(and_solver, "select_flip", select_spy):
         _, run = solve_and(inst, prop, mode="random", seed=1)
     (table,) = tables
     assert table.relevant.bit_count() == 40 and 0 < run.colorings_tried < 1 << 12
