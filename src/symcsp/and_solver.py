@@ -8,7 +8,8 @@ around the satisfier.  For each coloring of a separating family that gains
 enough non-proposed clauses, the label-1 parts of the proposed clauses
 merge into groups, each costing its proposed clauses; each gained clause,
 worth 1, needs the groups it meets.  A group sharing no gained clause with
-another is kept or dropped by a count, the rest by a closure selection.
+another is kept or dropped by a count, a pair sharing them only with each
+other by four, and three or more groups by a closure selection.
 
 Clauses, variable sets and assignments are bitmasks over the variables
 (bit v stands for variable v) from normalization on; only `solve_and`
@@ -305,11 +306,15 @@ def build_flip_class_hypergraph(table: FlipTable, key: int, need: int):
 def select_flip(table: FlipTable, key: int, sub) -> tuple:
     """(flip, lost) for the subproblem `sub` of `key`: the dead groups plus
     the N_c of the reached gained clauses (met by no live group), and the
-    proposed clauses of the dead groups.  The minimal optimum splits over
-    the parts of the clause-group incidence (Picard 1976): a solo group,
+    proposed clauses of the dead groups.  The dead groups are those in
+    every optimum (the optima form a lattice, Picard-Queyranne 1980), and
+    they split over the parts of the clause-group incidence: a solo group,
     meeting no gained clause another group meets, is dead iff it meets more
-    than its cap (a tie stays alive); only the groups meeting a shared
-    clause go to `closure_assignment`, with all their gained clauses."""
+    than its cap (a tie stays alive).  Of a tied pair i, j meeting a and b,
+    the dead are those in every set of {}, {i}, {j}, {i, j} whose value
+    (0, |a & ~b| - cap_i, |b & ~a| - cap_j, |a | b| - cap_i - cap_j) is the
+    largest; three or more tied groups go to `closure_assignment`, with all
+    their gained clauses."""
     groups, caps, meets, hits = sub
     seen = shared = 0
     for m in meets:
@@ -318,12 +323,24 @@ def select_flip(table: FlipTable, key: int, sub) -> tuple:
     dead = ()
     if shared:
         tied = [i for i, m in enumerate(meets) if m & shared]
-        rest, edges = seen ^ sum(m for m in meets if not m & shared), []
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            edges.append([t for t, i in enumerate(tied) if meets[i] & bit])
-        dead = {tied[t] for t in closure_assignment([caps[i] for i in tied], edges)[0]}
+        if len(tied) == 2:
+            i, j = tied
+            a, b, ci, cj = meets[i], meets[j], caps[i], caps[j]
+            top = both = 0  # the best value so far and the AND of its dead sets, bit 1 = i
+            for d, value in enumerate(((a & ~b).bit_count() - ci, (b & ~a).bit_count() - cj,
+                                       (a | b).bit_count() - ci - cj), 1):
+                if value == top:
+                    both &= d
+                elif value > top:
+                    top, both = value, d
+            dead = [g for g, d in zip(tied, (1, 2)) if both & d]
+        else:
+            rest, edges = seen ^ sum(m for m in meets if not m & shared), []
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                edges.append([t for t, i in enumerate(tied) if meets[i] & bit])
+            dead = {tied[t] for t in closure_assignment([caps[i] for i in tied], edges)[0]}
     flip = lost = live = 0
     for i, m in enumerate(meets):
         if i in dead if m & shared else m.bit_count() > caps[i]:

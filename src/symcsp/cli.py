@@ -88,6 +88,13 @@ def _positive_int(text):
     return value
 
 
+def _probability(text):
+    value = float(text)
+    if not 0.0 < value < 1.0:  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
 def _write(args, obj):
     text = dumps_canonical(obj)
     if args.output and args.output != "-":
@@ -469,7 +476,7 @@ def build_parser():
                    default="exhaustive",
                    help="coloring family mode; random mode trades the "
                    "deterministic covering guarantee for speed")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    p.add_argument("--delta", type=_probability, default=DEFAULT_DELTA)
     p.add_argument("--time-limit-ms", type=int, default=None)
     p.add_argument("--force-oracle", action="store_true")
     p.add_argument("--algo", choices=("auto", "and", "cut", "oracle"),

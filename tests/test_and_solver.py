@@ -2,6 +2,7 @@ import random
 import sys
 from contextlib import ExitStack
 from itertools import product
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -38,7 +39,9 @@ from symcsp.core import (
     and_language,
     satisfied_set,
 )
-from symcsp.flow import WeightedHypergraph, selection_objective, solve_mis_vw
+from symcsp.flow import (
+    WeightedHypergraph, closure_assignment, selection_objective, solve_mis_vw,
+)
 from symcsp.generators import gen_and_instance
 from symcsp.oracle import brute_force_improve
 
@@ -701,6 +704,20 @@ def _flip_case(draw):
 # every group solo: {x0} over its cap, {x1} at it, {x2} with no gained clause
 @example((3, [((0,), (0,)), ((0,), (1,)), ((0,), (2,)), ((1,), (0,)), ((1,), (0,)),
               ((1,), (1,))], {0, 1, 2}, 0b111))
+# a tied pair, {x0} of cap 1 meeting two clauses of its own and {x1} of cap
+# 2 meeting only the shared one: only {x0} dies
+@example((2, [((0,), (0,)), ((0,), (1,)), ((0,), (1,)), ((1,), (0,)), ((1,), (0,)),
+              ((1, 1), (0, 1))], {0, 1, 2}, 0b11))
+# a tied pair of cap 1 each with three shared clauses: each alone is worth
+# -1, both together 1, so both die
+@example((2, [((0,), (0,)), ((0,), (1,)), ((1, 1), (0, 1)), ((1, 1), (0, 1)),
+              ((1, 1), (0, 1))], {0, 1}, 0b11))
+# the same pair with two shared clauses: both together tie with neither, so
+# both stay alive
+@example((2, [((0,), (0,)), ((0,), (1,)), ((1, 1), (0, 1)), ((1, 1), (0, 1))], {0, 1}, 0b11))
+# {x0} with two clauses of its own ties with the pair: only {x0} dies
+@example((2, [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (0,)), ((1, 1), (0, 1))],
+          {0, 1}, 0b11))
 def test_flip_matches_reference_selection(case):
     # the flip of one key is the union of the V0 classes that solve_mis_vw
     # picks on the reference hypergraph, and its value is the formula the
@@ -721,6 +738,49 @@ def test_flip_matches_reference_selection(case):
     assert flip == _mask_of(v for ci in v0 for v in classes[ci])
     gained_value = sum(1 for v, nb in table.outside if flip & v == nb)
     assert instance_value(ren, alpha ^ flip) == len(table.proposed) - lost + gained_value
+
+
+@st.composite
+def _tied_pair_sub(draw):
+    """A synthetic (groups, caps, meets, hits) with exactly two tied groups,
+    sharing at least one gained clause, next to up to three solo groups,
+    and the outside clauses' N_c.  Group g is variable bit g; clause c's N_c
+    is one bit above every group, so a flip shows both which groups died and
+    which clauses were reached.  Gained clause kinds: -1 meets no group, 0
+    the first tied group only, 1 the second only, 2 both, 3 + s solo s."""
+    solo = draw(st.integers(0, 3))
+    num_groups = solo + 2
+    kinds = [2] + draw(st.lists(st.integers(-1, 2 + solo), max_size=11))
+    m = len(kinds) + draw(st.integers(0, 3))  # some outside clauses not gained
+    place = draw(st.permutations(range(num_groups)))  # the slot of each group
+    slot = draw(st.permutations(range(m)))  # the bit of each clause
+    caps = draw(st.lists(st.integers(1, 4), min_size=num_groups, max_size=num_groups))
+    meets = [0] * num_groups
+    for c, kind in enumerate(kinds):
+        for g in {0: (0,), 1: (1,), 2: (0, 1)}.get(kind, () if kind < 0 else (kind - 1,)):
+            meets[place[g]] |= 1 << slot[c]
+    groups = [1 << g for g in range(num_groups)]
+    outside = [(0, 1 << (num_groups + c)) for c in range(m)]
+    hits = sum(1 << slot[c] for c in range(len(kinds)))
+    return (groups, caps, meets, hits), outside
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tied_pair_sub())
+def test_tied_pair_matches_the_closure_assignment(case):
+    # a tied pair is decided by its four dead sets, without a flow: its
+    # (flip, lost) is that of closure_assignment run on every group and
+    # every gained clause
+    sub, outside = case
+    groups, caps, meets, hits = sub
+    gained = [c for c in range(len(outside)) if hits >> c & 1]
+    dead, reached = closure_assignment(
+        caps, [[g for g, m in enumerate(meets) if m >> c & 1] for c in gained]
+    )
+    want = (sum(groups[g] for g in dead) | sum(outside[gained[j]][1] for j in reached),
+            sum(caps[g] for g in dead))
+    with mock.patch.object(and_solver, "closure_assignment", side_effect=AssertionError):
+        assert select_flip(SimpleNamespace(outside=outside), 0, sub) == want
 
 
 def _ref_groups(table, key):

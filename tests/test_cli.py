@@ -403,6 +403,20 @@ def _peak_bytes(argv):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("delta", ["nan", "0", "-1", "2", "inf", "-inf", "1"])
+@pytest.mark.parametrize("what", ["and", "2ae"])
+def test_delta_outside_the_open_unit_interval_is_a_usage_error(what, delta, tmp_path, capsys):
+    # these inputs build no random family, so only the parser can reject δ
+    from symcsp.cli import main
+
+    path = tmp_path / "i.json"
+    assert main(["gen", "--what", what, "--seed", "4", "--output", str(path)]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--input", str(path), "--coloring", "random", f"--delta={delta}"])
+    assert exit_info.value.code == 2
+    assert "must lie in (0, 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("graph", [
     {"num_vertices": 10 ** 8, "k": 1, "edges": [{"u": 0, "v": 1, "type": 1, "in_P": True}]},
     {"k": 1, "edges": [{"u": 0, "v": 10 ** 9, "type": 1, "in_P": True}]},
