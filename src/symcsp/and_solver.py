@@ -326,7 +326,7 @@ def select_flip(table: FlipTable, key: int, sub) -> tuple:
         if len(tied) == 2:
             i, j = tied
             a, b, ci, cj = meets[i], meets[j], caps[i], caps[j]
-            top = both = 0  # the best value so far and the AND of its dead sets, bit 1 = i
+            top = both = 0  # the best value so far, and the AND of its dead sets (i = 1, j = 2)
             for d, value in enumerate(((a & ~b).bit_count() - ci, (b & ~a).bit_count() - cj,
                                        (a | b).bit_count() - ci - cj), 1):
                 if value == top:
