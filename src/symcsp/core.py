@@ -346,8 +346,11 @@ class DisjointSets:
 
     def union(self, x, y) -> None:
         rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self._parent[max(rx, ry)] = min(rx, ry)
+        # the smaller root stays; with one root this sets its own parent again
+        if rx < ry:
+            self._parent[ry] = rx
+        else:
+            self._parent[rx] = ry
 
     def groups(self) -> list:
         """Every set as a sorted list, in order of smallest member."""

@@ -26,7 +26,7 @@ labels, the marked edges (which must stay cut), and the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -48,6 +48,7 @@ from .flow import FlowNetwork, max_flow_min_cut
 ENUM_VERTEX_GUARD = 20
 BRUTE_FORCE_VERTICES = 12  # the minimum-cost pass enumerates below this
 KERNEL_BLOCK = 1 << 14
+WINDOW_BITS = 14
 
 
 def _require(holds: bool, what: str) -> None:
@@ -121,6 +122,27 @@ def cut_value(graph: CutGraph, mask: int) -> int:
     return total
 
 
+@cache
+def _window_rows():
+    """Row v holds bit v of the masks 0 .. 2^WINDOW_BITS - 1, the same for
+    every aligned window of that size.  Built on first use, not at import,
+    so a module reloaded and not yet collected holds no copy."""
+    return np.stack([((np.arange(1 << WINDOW_BITS, dtype=np.uint16) >> v) & 1).astype(np.uint8)
+                     for v in range(WINDOW_BITS)])
+
+
+def _bit_rows(part: range, block, n: int) -> list:
+    """Bit v of every mask in `part` (`block` as an array), v < n, as uint8
+    rows.  A part inside one aligned window slices the window table, and
+    its bits from WINDOW_BITS on are constants; any other part shifts."""
+    base = part.start >> WINDOW_BITS << WINDOW_BITS
+    if part.step > 0 and part[-1] >> WINDOW_BITS == part.start >> WINDOW_BITS:
+        window = slice(part.start - base, part[-1] - base + 1, part.step)
+        rows = _window_rows()
+        return [rows[v, window] if v < WINDOW_BITS else np.uint8((base >> v) & 1) for v in range(n)]
+    return [((block >> v) & 1).astype(np.uint8) for v in range(n)]
+
+
 def partition_blocks(graph: CutGraph, masks: range, a_mask: int = 0, marked=frozenset()):
     """Score the partitions in `masks` in ascending numpy blocks of at most
     KERNEL_BLOCK.  Yields per block the masks, their crossing counts, `cut_value`s,
@@ -142,7 +164,7 @@ def partition_blocks(graph: CutGraph, masks: range, a_mask: int = 0, marked=froz
     for lo in range(0, len(masks), KERNEL_BLOCK):
         part = masks[lo:lo + KERNEL_BLOCK]
         block = np.arange(part.start, part.stop, part.step, dtype=np.int64)
-        bits = [((block >> v) & 1).astype(np.uint8) for v in range(graph.num_vertices)]
+        bits = _bit_rows(part, block, graph.num_vertices)
         counts = np.zeros((5, len(block)), dtype=width)
         crossed = np.empty(len(block), dtype=np.uint8)
         for e, c in zip(edges, classes):
@@ -313,9 +335,10 @@ def _mincut_between(num_vertices: int, arcs, side_a, side_b, bound: int):
     return value, None if side is None else frozenset(v for v in side if v < num_vertices)
 
 
-def _bipartization_compress(num_vertices: int, arcs, removed, k: int):
+def _bipartization_compress(num_vertices: int, arcs, removed, k: int, run: SolveContext | None = None):
     """One compression step: given arc-id set `removed` with the rest
-    bipartite, find a solution of size <= k or report None."""
+    bipartite, find a solution of size <= k or report None; also None once
+    `run`'s deadline, polled before each terminal split, has passed."""
     keep = [arcs[i] for i in range(len(arcs)) if i not in removed]
     psi = _two_coloring(num_vertices, keep)
     _require(psi is not None, "arcs kept by a compression step are not bipartite")
@@ -328,6 +351,8 @@ def _bipartization_compress(num_vertices: int, arcs, removed, k: int):
             # every later split complements an earlier one: the same cost_x
             # and minimum cut with the sides swapped, so it cannot do better
             break
+        if run is not None and run.expired():
+            return None
         flip_in = {v for v in terminals if bits[tpos[v]]}
         cost_x = 0
         for i in removed_list:
@@ -364,9 +389,11 @@ def _bipartization_compress(num_vertices: int, arcs, removed, k: int):
     return best[1]
 
 
-def edge_bipartization(num_vertices: int, arcs, k: int):
+def edge_bipartization(num_vertices: int, arcs, k: int, run: SolveContext | None = None):
     """Iterative compression; returns arc-id deletion set of size <= k or None.
-    The kept arcs stay bipartite, so testing an arc is one union-find step."""
+    The kept arcs stay bipartite, so testing an arc is one union-find step.
+    Each compression step polls `run`'s deadline before its first split, so
+    the arcs between compressions are cheap; once it has passed, None."""
     removed = set()
     sets = DisjointSets(range(2 * num_vertices))
     for i, (u, v) in enumerate(arcs):
@@ -374,7 +401,7 @@ def edge_bipartization(num_vertices: int, arcs, k: int):
             continue
         removed.add(i)
         if len(removed) > k:
-            removed = _bipartization_compress(num_vertices, arcs[: i + 1], removed, k)
+            removed = _bipartization_compress(num_vertices, arcs[: i + 1], removed, k, run)
             if removed is None:
                 return None
             sets = DisjointSets(range(2 * num_vertices))
@@ -408,12 +435,13 @@ def _side_mask(psi, num_vertices: int) -> int:
     return sum(psi[v] << v for v in range(num_vertices))
 
 
-def mincsp_2ae_compression(graph: CutGraph, k: int):
-    """(mask, cost) of a partition violating <= k edges, or None."""
+def mincsp_2ae_compression(graph: CutGraph, k: int, run: SolveContext | None = None):
+    """(mask, cost) of a partition violating <= k edges, or None; also None
+    once `run`'s deadline has passed (see `edge_bipartization`)."""
     gadget_n, arcs, loop_cost = _gadget_arcs(graph)
     if loop_cost > k:
         return None
-    removed = edge_bipartization(gadget_n, arcs, k - loop_cost)
+    removed = edge_bipartization(gadget_n, arcs, k - loop_cost, run)
     if removed is None:
         return None
     keep = [arcs[j] for j in range(len(arcs)) if j not in removed]
@@ -424,11 +452,12 @@ def mincsp_2ae_compression(graph: CutGraph, k: int):
     return mask, cost
 
 
-def mincsp_2ae(graph: CutGraph, k: int):
-    """Exact decision solver; brute force below BRUTE_FORCE_VERTICES."""
+def mincsp_2ae(graph: CutGraph, k: int, run: SolveContext | None = None):
+    """Exact decision solver; brute force below BRUTE_FORCE_VERTICES, and
+    from there compression, which `run`'s deadline stops with None."""
     if graph.num_vertices < BRUTE_FORCE_VERTICES:
         return mincsp_2ae_bruteforce(graph, k)
-    return mincsp_2ae_compression(graph, k)
+    return mincsp_2ae_compression(graph, k, run)
 
 
 def greedy_partition(graph: CutGraph) -> int:
@@ -445,18 +474,19 @@ def mincsp_2ae_minimum(graph: CutGraph, bound: int, run: SolveContext):
     """(mask, minimum cost) if the minimum is at most `bound`, else None.
     Below BRUTE_FORCE_VERTICES one brute-force pass finds the minimum
     whatever the bound; from there compression decides k = 0, 1, ..., bound
-    in turn, and gives None once `run`'s deadline, polled between decisions,
-    has passed."""
+    in turn, and gives None once `run`'s deadline, polled between decisions
+    and inside them, has passed."""
     if graph.num_vertices < BRUTE_FORCE_VERTICES:
         return mincsp_2ae(graph, len(graph.edges))
     top = min(bound, len(graph.edges))
     for k in range(top + 1):
         if k and run.expired():
             return None
-        out = mincsp_2ae(graph, k)
+        out = mincsp_2ae(graph, k, run)
         if out is not None:
             return out
-    _require(top < len(graph.edges), "minimum-cost pass found no partition within |edges| violations")
+    _require(top < len(graph.edges) or run.timed_out,
+             "minimum-cost pass found no partition within |edges| violations")
     return None
 
 
@@ -513,10 +543,19 @@ def kq_cut_conditions(graph: CutGraph, marked, mask: int, k: int, q: int) -> boo
 
 
 def find_kq_cut_enumeration(graph: CutGraph, marked, k: int, q: int):
+    """The smallest mask that `kq_cut_conditions` accepts, vertex 0 on the
+    right side.  Per block, the masks with at most k crossing edges and at
+    least q unmarked edges inside each side, counted for the whole block,
+    are the only ones it checks."""
     n = graph.num_vertices
-    # vertex 0 stays on the right side; no mask with over k crossing edges passes
+    unmarked = [(e.u, e.v) for e in graph.edges if e.id not in marked]
     for masks, crossing, _, _, _ in partition_blocks(graph, range(2, (1 << n) - 1, 2)):
-        for mask in masks[crossing <= k].tolist():
+        masks = masks[crossing <= k]
+        bits = [(masks >> v) & 1 for v in range(n)]
+        zero = np.zeros(len(masks), dtype=np.int64)
+        left = sum((bits[u] & bits[v] for u, v in unmarked), zero)
+        right = len(unmarked) - sum((bits[u] | bits[v] for u, v in unmarked), zero)
+        for mask in masks[(left >= q) & (right >= q)].tolist():
             if kq_cut_conditions(graph, marked, mask, k, q):
                 return mask
     return None

@@ -781,6 +781,43 @@ def test_first_kq_cut_matches_per_mask_loop(case, k, q, mark):
     assert find_kq_cut_enumeration(g, marked, k, q) == _ref_first_kq_cut(g, marked, k, q)
 
 
+def _per_mask_first_kq_cut(g, marked, k, q):
+    """The (k, q)-cut search without the inside-edge count screen: every
+    mask with at most k crossing edges goes to `kq_cut_conditions`."""
+    n = g.num_vertices
+    for masks, crossing, _, _, _ in partition_blocks(g, range(2, (1 << n) - 1, 2)):
+        for mask in masks[crossing <= k].tolist():
+            if kq_cut_conditions(g, marked, mask, k, q):
+                return mask
+    return None
+
+
+def _unmarked_inside(g, marked, mask):
+    """Unmarked edges inside side 1 and inside side 0 of `mask`, loops included."""
+    sides = [((mask >> e.u) & 1, (mask >> e.v) & 1) for e in g.edges if e.id not in marked]
+    return sides.count((1, 1)), sides.count((0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_connected_multigraph(max_n=10), st.integers(0, 3), st.integers(0, 8), st.data())
+def test_kq_cut_screen_matches_per_mask_checks(case, k, q, data):
+    g, _ = case
+    ids = [e.id for e in g.edges]
+    marked = frozenset(data.draw(st.sets(st.sampled_from(ids), max_size=4))) if ids else frozenset()
+    seen = []
+
+    def spy(graph_, marked_, mask, k_, q_):
+        seen.append(mask)
+        return kq_cut_conditions(graph_, marked_, mask, k_, q_)
+
+    with mock.patch.object(cut_solver, "kq_cut_conditions", spy):
+        found = find_kq_cut_enumeration(g, marked, k, q)
+    assert found == _per_mask_first_kq_cut(g, marked, k, q)
+    # the screen hands on only masks with both inside counts at least q
+    assert all(min(_unmarked_inside(g, marked, mask)) >= q for mask in seen)
+    assert seen == sorted(seen) and (found is None or seen[-1] == found)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_connected_multigraph(), st.integers(0, 6))
 def test_bruteforce_minimum_matches_per_mask_loop(case, k):
@@ -848,6 +885,31 @@ def test_partition_blocks_counters_do_not_overflow(copies):
     g = graph(3, rows)
     _assert_blocks_match(g, range(8), 0b010, frozenset({copies}))
     _assert_blocks_match(g, range(4), 0b011, frozenset())
+
+
+def _window_test_graph(n, seed):
+    """A connected n-vertex multigraph with edges among the vertices from
+    WINDOW_BITS on, loops, parallel edges, and three marked edges."""
+    rng = random.Random(seed)
+    rows = [(rng.randrange(v), v, rng.randint(0, 1)) for v in range(1, n)]
+    rows += [(rng.randrange(n), rng.randrange(n), rng.randint(0, 1)) for _ in range(6)]
+    rows += [(14, 15, 1), (15, 14, 0), (n - 1, n - 1, 0), (n - 1, n - 1, 1), (3, 3, 0), (2, 15, 1), (2, 15, 1)]
+    return graph(n, rows), frozenset({1, n, len(rows) - 1})
+
+
+@pytest.mark.parametrize("n, masks, block", [
+    (16, range(1 << 16), 5000),  # four whole windows; every fourth block crosses
+    (17, range((1 << 14) - 7, (1 << 14) + 9), 7),  # across the first window's end
+    (17, range((1 << 16) + 5, (1 << 16) + 3000, 3), 5000),  # above the table, bit 16 set
+])
+def test_partition_blocks_past_the_window(n, masks, block):
+    # the rows of vertices from WINDOW_BITS on are constants inside a
+    # window and shifts across one; the patched block size gives both
+    assert cut_solver.WINDOW_BITS == 14
+    g, marked = _window_test_graph(n, n + masks.start)
+    _assert_blocks_match(g, masks, 0b1010_0110_0101_1001, marked)
+    with mock.patch.object(cut_solver, "KERNEL_BLOCK", block):
+        _assert_blocks_match(g, masks, 0b1_0110_0110_0110_0110, marked)
 
 
 def test_terminal_table_returns_blocks_done_when_deadline_passes():
@@ -937,11 +999,19 @@ def test_cut_improve_literal_q_matches_oracle_15_to_20_vertices():
 def test_minimum_cost_pass_raises_verification_error(monkeypatch):
     from symcsp.core import VerificationError
 
-    monkeypatch.setattr(cut_solver, "mincsp_2ae", lambda graph, k: None)
+    monkeypatch.setattr(cut_solver, "mincsp_2ae", lambda graph, k, run: None)
     # from 12 vertices on the minimum is the compression loop over k
     cycle = graph(12, [(v, (v + 1) % 12, 1) for v in range(12)])
     with pytest.raises(VerificationError):
         mincsp_2ae_minimum(cycle, 12, SolveContext())
+
+    # a decision the deadline cut short is no evidence against the invariant
+    def out_of_time_at_the_last(graph, k, run):
+        run.timed_out = k == 12
+        return None
+
+    monkeypatch.setattr(cut_solver, "mincsp_2ae", out_of_time_at_the_last)
+    assert mincsp_2ae_minimum(cycle, 12, SolveContext()) is None
 
 
 def _complete_graph(n):
@@ -960,6 +1030,28 @@ def test_minimum_cost_step_decides_only_up_to_the_bound():
     # below the compression threshold one brute-force pass finds the
     # minimum whatever the bound
     assert mincsp_2ae_minimum(_complete_graph(5), 0, SolveContext())[1] == 4
+
+
+def test_deadline_stops_a_long_minimum_cost_decision():
+    # the decision at k = 8 alone runs for seconds, so the deadline must be
+    # polled inside it; the solve then starts from the greedy partition
+    rng = random.Random(5)
+    rows = []
+    for _ in range(90):
+        u, v = rng.sample(range(20), 2)
+        rows.append((u, v, rng.randint(0, 1)))
+    ci = CutInstance(graph(20, rows), frozenset(range(90)), 9)
+    start = time.monotonic()
+    _, _, run = cut_improve(ci, deadline=Deadline(1000))
+    assert time.monotonic() - start < 1.5
+    assert run.fallbacks == 1 and run.timed_out
+    # a compression step polls before every terminal split, the first too
+    k4 = list(combinations(range(4), 2))
+    assert len(cut_solver._bipartization_compress(4, k4, {3, 4, 5}, 2)) == 2
+    for step in (lambda run: cut_solver.edge_bipartization(4, k4, 2, run),
+                 lambda run: cut_solver._bipartization_compress(4, k4, {3, 4, 5}, 2, run)):
+        run = SolveContext(deadline=Deadline(0))
+        assert step(run) is None and run.timed_out
 
 
 @settings(max_examples=100, deadline=None)
