@@ -542,14 +542,17 @@ def kq_cut_conditions(graph: CutGraph, marked, mask: int, k: int, q: int) -> boo
     return un_l >= q and un_r >= q
 
 
-def find_kq_cut_enumeration(graph: CutGraph, marked, k: int, q: int):
+def find_kq_cut_enumeration(graph: CutGraph, marked, k: int, q: int, run: SolveContext | None = None):
     """The smallest mask that `kq_cut_conditions` accepts, vertex 0 on the
     right side.  Per block, the masks with at most k crossing edges and at
     least q unmarked edges inside each side, counted for the whole block,
-    are the only ones it checks."""
+    are the only ones it checks.  None once `run`'s deadline (None: no
+    deadline), polled before each block but the first, has passed."""
     n = graph.num_vertices
     unmarked = [(e.u, e.v) for e in graph.edges if e.id not in marked]
-    for masks, crossing, _, _, _ in partition_blocks(graph, range(2, (1 << n) - 1, 2)):
+    for b, (masks, crossing, _, _, _) in enumerate(partition_blocks(graph, range(2, (1 << n) - 1, 2))):
+        if b and run is not None and run.expired():
+            return None
         masks = masks[crossing <= k]
         bits = [(masks >> v) & 1 for v in range(n)]
         zero = np.zeros(len(masks), dtype=np.int64)
@@ -604,7 +607,7 @@ def find_kq_cut(graph: CutGraph, marked, k: int, q: int, ctx: SolveContext):
     if unmarked < 2 * q or (k == 0 and graph.is_connected):
         return None
     if graph.num_vertices <= ENUM_VERTEX_GUARD:
-        return find_kq_cut_enumeration(graph, marked, k, q)
+        return find_kq_cut_enumeration(graph, marked, k, q, ctx)
     return find_kq_cut_colorcoding(graph, marked, k, q, ctx)
 
 
@@ -663,32 +666,43 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
 
     Only the masks that leave vertex n-1 on side 0 are scored: a complement
     `mask ^ full` cuts the same edges, so it has the same value, distance and
-    marked cut, and flipped terminal bits.  Each block of `partition_blocks`
-    adds its best mask (highest value, then smallest mask) per (distance,
-    terminal bits), and the best complement per group, which is the
-    complement of the largest mask of highest value; once the deadline polled
-    between blocks has passed, the table built so far is returned."""
-    table = {}
-    n = ti.graph.num_vertices
-    full = (1 << n) - 1
-    blocks = partition_blocks(ti.graph, range(1 << max(n - 1, 0)), ti.a_mask, ti.marked)
+    marked cut, and flipped terminal bits.  Each candidate gets one int64
+    score, ordered by higher value, then smaller mask, with its distance in
+    the low digits.  One `np.maximum.at` per block keeps the best score of
+    each (terminal code, distance) slot, and a running maximum over the
+    distances then gives every (terminal bits, bound) entry.  The slots hold
+    a row for each of the 2^t codes while those are no larger than a block's
+    candidates, else a row for each code seen so far.  Once the deadline
+    polled between blocks has passed, the table built so far is returned."""
+    n, t, k_prime = ti.graph.num_vertices, len(ti.terminals), ti.k_prime
+    full, half, span = (1 << n) - 1, 1 << max(n - 1, 0), k_prime + 1
+    dense = not t or span << t <= 2 * min(half, KERNEL_BLOCK)
+    keys = np.arange(1 << t if dense else 0)
+    slots = np.full((len(keys), span), -1, dtype=np.int64)
+    blocks = partition_blocks(ti.graph, range(half), ti.a_mask, ti.marked)
     for b, (masks, _, value, delta, marked_cut) in enumerate(blocks):
         if b and ctx.solve.expired():
             break
-        keep = marked_cut & (delta <= ti.k_prime)
-        masks, value, delta = masks[keep], value[keep], delta[keep]
-        group = delta.astype(np.int64)
-        for t in ti.terminals:
-            group = 2 * group + ((masks >> t) & 1)
-        for tie, flip in ((masks, 0), (-masks, full)):
-            order = np.lexsort((tie, -value, group))
-            _, first = np.unique(group[order], return_index=True)
-            best = order[first]
-            for mask, val, d in zip((masks[best] ^ flip).tolist(), value[best].tolist(), delta[best].tolist()):
-                fbits = _terminal_bits(ti.terminals, mask)
-                for k2 in range(d, ti.k_prime + 1):
-                    _table_update(table, (fbits, k2), mask, val, d)
-    return table
+        keep = marked_cut & (delta <= k_prime)
+        masks, dist = masks[keep], delta[keep]
+        # below 2^63 while (|E| + 2) * 2^n * (k' + 1) is
+        base = (value[keep].astype(np.int64) << n) * span + dist
+        code = 0
+        for v in ti.terminals:
+            code = 2 * code + ((masks >> v) & 1)
+        rows = code, code ^ ((1 << t) - 1)
+        if not dense:
+            grown, at = np.unique(np.concatenate((keys, *rows)), return_inverse=True)
+            slots, old = np.full((len(grown), span), -1, dtype=np.int64), slots
+            slots[at[:len(keys)]] = old
+            keys, rows = grown, np.split(at[len(keys):], 2)
+        # with no terminals a complement shares its mask's slot, and loses
+        for row, low in zip(rows if t else rows[:1], (full - masks, masks)):
+            np.maximum.at(slots.reshape(-1), row * span + dist, base + low * span)
+    fbits = [tuple((key >> i) & 1 for i in range(t - 1, -1, -1)) for key in keys.tolist()]
+    best = np.maximum.accumulate(slots, axis=1).tolist()
+    return {(f, k2): (full - (s // span & full), s // span >> n, s % span)
+            for f, row in zip(fbits, best) for k2, s in enumerate(row) if s >= 0}
 
 
 def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:

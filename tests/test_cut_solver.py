@@ -3,12 +3,13 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcsp.core import Deadline, GuardError, Instance, ProposedSolution, SolveContext, StructureError, SymmetricLanguage, Clause, DisjointSets, instance_to_json, satisfied_set
@@ -766,10 +767,20 @@ def _terminal_instance(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_terminal_instance())
+# terminals 4 and 5 on side 0 in every mask of the first 16, so the code
+# (0, 1) of a_mask itself comes only from a complement in a later block; with
+# span 3 the slots are compact rows for blocks 1 and 4, dense rows for 16 on
+@example(TerminalInstance(graph(6, [(0, 1, 1), (0, 2, 0), (2, 3, 1), (3, 4, 1), (3, 5, 1)]),
+                          0b101111, 2, (4, 5), frozenset()))
 def test_terminal_table_matches_per_mask_loop(ti):
-    table = solve_terminal_direct(ti, make_ctx(ti.graph, ti.k_prime, 8))
-    assert table == _ref_terminal_direct(ti)
-    assert all(type(x) is int for entry in table.values() for x in entry)
+    # small blocks merge slots across blocks
+    ref = _ref_terminal_direct(ti)
+    for block in (1, 4, 16, 1 << 14):
+        with mock.patch.object(cut_solver, "KERNEL_BLOCK", block):
+            table = solve_terminal_direct(ti, make_ctx(ti.graph, ti.k_prime, 8))
+        assert table == ref, block
+        assert all(type(x) is int for entry in table.values() for x in entry)
+        assert all(type(b) is int for fbits, k2 in table for b in (*fbits, k2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -930,6 +941,56 @@ def test_terminal_table_returns_blocks_done_when_deadline_passes():
     ctx12.solve.deadline = Deadline(0)
     assert solve_terminal_direct(small, ctx12) == _ref_terminal_direct(small)
     assert not ctx12.solve.timed_out
+
+
+def test_kq_cut_enumeration_stops_at_an_expired_deadline():
+    # K8 on {0, 3..9} and K10 on {10..19} joined by one bridge, and pendants
+    # 1 and 2 on vertex 0 with a loop each.  With k = q = 2 the screen hands
+    # on mask {1, 2} (first block; its sides are not connected) and the
+    # bridge cut (a late block)
+    a, b = [0, *range(3, 10)], range(10, 20)
+    rows = [(u, v, 0) for blob in (a, b) for u, v in combinations(blob, 2)]
+    rows += [(3, 10, 1), (0, 1, 0), (0, 2, 1), (1, 1, 0), (2, 2, 0)]
+    g = graph(20, rows)
+    real = kq_cut_conditions
+    for deadline, found in ((None, 0xFFC00), (Deadline(0), None)):
+        seen = []
+
+        def spy(graph_, marked_, mask, k_, q_):
+            seen.append(mask)
+            return real(graph_, marked_, mask, k_, q_)
+
+        run = SolveContext(deadline=deadline)
+        with mock.patch.object(cut_solver, "kq_cut_conditions", spy):
+            assert find_kq_cut_enumeration(g, frozenset(), 2, 2, run) == found
+        assert seen == ([0b110, found] if found else [0b110])
+        assert run.timed_out == (deadline is not None)
+    # no run: no deadline
+    assert find_kq_cut_enumeration(g, frozenset(), 2, 2) == 0xFFC00
+
+
+def _peak_bytes(ti):
+    ctx = make_ctx(ti.graph, ti.k_prime, 8)
+    table = solve_terminal_direct(ti, ctx)  # builds the cached window rows
+    tracemalloc.start()
+    try:
+        assert solve_terminal_direct(ti, ctx) == table
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_terminal_table_memory_stays_below_the_lexsort_version():
+    # the peaks of the per-block lexsort version, measured once (Python
+    # 3.11, numpy 2.4): 1,404,089 and 250,575 bytes.  Dense rows for all
+    # 2^12 terminal codes would peak at about 2.05 MB on the first case
+    rng = random.Random(61)
+    g = _random_connected_graph(rng, 18, 20)
+    many = TerminalInstance(g, rng.randrange(1 << 18), 9, tuple(sorted(rng.sample(range(18), 12))), frozenset())
+    g = _random_connected_graph(rng, 12, 12)
+    wide = TerminalInstance(g, rng.randrange(1 << 12), 3 * len(g.edges), (), frozenset())
+    assert _peak_bytes(many) <= 1_404_089
+    assert _peak_bytes(wide) <= 250_575
 
 
 def _no_mask_checks(monkeypatch):
