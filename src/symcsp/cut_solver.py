@@ -48,6 +48,7 @@ from .flow import FlowNetwork, max_flow_min_cut
 ENUM_VERTEX_GUARD = 20
 BRUTE_FORCE_VERTICES = 12  # the minimum-cost pass enumerates below this
 KERNEL_BLOCK = 1 << 14
+TABLE_SCORE_GUARD = 1 << 63  # solve_terminal_direct's scores are int64
 WINDOW_BITS = 14
 
 
@@ -542,16 +543,16 @@ def kq_cut_conditions(graph: CutGraph, marked, mask: int, k: int, q: int) -> boo
     return un_l >= q and un_r >= q
 
 
-def find_kq_cut_enumeration(graph: CutGraph, marked, k: int, q: int, run: SolveContext | None = None):
+def find_kq_cut_enumeration(graph: CutGraph, marked, k: int, q: int, run: SolveContext):
     """The smallest mask that `kq_cut_conditions` accepts, vertex 0 on the
     right side.  Per block, the masks with at most k crossing edges and at
     least q unmarked edges inside each side, counted for the whole block,
-    are the only ones it checks.  None once `run`'s deadline (None: no
-    deadline), polled before each block but the first, has passed."""
+    are the only ones it checks.  None once `run`'s deadline, polled before
+    each block but the first, has passed."""
     n = graph.num_vertices
     unmarked = [(e.u, e.v) for e in graph.edges if e.id not in marked]
     for b, (masks, crossing, _, _, _) in enumerate(partition_blocks(graph, range(2, (1 << n) - 1, 2))):
-        if b and run is not None and run.expired():
+        if b and run.expired():
             return None
         masks = masks[crossing <= k]
         bits = [(masks >> v) & 1 for v in range(n)]
@@ -670,14 +671,18 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
     score, ordered by higher value, then smaller mask, with its distance in
     the low digits.  One `np.maximum.at` per block keeps the best score of
     each (terminal code, distance) slot, and a running maximum over the
-    distances then gives every (terminal bits, bound) entry.  The slots hold
-    a row for each of the 2^t codes while those are no larger than a block's
-    candidates, else a row for each code seen so far.  Once the deadline
-    polled between blocks has passed, the table built so far is returned."""
+    distances then gives every (terminal bits, bound) entry.  The slots are
+    one row of k' + 1 distances with no terminals, else a row for each
+    terminal code seen so far.  Once the deadline polled between blocks has
+    passed, the table built so far is returned."""
     n, t, k_prime = ti.graph.num_vertices, len(ti.terminals), ti.k_prime
     full, half, span = (1 << n) - 1, 1 << max(n - 1, 0), k_prime + 1
-    dense = not t or span << t <= 2 * min(half, KERNEL_BLOCK)
-    keys = np.arange(1 << t if dense else 0)
+    # scores are below (|E| + 1) * (k' + 1) * 2^n; past 20 vertices the
+    # partition kernel's own guard speaks first
+    m = len(ti.graph.edges)
+    if n <= ENUM_VERTEX_GUARD and (m + 1) * span << n > TABLE_SCORE_GUARD:
+        raise GuardError(f"terminal table scores of {m} edges and k' = {k_prime} exceed int64")
+    keys = np.arange(0 if t else 1)
     slots = np.full((len(keys), span), -1, dtype=np.int64)
     blocks = partition_blocks(ti.graph, range(half), ti.a_mask, ti.marked)
     for b, (masks, _, value, delta, marked_cut) in enumerate(blocks):
@@ -685,13 +690,12 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
             break
         keep = marked_cut & (delta <= k_prime)
         masks, dist = masks[keep], delta[keep]
-        # below 2^63 while (|E| + 2) * 2^n * (k' + 1) is
         base = (value[keep].astype(np.int64) << n) * span + dist
         code = 0
         for v in ti.terminals:
             code = 2 * code + ((masks >> v) & 1)
         rows = code, code ^ ((1 << t) - 1)
-        if not dense:
+        if t:
             grown, at = np.unique(np.concatenate((keys, *rows)), return_inverse=True)
             slots, old = np.full((len(grown), span), -1, dtype=np.int64), slots
             slots[at[:len(keys)]] = old

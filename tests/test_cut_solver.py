@@ -263,7 +263,7 @@ def test_find_kq_cut_colorcoding_agrees_with_enumeration():
     for _ in range(8):
         g = _dumbbell_graph(rng, 4, 4, rng.randint(1, 2))
         k, q = 2, rng.randint(2, 6)
-        enum = find_kq_cut_enumeration(g, frozenset(), k, q)
+        enum = find_kq_cut_enumeration(g, frozenset(), k, q, SolveContext())
         color = find_kq_cut_colorcoding(
             g, frozenset(), k, q, SolveContext(mode="random", seed=1, delta=1e-6)
         )
@@ -768,8 +768,8 @@ def _terminal_instance(draw):
 @settings(max_examples=200, deadline=None)
 @given(_terminal_instance())
 # terminals 4 and 5 on side 0 in every mask of the first 16, so the code
-# (0, 1) of a_mask itself comes only from a complement in a later block; with
-# span 3 the slots are compact rows for blocks 1 and 4, dense rows for 16 on
+# (0, 1) of a_mask itself comes only from a complement in a later block, at
+# blocks 1 and 4
 @example(TerminalInstance(graph(6, [(0, 1, 1), (0, 2, 0), (2, 3, 1), (3, 4, 1), (3, 5, 1)]),
                           0b101111, 2, (4, 5), frozenset()))
 def test_terminal_table_matches_per_mask_loop(ti):
@@ -789,7 +789,7 @@ def test_first_kq_cut_matches_per_mask_loop(case, k, q, mark):
     g, a_mask = case
     crossing = sorted(crossing_edges(g, a_mask))
     marked = frozenset(crossing[:1]) if mark else frozenset()
-    assert find_kq_cut_enumeration(g, marked, k, q) == _ref_first_kq_cut(g, marked, k, q)
+    assert find_kq_cut_enumeration(g, marked, k, q, SolveContext()) == _ref_first_kq_cut(g, marked, k, q)
 
 
 def _per_mask_first_kq_cut(g, marked, k, q):
@@ -822,7 +822,7 @@ def test_kq_cut_screen_matches_per_mask_checks(case, k, q, data):
         return kq_cut_conditions(graph_, marked_, mask, k_, q_)
 
     with mock.patch.object(cut_solver, "kq_cut_conditions", spy):
-        found = find_kq_cut_enumeration(g, marked, k, q)
+        found = find_kq_cut_enumeration(g, marked, k, q, SolveContext())
     assert found == _per_mask_first_kq_cut(g, marked, k, q)
     # the screen hands on only masks with both inside counts at least q
     assert all(min(_unmarked_inside(g, marked, mask)) >= q for mask in seen)
@@ -965,8 +965,6 @@ def test_kq_cut_enumeration_stops_at_an_expired_deadline():
             assert find_kq_cut_enumeration(g, frozenset(), 2, 2, run) == found
         assert seen == ([0b110, found] if found else [0b110])
         assert run.timed_out == (deadline is not None)
-    # no run: no deadline
-    assert find_kq_cut_enumeration(g, frozenset(), 2, 2) == 0xFFC00
 
 
 def _peak_bytes(ti):
@@ -980,17 +978,33 @@ def _peak_bytes(ti):
         tracemalloc.stop()
 
 
-def test_terminal_table_memory_stays_below_the_lexsort_version():
-    # the peaks of the per-block lexsort version, measured once (Python
-    # 3.11, numpy 2.4): 1,404,089 and 250,575 bytes.  Dense rows for all
-    # 2^12 terminal codes would peak at about 2.05 MB on the first case
+def test_terminal_table_memory_stays_below_dense_slots():
+    # every vertex a terminal: one int64 slot per terminal code and distance
+    # would take 2^18 * 10 * 8 bytes (21 MB); the table peaks near 1.7 MB,
+    # mostly a block's arrays and the returned dict
     rng = random.Random(61)
     g = _random_connected_graph(rng, 18, 20)
-    many = TerminalInstance(g, rng.randrange(1 << 18), 9, tuple(sorted(rng.sample(range(18), 12))), frozenset())
+    many = TerminalInstance(g, rng.randrange(1 << 18), 9, tuple(range(18)), frozenset())
+    assert _peak_bytes(many) < (1 << 18) * 10 * 8
+    # no terminals, k' = 3|E|: one int64 per mask and distance would take
+    # 2^11 * (k' + 1) * 8 bytes (1.1 MB); the table peaks near 0.2 MB
     g = _random_connected_graph(rng, 12, 12)
     wide = TerminalInstance(g, rng.randrange(1 << 12), 3 * len(g.edges), (), frozenset())
-    assert _peak_bytes(many) <= 1_404_089
-    assert _peak_bytes(wide) <= 250_575
+    assert _peak_bytes(wide) < (1 << 11) * (wide.k_prime + 1) * 8
+
+
+def test_terminal_table_guards_its_int64_scores(monkeypatch):
+    # scores stay below (|E| + 1) * (k' + 1) * 2^n: 3 * 2 * 8 = 48 here
+    ti = TerminalInstance(graph(3, [(0, 1, 1), (1, 2, 0)]), 0b001, 1, (1,), frozenset())
+    monkeypatch.setattr(cut_solver, "TABLE_SCORE_GUARD", 48)
+    assert solve_terminal_direct(ti, make_ctx(ti.graph, 1, 8)) == _ref_terminal_direct(ti)
+    monkeypatch.setattr(cut_solver, "TABLE_SCORE_GUARD", 47)
+    with pytest.raises(GuardError, match="exceed int64"):
+        solve_terminal_direct(ti, make_ctx(ti.graph, 1, 8))
+    # past the vertex guard the partition kernel's guard still fires first
+    path = graph(21, [(v, v + 1, 0) for v in range(20)])
+    with pytest.raises(GuardError, match="20 vertices"):
+        solve_terminal_direct(TerminalInstance(path, 0, 1, (), frozenset()), make_ctx(path, 1, 8))
 
 
 def _no_mask_checks(monkeypatch):
