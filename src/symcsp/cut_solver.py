@@ -669,41 +669,44 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
     `mask ^ full` cuts the same edges, so it has the same value, distance and
     marked cut, and flipped terminal bits.  Each candidate gets one int64
     score, ordered by higher value, then smaller mask, with its distance in
-    the low digits.  One `np.maximum.at` per block keeps the best score of
-    each (terminal code, distance) slot, and a running maximum over the
-    distances then gives every (terminal bits, bound) entry.  The slots are
-    one row of k' + 1 distances with no terminals, else a row for each
-    terminal code seen so far.  Once the deadline polled between blocks has
-    passed, the table built so far is returned."""
+    the low digits, and each (terminal bits, distance) slot keeps its best:
+    by `np.maximum.at` with no terminals, else by sorting each block's slot
+    keys with the slots kept so far.  A running maximum over the distances
+    gives every (terminal bits, bound) entry.  Once the deadline polled
+    between blocks has passed, the table built so far is returned."""
     n, t, k_prime = ti.graph.num_vertices, len(ti.terminals), ti.k_prime
     full, half, span = (1 << n) - 1, 1 << max(n - 1, 0), k_prime + 1
-    # scores are below (|E| + 1) * (k' + 1) * 2^n; past 20 vertices the
-    # partition kernel's own guard speaks first
+    # scores are below (|E| + 1) * (k' + 1) * 2^n; above 20 vertices partition_blocks raises
     m = len(ti.graph.edges)
     if n <= ENUM_VERTEX_GUARD and (m + 1) * span << n > TABLE_SCORE_GUARD:
         raise GuardError(f"terminal table scores of {m} edges and k' = {k_prime} exceed int64")
-    keys = np.arange(0 if t else 1)
-    slots = np.full((len(keys), span), -1, dtype=np.int64)
+    tmask = sum(1 << v for v in ti.terminals)
+    slots = np.full((1, span), -1, dtype=np.int64)
+    keys = scores = np.zeros(0, dtype=np.int64)
     blocks = partition_blocks(ti.graph, range(half), ti.a_mask, ti.marked)
     for b, (masks, _, value, delta, marked_cut) in enumerate(blocks):
         if b and ctx.solve.expired():
             break
         keep = marked_cut & (delta <= k_prime)
         masks, dist = masks[keep], delta[keep]
-        base = (value[keep].astype(np.int64) << n) * span + dist
-        code = 0
-        for v in ti.terminals:
-            code = 2 * code + ((masks >> v) & 1)
-        rows = code, code ^ ((1 << t) - 1)
-        if t:
-            grown, at = np.unique(np.concatenate((keys, *rows)), return_inverse=True)
-            slots, old = np.full((len(grown), span), -1, dtype=np.int64), slots
-            slots[at[:len(keys)]] = old
-            keys, rows = grown, np.split(at[len(keys):], 2)
-        # with no terminals a complement shares its mask's slot, and loses
-        for row, low in zip(rows if t else rows[:1], (full - masks, masks)):
-            np.maximum.at(slots.reshape(-1), row * span + dist, base + low * span)
-    fbits = [tuple((key >> i) & 1 for i in range(t - 1, -1, -1)) for key in keys.tolist()]
+        score = ((value[keep].astype(np.int64) << n) + full - masks) * span + dist
+        if not t:
+            # a complement shares its mask's slot, and loses
+            np.maximum.at(slots[0], dist, score)
+            continue
+        on = masks & tmask
+        key = np.concatenate((keys, on * span + dist, (on ^ tmask) * span + dist))
+        score = np.concatenate((scores, score, score + (2 * masks - full) * span))
+        order = np.lexsort((score, key))
+        key, score = key[order], score[order]
+        last = np.ones(len(key), dtype=bool)
+        last[:-1] = key[1:] != key[:-1]
+        keys, scores = key[last], score[last]
+    ons = sorted(set((keys // span).tolist())) if t else [0]
+    if t:  # a row per terminal bits seen
+        slots = np.full((len(ons), span), -1, dtype=np.int64)
+        slots[np.searchsorted(ons, keys // span), keys % span] = scores
+    fbits = [_terminal_bits(ti.terminals, on) for on in ons]
     best = np.maximum.accumulate(slots, axis=1).tolist()
     return {(f, k2): (full - (s // span & full), s // span >> n, s % span)
             for f, row in zip(fbits, best) for k2, s in enumerate(row) if s >= 0}

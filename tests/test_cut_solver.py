@@ -768,8 +768,8 @@ def _terminal_instance(draw):
 @settings(max_examples=200, deadline=None)
 @given(_terminal_instance())
 # terminals 4 and 5 on side 0 in every mask of the first 16, so the code
-# (0, 1) of a_mask itself comes only from a complement in a later block, at
-# blocks 1 and 4
+# (0, 1) of a_mask itself comes only from a complement in a later block at
+# block sizes 1, 4 and 16
 @example(TerminalInstance(graph(6, [(0, 1, 1), (0, 2, 0), (2, 3, 1), (3, 4, 1), (3, 5, 1)]),
                           0b101111, 2, (4, 5), frozenset()))
 def test_terminal_table_matches_per_mask_loop(ti):
