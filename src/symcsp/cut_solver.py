@@ -681,7 +681,7 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
     if n <= ENUM_VERTEX_GUARD and (m + 1) * span << n > TABLE_SCORE_GUARD:
         raise GuardError(f"terminal table scores of {m} edges and k' = {k_prime} exceed int64")
     tmask = sum(1 << v for v in ti.terminals)
-    slots = np.full((1, span), -1, dtype=np.int64)
+    slots = np.full(span, -1, dtype=np.int64)
     keys = scores = np.zeros(0, dtype=np.int64)
     blocks = partition_blocks(ti.graph, range(half), ti.a_mask, ti.marked)
     for b, (masks, _, value, delta, marked_cut) in enumerate(blocks):
@@ -692,24 +692,30 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
         score = ((value[keep].astype(np.int64) << n) + full - masks) * span + dist
         if not t:
             # a complement shares its mask's slot, and loses
-            np.maximum.at(slots[0], dist, score)
+            np.maximum.at(slots, dist, score)
             continue
         on = masks & tmask
         key = np.concatenate((keys, on * span + dist, (on ^ tmask) * span + dist))
         score = np.concatenate((scores, score, score + (2 * masks - full) * span))
-        order = np.lexsort((score, key))
+        order = np.lexsort((score, key))  # each key's last has its best score
         key, score = key[order], score[order]
         last = np.ones(len(key), dtype=bool)
         last[:-1] = key[1:] != key[:-1]
         keys, scores = key[last], score[last]
-    ons = sorted(set((keys // span).tolist())) if t else [0]
+    rows = {0: slots.tolist()}
     if t:  # a row per terminal bits seen
-        slots = np.full((len(ons), span), -1, dtype=np.int64)
-        slots[np.searchsorted(ons, keys // span), keys % span] = scores
-    fbits = [_terminal_bits(ti.terminals, on) for on in ons]
-    best = np.maximum.accumulate(slots, axis=1).tolist()
-    return {(f, k2): (full - (s // span & full), s // span >> n, s % span)
-            for f, row in zip(fbits, best) for k2, s in enumerate(row) if s >= 0}
+        rows = {}
+        for key, s in zip(keys.tolist(), scores.tolist()):
+            rows.setdefault(key // span, [-1] * span)[key % span] = s
+    table = {}
+    for on, row in rows.items():
+        fbits, best = _terminal_bits(ti.terminals, on), -1
+        for k2, s in enumerate(row):  # the running maximum over distances
+            if s > best:
+                best, entry = s, (full - (s // span & full), s // span >> n, s % span)
+            if best >= 0:
+                table[fbits, k2] = entry
+    return table
 
 
 def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:

@@ -980,7 +980,7 @@ def _peak_bytes(ti):
 
 def test_terminal_table_memory_stays_below_dense_slots():
     # every vertex a terminal: one int64 slot per terminal code and distance
-    # would take 2^18 * 10 * 8 bytes (21 MB); the table peaks near 1.7 MB,
+    # would take 2^18 * 10 * 8 bytes (21 MB); the table peaks near 1.4 MB,
     # mostly a block's arrays and the returned dict
     rng = random.Random(61)
     g = _random_connected_graph(rng, 18, 20)
