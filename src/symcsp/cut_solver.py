@@ -303,13 +303,18 @@ def _join_opposite(sets: DisjointSets, n: int, u: int, v: int) -> bool:
     return True
 
 
+def _parity_coloring(sets: DisjointSets, n: int) -> list:
+    """The 2-coloring a parity union-find over 0..2n-1 holds, the smallest
+    vertex of each component on side 0 (the root of its set)."""
+    return [int(sets.find(v) > sets.find(n + v)) for v in range(n)]
+
+
 def _two_coloring(num_vertices: int, arcs) -> list | None:
-    """Bipartition of an undirected unit multigraph, the smallest vertex of
-    each component on side 0 (the root of its set); None if odd cycle."""
+    """`_parity_coloring` of an undirected unit multigraph; None if odd cycle."""
     n, sets = num_vertices, DisjointSets(range(2 * num_vertices))
     if not all(_join_opposite(sets, n, u, v) for u, v in arcs):
         return None
-    return [int(sets.find(v) > sets.find(n + v)) for v in range(n)]
+    return _parity_coloring(sets, n)
 
 
 def _mincut_between(num_vertices: int, arcs, side_a, side_b, bound: int):
@@ -391,10 +396,10 @@ def _bipartization_compress(num_vertices: int, arcs, removed, k: int, run: Solve
 
 
 def edge_bipartization(num_vertices: int, arcs, k: int, run: SolveContext | None = None):
-    """Iterative compression; returns arc-id deletion set of size <= k or None.
-    The kept arcs stay bipartite, so testing an arc is one union-find step.
-    Each compression step polls `run`'s deadline before its first split, so
-    the arcs between compressions are cheap; once it has passed, None."""
+    """Iterative compression: (arc-id deletion set of size <= k, coloring of
+    the kept arcs, read from the parity union-find they stay joined in, so
+    testing an arc is one union-find step) or None.  Each compression step
+    polls `run`'s deadline before its first split; once it has passed, None."""
     removed = set()
     sets = DisjointSets(range(2 * num_vertices))
     for i, (u, v) in enumerate(arcs):
@@ -408,7 +413,7 @@ def edge_bipartization(num_vertices: int, arcs, k: int, run: SolveContext | None
             sets = DisjointSets(range(2 * num_vertices))
             kept = [arcs[j] for j in range(i + 1) if j not in removed]
             _require(all(_join_opposite(sets, num_vertices, *a) for a in kept), "odd cycle kept")
-    return removed
+    return removed, _parity_coloring(sets, num_vertices)
 
 
 def _gadget_arcs(graph: CutGraph) -> tuple:
@@ -432,21 +437,16 @@ def _gadget_arcs(graph: CutGraph) -> tuple:
     return gadget_n, arcs, loop_cost
 
 
-def _side_mask(psi, num_vertices: int) -> int:
-    return sum(psi[v] << v for v in range(num_vertices))
-
-
 def mincsp_2ae_compression(graph: CutGraph, k: int, run: SolveContext | None = None):
     """(mask, cost) of a partition violating <= k edges, or None; also None
     once `run`'s deadline has passed (see `edge_bipartization`)."""
     gadget_n, arcs, loop_cost = _gadget_arcs(graph)
     if loop_cost > k:
         return None
-    removed = edge_bipartization(gadget_n, arcs, k - loop_cost, run)
-    if removed is None:
+    found = edge_bipartization(gadget_n, arcs, k - loop_cost, run)
+    if found is None:
         return None
-    keep = [arcs[j] for j in range(len(arcs)) if j not in removed]
-    mask = _side_mask(_two_coloring(gadget_n, keep), graph.num_vertices)
+    mask = sum(found[1][v] << v for v in range(graph.num_vertices))
     cost = len(graph.edges) - cut_value(graph, mask)
     if cost > k:
         return None
@@ -464,11 +464,9 @@ def mincsp_2ae(graph: CutGraph, k: int, run: SolveContext | None = None):
 def greedy_partition(graph: CutGraph) -> int:
     """The fallback start: the first pass of `edge_bipartization`, keeping
     each gadget arc in turn unless it closes an odd cycle with the arcs kept
-    before it, then the 2-coloring of the kept arcs."""
-    gadget_n, arcs, _ = _gadget_arcs(graph)
-    sets = DisjointSets(range(2 * gadget_n))
-    kept = [a for a in arcs if _join_opposite(sets, gadget_n, *a)]
-    return _side_mask(_two_coloring(gadget_n, kept), graph.num_vertices)
+    before it, then the 2-coloring of the kept arcs.  A budget of 2|E| is
+    at least the arc count, so the compression never compresses."""
+    return mincsp_2ae_compression(graph, 2 * len(graph.edges))[0]
 
 
 def mincsp_2ae_minimum(graph: CutGraph, bound: int, run: SolveContext):
@@ -630,8 +628,7 @@ class TerminalInstance:
             raise StructureError("terminal instances must be connected")
         if matching_conflict((e.u, e.v) for e in self.graph.edges if e.id in self.marked):
             raise StructureError("marked edges must form a matching-with-parallels")
-        crossing = crossing_edges(self.graph, self.a_mask)
-        if not self.marked <= crossing:
+        if self.marked and not self.marked <= crossing_edges(self.graph, self.a_mask):
             raise StructureError("marked edges must be cut by the current partition")
 
 
@@ -1013,7 +1010,10 @@ def cut_improve(
     core_edges = tuple(e for e in ci.graph.edges if e.u != e.v)
     if not core_edges:
         return 0, cut_value(ci.graph, 0), run
-    core = CutGraph(ci.graph.num_vertices, core_edges)
+    core = ci.graph
+    if len(core_edges) < len(core.edges):  # dropping loops keeps it connected
+        core = CutGraph(core.num_vertices, core_edges)
+        vars(core)["is_connected"] = ci.graph.is_connected
     # two satisfied sets differ only in non-loop edges, so a larger budget
     # admits nothing more; it would only size the table and the literal q
     k = min(ci.k, len(core_edges))

@@ -843,10 +843,18 @@ def test_bruteforce_minimum_matches_per_mask_loop(case, k):
     st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16),
     st.integers(0, 3),
 )))
+@example((5, [(0, 1), (1, 2), (0, 2), (3, 4)], 1))  # two components, arc 2 removed
 def test_edge_bipartization_matches_quadratic_reference(case):
     n, arcs, k = case
     assert cut_solver._two_coloring(n, arcs) == _ref_two_coloring(n, arcs)
-    assert cut_solver.edge_bipartization(n, arcs, k) == _ref_edge_bipartization(n, arcs, k)
+    removed = _ref_edge_bipartization(n, arcs, k)
+    found = cut_solver.edge_bipartization(n, arcs, k)
+    if removed is None:
+        assert found is None
+        return
+    # the coloring is read from the union-find the kept arcs stay joined in
+    kept = [a for i, a in enumerate(arcs) if i not in removed]
+    assert found == (removed, _ref_two_coloring(n, kept))
 
 
 def _ref_partition_blocks(g, masks, a_mask, marked):
@@ -1138,6 +1146,21 @@ def test_greedy_partition_satisfies_every_realizable_proposal(case):
     edges = tuple(CutEdge(e.id, e.u, e.v, ((a_mask >> e.u) ^ (a_mask >> e.v)) & 1) for e in g.edges)
     typed = CutGraph(g.num_vertices, edges)
     assert cut_value(typed, greedy_partition(typed)) == len(edges)
+
+
+@pytest.mark.parametrize("loop", [False, True])
+def test_cut_improve_does_not_recheck_a_built_instance(loop):
+    # a built CutInstance is connected, and dropping its loops keeps it so;
+    # the top-level terminal instance marks nothing, so no edge is checked
+    rows = [(0, 1, 0), (1, 2, 1), (2, 0, 1), (2, 3, 0), (3, 4, 1), (4, 0, 0)]
+    ci = CutInstance(graph(5, rows + [(2, 2, 1)] * loop), frozenset({0, 1, 3}), 1)
+    expected = cut_improve(ci)
+    calls = []
+    components, crossing = CutGraph.components, cut_solver.crossing_edges
+    with mock.patch.object(CutGraph, "components", lambda g, vs: calls.append(g) or components(g, vs)), \
+            mock.patch.object(cut_solver, "crossing_edges", lambda g, m: calls.append(m) or crossing(g, m)):
+        assert cut_improve(ci) == expected
+    assert calls == []
 
 
 def test_promise_violating_minimum_cost_step_falls_back(tmp_path, capsys):
