@@ -464,8 +464,8 @@ def mincsp_2ae(graph: CutGraph, k: int, run: SolveContext | None = None):
 def greedy_partition(graph: CutGraph) -> int:
     """The fallback start: the first pass of `edge_bipartization`, keeping
     each gadget arc in turn unless it closes an odd cycle with the arcs kept
-    before it, then the 2-coloring of the kept arcs.  A budget of 2|E| is
-    at least the arc count, so the compression never compresses."""
+    before it, then the 2-coloring of the kept arcs: a budget of 2|E| is at
+    least the gadget arc count, so `edge_bipartization` never compresses."""
     return mincsp_2ae_compression(graph, 2 * len(graph.edges))[0]
 
 
@@ -1011,7 +1011,7 @@ def cut_improve(
     if not core_edges:
         return 0, cut_value(ci.graph, 0), run
     core = ci.graph
-    if len(core_edges) < len(core.edges):  # dropping loops keeps it connected
+    if len(core_edges) < len(core.edges):  # dropping loops cannot disconnect it
         core = CutGraph(core.num_vertices, core_edges)
         vars(core)["is_connected"] = ci.graph.is_connected
     # two satisfied sets differ only in non-loop edges, so a larger budget
