@@ -474,9 +474,11 @@ def build_parser():
                    "--input", "--seed", "--q-override")
     p.add_argument("--coloring", choices=("exhaustive", "random"),
                    default="exhaustive",
-                   help="coloring family mode; random mode trades the "
-                   "deterministic covering guarantee for speed")
-    p.add_argument("--delta", type=_probability, default=DEFAULT_DELTA)
+                   help="the AND flip search's coloring family; random mode "
+                   "trades its deterministic covering guarantee for speed "
+                   "(the cut pipeline is exact in both modes)")
+    p.add_argument("--delta", type=_probability, default=DEFAULT_DELTA,
+                   help="per-pair failure probability of a random AND family")
     p.add_argument("--time-limit-ms", type=int, default=None)
     p.add_argument("--force-oracle", action="store_true")
     p.add_argument("--algo", choices=("auto", "and", "cut", "oracle"),

@@ -4,12 +4,11 @@ A family over a universe of size n covers (a, b) when for every pair of
 disjoint sets A, B with |A| <= a and |B| <= b some member colors all of A
 with 1 and all of B with 0.  Exhaustive mode emits every coloring (complete
 by construction, capped, and lazy: a ``range``); randomized mode draws
-Monte-Carlo colorings whose per-pair failure probability is at most delta,
-unless emitting every coloring is no larger, and refuses a draw larger than
-``RANDOM_CAP``.  Random draws are lazy too, so a consumer that polls a
-deadline between colorings stops the drawing as well.  The derandomized splitter construction is deliberately not
-reimplemented; consumers depend only on the covering contract, which both
-modes realize.
+lazy Monte-Carlo colorings (polling a deadline between them stops the
+drawing) with per-pair failure probability at most delta, unless
+enumerating is no larger, and refuses a draw larger than ``RANDOM_CAP``.
+The AND flip search, the one consumer, depends only on the covering
+contract, which both modes realize, so no derandomized splitter is built.
 """
 
 from __future__ import annotations

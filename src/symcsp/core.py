@@ -377,9 +377,9 @@ class Deadline:
 class SolveContext:
     """Settings and counters of one solve, shared by both pipelines.
 
-    ``mode`` selects the coloring families ("exhaustive" or "random"); random
-    families are drawn from ``seed`` (None means 0) with per-pair failure
-    probability ``delta``.  ``expired`` is the one deadline poll.
+    ``mode``, ``seed`` (None means 0) and ``delta`` select the AND flip
+    search's coloring families; the exact cut pipeline only records them.
+    ``expired`` is the one deadline poll.
     """
 
     mode: str = "exhaustive"

@@ -13,10 +13,12 @@ C(A,B).  Solving proceeds in three layers:
      edges, solve the side with fewer terminals as a subproblem, then
      contract or mark every edge of that side the subproblem's solutions
      all agree on, shrinking the unmarked-edge count.
-  3. When no such cut exists, solve the terminal problem directly: every
-     output partition close to the current one differs by flipping a few
-     connected components off the small side, which a coloring family
-     exposes.
+  3. When no such cut exists, solve the terminal problem directly by the
+     complete partition table, the exhaustive-coloring form of the paper's
+     coloring step.
+
+Both steps are exact and deterministic, so the answer does not depend on
+the coloring mode, which only the AND pipeline reads.
 
 The terminal subproblem answers, for every labeling of the terminal
 vertices and every closeness bound, with a partition consistent with the
@@ -42,12 +44,12 @@ from .core import (
     SymmetricLanguage,
     VerificationError,
 )
-from .coloring import build_coloring_family
 from .flow import FlowNetwork, max_flow_min_cut
 
-ENUM_VERTEX_GUARD = 20
+ENUM_VERTEX_GUARD = 26
 BRUTE_FORCE_VERTICES = 12  # the minimum-cost pass enumerates below this
 KERNEL_BLOCK = 1 << 14
+KQ_CUT_CANDIDATES = 1 << 20  # vertex sets find_kq_cut screens at most
 TABLE_SCORE_GUARD = 1 << 63  # solve_terminal_direct's scores are int64
 WINDOW_BITS = 14
 
@@ -518,96 +520,107 @@ def literal_q(k: int) -> int:
 
 
 def kq_cut_conditions(graph: CutGraph, marked, mask: int, k: int, q: int) -> bool:
-    n = graph.num_vertices
-    left = [v for v in range(n) if (mask >> v) & 1]
-    right = [v for v in range(n) if not (mask >> v) & 1]
-    if not left or not right:
+    """Whether `mask` is a (k, q)-cut: both sides nonempty and connected, at
+    most k crossing edges, at least q unmarked edges inside each side."""
+    sides = [[v for v in range(graph.num_vertices) if (mask >> v) & 1 == s] for s in (0, 1)]
+    if not all(sides) or len(crossing_edges(graph, mask)) > k:
         return False
-    if len(crossing_edges(graph, mask)) > k:
+    if any(len(graph.components(side)) != 1 for side in sides):
         return False
-    if len(graph.components(left)) != 1 or len(graph.components(right)) != 1:
-        return False
-    lset, rset = set(left), set(right)
-    un_l = sum(
-        1
-        for e in graph.edges
-        if e.id not in marked and e.u in lset and e.v in lset
-    )
-    un_r = sum(
-        1
-        for e in graph.edges
-        if e.id not in marked and e.u in rset and e.v in rset
-    )
-    return un_l >= q and un_r >= q
+    inside = [(mask >> e.u) & 1 for e in graph.edges
+              if e.id not in marked and not ((mask >> e.u) ^ (mask >> e.v)) & 1]
+    return min(inside.count(0), inside.count(1)) >= q
 
 
-def find_kq_cut_enumeration(graph: CutGraph, marked, k: int, q: int, run: SolveContext):
-    """The smallest mask that `kq_cut_conditions` accepts, vertex 0 on the
-    right side.  Per block, the masks with at most k crossing edges and at
-    least q unmarked edges inside each side, counted for the whole block,
-    are the only ones it checks.  None once `run`'s deadline, polled before
-    each block but the first, has passed."""
-    n = graph.num_vertices
-    unmarked = [(e.u, e.v) for e in graph.edges if e.id not in marked]
-    for b, (masks, crossing, _, _, _) in enumerate(partition_blocks(graph, range(2, (1 << n) - 1, 2))):
-        if b and run.expired():
-            return None
-        masks = masks[crossing <= k]
-        bits = [(masks >> v) & 1 for v in range(n)]
-        zero = np.zeros(len(masks), dtype=np.int64)
-        left = sum((bits[u] & bits[v] for u, v in unmarked), zero)
-        right = len(unmarked) - sum((bits[u] | bits[v] for u, v in unmarked), zero)
-        for mask in masks[(left >= q) & (right >= q)].tolist():
-            if kq_cut_conditions(graph, marked, mask, k, q):
-                return mask
-    return None
+def _subtree_masks(graph: CutGraph) -> list:
+    """The vertex set below each edge of a breadth-first spanning tree
+    rooted at vertex 0, as a mask; the graph must be connected."""
+    adj = [[] for _ in range(graph.num_vertices)]
+    for e in graph.edges:
+        adj[e.u].append(e.v)
+        adj[e.v].append(e.u)
+    parent, order = {0: 0}, [0]
+    for u in order:
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    _require(len(order) == graph.num_vertices, "the (k, q)-cut search needs a connected graph")
+    below = {v: 1 << v for v in order}
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    return [below[v] for v in order[1:]]
 
 
-def find_kq_cut_colorcoding(graph: CutGraph, marked, k: int, q: int, ctx: SolveContext):
-    """Edge-coloring search: drop color-0 edges, then try pairwise minimum
-    cuts between surviving components.  None once `ctx`'s deadline, polled
-    before each coloring, has passed."""
-    edges = graph.edges
-    m = len(edges)
-    n = graph.num_vertices
-    family = build_coloring_family(
-        m, min(m, 6 * q + 2), min(m, k), ctx.mode, ctx.seed, ctx.delta
-    )
-    arcs = [(e.u, e.v) for e in edges if e.u != e.v]
-    for coloring in family.colorings:
-        if ctx.expired():
-            return None
-        kept = CutGraph(n, tuple(e for i, e in enumerate(edges) if (coloring >> i) & 1))
-        comps = kept.components(range(n))
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                value, side = _mincut_between(n, arcs, comps[i], comps[j], k)
-                if value > k:
-                    continue
-                mask = 0
-                for v in side:
-                    mask |= 1 << v
-                if kq_cut_conditions(graph, marked, mask, k, q):
-                    return mask
-    return None
+def _tree_cuts(sub: np.ndarray, k: int) -> np.ndarray:
+    """The XORs of every set of 1..k rows of `sub`, a set of i rows
+    extending one of i - 1 by each later row."""
+    levels, last = [sub], np.arange(len(sub))
+    for _ in range(1, min(k, len(sub))):
+        more = len(sub) - 1 - last
+        src = np.repeat(np.arange(len(last)), more)
+        last = last[src] + 1 + np.arange(len(src)) - np.repeat(np.cumsum(more) - more, more)
+        levels.append(levels[-1][src] ^ sub[last])
+    return np.concatenate(levels)
 
 
-def find_kq_cut(graph: CutGraph, marked, k: int, q: int, ctx: SolveContext):
-    """A cut with <= k crossing edges, both sides connected, both sides
-    holding >= q unmarked edges, if one exists.
+def _pair_counts(ends: np.ndarray, n: int) -> tuple:
+    """(M, d) in float64: M[u, v] counts the rows (u, v) of `ends`, d[v] the ends at v."""
+    pairs = np.bincount(ends[:, 0] * n + ends[:, 1], minlength=n * n).reshape(n, n)
+    return pairs.astype(np.float64), np.bincount(ends.ravel(), minlength=n).astype(np.float64)
+
+
+def find_kq_cut(graph: CutGraph, marked, k: int, q: int, run: SolveContext, after: int = 0):
+    """The smallest mask above `after` that `kq_cut_conditions` accepts,
+    vertex 0 on side 0, on a connected graph (a `TerminalInstance`'s).
 
     None at once below 2q unmarked edges (the sides' inside edges are
     disjoint; under the literal q >= 2304 that is any graph of under 4608
-    edges) and for k = 0 on a connected graph.  Otherwise graphs within the
-    partition kernel's guard are searched completely by enumeration; the
-    coloring search (same contract) takes larger ones.
-    """
-    unmarked = sum(e.id not in marked for e in graph.edges)
-    if unmarked < 2 * q or (k == 0 and graph.is_connected):
+    edges) and for k = 0.  Otherwise: a mask is the XOR of the subtree
+    masks of the spanning-tree edges it cuts, which are crossing edges, so
+    the XORs of at most k of them hold every mask of <= k crossing edges.
+    More than KQ_CUT_CANDIDATES raise `GuardError` before any is built.
+    Chunks of KERNEL_BLOCK are screened as wholes (<= k crossing edges and
+    >= q unmarked edges inside each side), and the survivors checked in
+    ascending order.  None once `run`'s deadline, polled before each
+    chunk screened or checked but the first of each, has passed."""
+    n_un = sum(e.id not in marked for e in graph.edges)
+    if n_un < 2 * q or (k == 0 and graph.is_connected):
         return None
-    if graph.num_vertices <= ENUM_VERTEX_GUARD:
-        return find_kq_cut_enumeration(graph, marked, k, q, ctx)
-    return find_kq_cut_colorcoding(graph, marked, k, q, ctx)
+    n, count, sets = graph.num_vertices, 0, 1
+    for i in range(1, min(k, n - 1) + 1):
+        sets = sets * (n - i) // i  # C(n - 1, i)
+        count += sets
+        if count > KQ_CUT_CANDIDATES:
+            raise GuardError(f"(k, q)-cut search guarded at {KQ_CUT_CANDIDATES} candidate cuts")
+    if 2 * count >= 1 << (n - 1):  # at least half of all masks: screen them all, in fewer calls
+        cuts = np.arange(2, 1 << n, 2, dtype=np.uint64)[:, None]
+    else:  # masks as little-endian uint64 words
+        width = (n + 63) >> 6
+        sub = [[m >> 64 * w & (1 << 64) - 1 for w in range(width)] for m in _subtree_masks(graph)]
+        cuts = _tree_cuts(np.array(sub, dtype=np.uint64).reshape(-1, width), k)
+    # with b_v = 1 for side 1, an edge uv crosses iff b_u + b_v - 2 b_u b_v = 1
+    # and lies inside side 1 iff b_u b_v = 1: sums of exact float64 products
+    ends = np.array([(e.u, e.v) for e in graph.edges], dtype=np.intp).reshape(-1, 2)
+    pairs, deg = _pair_counts(ends, n)
+    un_pairs, un_deg = _pair_counts(ends[[e.id not in marked for e in graph.edges]], n)
+    found = []
+    for lo in range(0, len(cuts), KERNEL_BLOCK):
+        if lo and run.expired():
+            return None
+        words = cuts[lo:lo + KERNEL_BLOCK]
+        side = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :n]
+        side = side.astype(np.float64)
+        cross = side @ deg - 2 * np.einsum("ij,ij->i", side @ pairs, side)
+        left = np.einsum("ij,ij->i", side @ un_pairs, side)
+        ok = (cross <= k) & (left >= q) & (n_un - side @ un_deg + left >= q)
+        found += [sum(w << 64 * j for j, w in enumerate(row)) for row in words[ok].tolist()]
+    for i, mask in enumerate(sorted(found)):
+        if i and not i % KERNEL_BLOCK and run.expired():
+            return None
+        if mask > after and kq_cut_conditions(graph, marked, mask, k, q):
+            return mask
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +686,7 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
     between blocks has passed, the table built so far is returned."""
     n, t, k_prime = ti.graph.num_vertices, len(ti.terminals), ti.k_prime
     full, half, span = (1 << n) - 1, 1 << max(n - 1, 0), k_prime + 1
-    # scores are below (|E| + 1) * (k' + 1) * 2^n; above 20 vertices partition_blocks raises
+    # scores are below (|E| + 1) * (k' + 1) * 2^n; past its guard partition_blocks raises
     m = len(ti.graph.edges)
     if n <= ENUM_VERTEX_GUARD and (m + 1) * span << n > TABLE_SCORE_GUARD:
         raise GuardError(f"terminal table scores of {m} edges and k' = {k_prime} exceed int64")
@@ -716,131 +729,10 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
 
 
 def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:
-    """Terminal table when no (k, q)-cut exists.
-
-    Exhaustive mode, and random mode within the partition kernel's guard,
-    use the provably equivalent complete enumeration, which is exact and
-    cheaper than any coloring family there; random mode runs the literal
-    coloring procedure only on larger graphs, which enumeration refuses.
-    """
+    """Terminal table when no (k, q)-cut exists: the complete partition
+    table, exact in both modes."""
     ctx.solve.no_cut_solves += 1
-    if ctx.solve.mode == "exhaustive" or ti.graph.num_vertices <= ENUM_VERTEX_GUARD:
-        return solve_terminal_direct(ti, ctx)
-    return solve_terminal_colorings(ti, ctx)
-
-
-def solve_terminal_colorings(ti: TerminalInstance, ctx: _Ctx) -> dict:
-    """The literal coloring procedure: any close solution flips connected
-    components that lie on the color-1 side of some family member, with
-    label-0 neighborhoods, selected under the closeness budget by a
-    gain/loss knapsack equivalent to guessing per-component deltas.
-    """
-    run = ctx.solve
-    n = ti.graph.num_vertices
-    base_value = cut_value(ti.graph, ti.a_mask)
-    # the all-stay candidate is always legal for the matching f
-    table = _stay_table(ti)
-
-    big_side = (ti.k_prime + 1) * (2 * ctx.q + 2)
-    family = build_coloring_family(
-        n, min(n, big_side), min(n, ctx.k_global), run.mode, run.seed, run.delta
-    )
-    by_id = {e.id: e for e in ti.graph.edges}
-    for coloring in family.colorings:
-        if run.expired():
-            break
-        run.colorings_tried += 1
-        ones = [v for v in range(n) if (coloring >> v) & 1]
-        if not ones:
-            continue
-        oneset = set(ones)
-        comps = ti.graph.components(ones)
-        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-
-        gains = []
-        for comp in comps:
-            cs = set(comp)
-            gain = loss = 0
-            for e in ti.graph.edges:
-                inside = (e.u in cs) + (e.v in cs)
-                if inside != 1:
-                    continue
-                crossed = ((ti.a_mask >> e.u) ^ (ti.a_mask >> e.v)) & 1
-                sat_before = crossed == e.etype
-                sat_after = (crossed ^ 1) == e.etype
-                gain += (not sat_before) and sat_after
-                loss += sat_before and not sat_after
-            gains.append((gain, loss))
-
-        marked_exclude = set()
-        for mid in ti.marked:
-            e = by_id[mid]
-            cu, cv = e.u in oneset, e.v in oneset
-            if cu != cv:
-                marked_exclude.add(comp_of[e.u if cu else e.v])
-
-        for fbits in product((0, 1), repeat=len(ti.terminals)):
-            must_include = set()
-            must_exclude = set(marked_exclude)
-            feasible = True
-            for t, want in zip(ti.terminals, fbits):
-                have = (ti.a_mask >> t) & 1
-                if t in oneset:
-                    if want != have:
-                        must_include.add(comp_of[t])
-                    else:
-                        must_exclude.add(comp_of[t])
-                elif want != have:
-                    feasible = False
-            if not feasible or (must_include & must_exclude):
-                continue
-            base_w = sum(gains[c][0] + gains[c][1] for c in must_include)
-            base_g = sum(gains[c][0] - gains[c][1] for c in must_include)
-            if base_w > ti.k_prime:
-                continue
-            free = [
-                c
-                for c in range(len(comps))
-                if c not in must_include and c not in must_exclude
-            ]
-            # dp[w] = (best gain, lexicographically smallest chosen set)
-            dp = {0: (0, ())}
-            for c in free:
-                w = gains[c][0] + gains[c][1]
-                g = gains[c][0] - gains[c][1]
-                upd = {}
-                for cw, (cg, chosen) in dp.items():
-                    nw = cw + w
-                    if nw > ti.k_prime:
-                        continue
-                    cand = (cg + g, chosen + (c,))
-                    old = upd.get(nw)
-                    if old is None or cand[0] > old[0]:
-                        upd[nw] = cand
-                for nw, cand in upd.items():
-                    old = dp.get(nw)
-                    if old is None or cand[0] > old[0]:
-                        dp[nw] = cand
-            for k2 in range(base_w, ti.k_prime + 1):
-                best = None
-                for w, (g, chosen) in dp.items():
-                    if base_w + w <= k2 and (best is None or g > best[0]):
-                        best = (g, chosen, w)
-                if best is None:
-                    continue
-                sel = set(must_include)
-                for c in best[1]:
-                    sel.add(c)
-                mask = ti.a_mask
-                for c in sel:
-                    for v in comps[c]:
-                        mask ^= 1 << v
-                value = base_value + base_g + best[0]
-                delta = base_w + best[2]
-                _require(value == cut_value(ti.graph, mask), "knapsack value is not the cut value")
-                if ti.marked <= crossing_edges(ti.graph, mask):
-                    _table_update(table, (fbits, k2), mask, value, delta)
-    return table
+    return solve_terminal_direct(ti, ctx)
 
 
 @dataclass(frozen=True)
@@ -977,20 +869,23 @@ def lift_table(ti: TerminalInstance, red_table: dict, log: LiftLog) -> dict:
 
 
 def solve_terminal(ti: TerminalInstance, ctx: _Ctx) -> dict:
-    """Terminal-problem dispatcher: recurse while a balanced cut exists."""
+    """Terminal-problem dispatcher: recurse while a balanced cut exists;
+    past the table's guard a stalled cut gives way to the next one."""
     if ctx.solve.expired():
         return _stay_table(ti)
     cut = find_kq_cut(ti.graph, ti.marked, ctx.k_global, ctx.q, ctx.solve)
-    if cut is None:
-        return solve_terminal_no_kqcut(ti, ctx)
-    ctx.solve.kq_cuts_found += 1
-    reduced, log = recurse_step(ti, cut, ctx)
-    if log.stalled:
-        # only reachable with an overridden balanced-cut threshold: the
-        # sub-solutions touched every unmarked edge of the small side, so
-        # fall back to the exact table instead of recursing without progress
-        return solve_terminal_direct(ti, ctx)
-    return lift_table(ti, solve_terminal(reduced, ctx), log)
+    while cut is not None:
+        ctx.solve.kq_cuts_found += 1
+        reduced, log = recurse_step(ti, cut, ctx)
+        if not log.stalled:
+            return lift_table(ti, solve_terminal(reduced, ctx), log)
+        # only with an overridden q: the sub-solutions touched every unmarked
+        # edge of the small side, so take the exact table, or past its
+        # guard the next cut, instead of recursing without progress
+        if ti.graph.num_vertices <= ENUM_VERTEX_GUARD:
+            return solve_terminal_direct(ti, ctx)
+        cut = find_kq_cut(ti.graph, ti.marked, ctx.k_global, ctx.q, ctx.solve, cut)
+    return solve_terminal_no_kqcut(ti, ctx)
 
 
 def cut_improve(
@@ -1003,8 +898,8 @@ def cut_improve(
 ):
     """Best partition for one connected cut-improvement instance.
 
-    Returns (mask, value, SolveContext).  On promise-satisfying inputs in
-    exhaustive mode the mask maximizes the satisfied edge set.
+    Returns (mask, value, SolveContext).  On promise-satisfying inputs the
+    mask maximizes the satisfied edge set, whatever the `mode`.
     """
     run = SolveContext(mode, seed, delta, deadline)
     core_edges = tuple(e for e in ci.graph.edges if e.u != e.v)

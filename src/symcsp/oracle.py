@@ -14,9 +14,10 @@ from .core import GuardError, Instance, SolveContext, VerificationError
 from .flow import WeightedHypergraph, selection_objective
 
 IMPROVE_GUARD_VARS = 24
-CUT_GUARD_VERTICES = 20
+CUT_GUARD_VERTICES = 26
 MISVW_GUARD_VERTICES = 20
 IMPROVE_BLOCK = 1 << 20  # assignments brute_force_improve scores at a time
+CUT_BLOCK = 1 << 14  # partitions brute_force_cut scores at a time
 
 
 @dataclass(frozen=True)
@@ -145,26 +146,29 @@ def brute_force_cut(num_vertices: int, edges, types, p_ids, k: int) -> OracleRep
     """Exact cut-improvement optimum over all vertex bipartitions.
 
     edges is a sequence of (id, u, v); types maps position -> 0/1; the
-    witness is the numerically smallest side mask among optima.
+    witness is the numerically smallest side mask among optima.  The masks
+    are scored in ascending blocks of `CUT_BLOCK`, so the first block that
+    attains an optimum holds its witness.
     """
     n = num_vertices
     if n > CUT_GUARD_VERTICES:
         raise GuardError(f"brute_force_cut guarded at {CUT_GUARD_VERTICES} vertices")
-    big = 1 << n
-    masks = np.arange(big, dtype=np.int64)
-    values = np.zeros(big, dtype=np.int32)
-    deltas = np.zeros(big, dtype=np.int32)
     p_ids = frozenset(p_ids)
-    for (eid, u, v), t in zip(edges, types):
-        crossed = ((masks >> u) ^ (masks >> v)) & 1
-        sat = (crossed == 1) if t == 1 else (crossed == 0)
-        values += sat
-        deltas += sat != (eid in p_ids)
-    gmax = int(values.max()) if values.size else 0
-    gwit = int(masks[np.nonzero(values == gmax)[0][0]])
-    near = deltas <= k
-    if near.any():
-        nmax = int(values[near].max())
-        nwit = int(masks[np.nonzero(near & (values == nmax))[0][0]])
-        return OracleReport(gmax, (gwit,), True, nmax, (nwit,))
-    return OracleReport(gmax, (gwit,), False, None, None)
+    best = near = (-1, None)  # (value, witness mask)
+    for lo in range(0, 1 << n, CUT_BLOCK):
+        masks = np.arange(lo, min(lo + CUT_BLOCK, 1 << n), dtype=np.int64)
+        bits = [((masks >> v) & 1).astype(np.uint8) for v in range(n)]
+        values = np.zeros(len(masks), dtype=np.int32)
+        deltas = np.zeros(len(masks), dtype=np.int32)
+        for (eid, u, v), t in zip(edges, types):
+            sat = (bits[u] ^ bits[v]) == t
+            values += sat
+            deltas += sat != (eid in p_ids)
+        if (top := int(values.max())) > best[0]:
+            best = top, lo + int(np.argmax(values == top))
+        close = deltas <= k
+        if close.any() and (top := int(values[close].max())) > near[0]:
+            near = top, lo + int(np.argmax(close & (values == top)))
+    if near[1] is None:
+        return OracleReport(best[0], (best[1],), False, None, None)
+    return OracleReport(best[0], (best[1],), True, near[0], (near[1],))

@@ -241,11 +241,7 @@ def test_verify_misvw_compares_the_witness(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_long_odd_cycle_exits_with_guard_not_traceback(tmp_path):
-    # 1,501 type-1 edges in one cycle: the minimum-cost pass runs max-flows
-    # along paths far deeper than the interpreter's recursion limit; no
-    # (k, q)-cut can exist, and the guard comes from the terminal table,
-    # which enumerates partitions of at most 20 vertices
+def _long_odd_cycle(tmp_path):
     n = 1501
     graph = {
         "num_vertices": n,
@@ -254,12 +250,36 @@ def test_long_odd_cycle_exits_with_guard_not_traceback(tmp_path):
     }
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(graph))
+    return path
+
+
+def test_long_odd_cycle_exits_with_guard_not_traceback(tmp_path):
+    # 1,501 type-1 edges in one cycle: the minimum-cost pass runs max-flows
+    # along paths far deeper than the interpreter's recursion limit; no
+    # (k, q)-cut can exist, and the guard comes from the terminal table,
+    # which enumerates partitions of at most ENUM_VERTEX_GUARD vertices
+    from symcsp.cut_solver import ENUM_VERTEX_GUARD
+
     proc = subprocess.run(
-        BASE + ["solve", "--input", str(path)], capture_output=True, text=True
+        BASE + ["solve", "--input", str(_long_odd_cycle(tmp_path))], capture_output=True, text=True
     )
     assert proc.returncode == 3, proc.stderr[-500:]
     assert proc.stderr.startswith("guard: ") and "Traceback" not in proc.stderr
-    assert "partition enumeration guarded at 20" in proc.stderr
+    assert f"partition enumeration guarded at {ENUM_VERTEX_GUARD} vertices" in proc.stderr
+
+
+def test_long_odd_cycle_with_small_q_exits_on_the_cut_count_guard(tmp_path):
+    # under --q-override 1 the (k, q)-cut search would screen the
+    # C(1500, 1) + C(1500, 2) + C(1500, 3) spanning-tree cuts of k' = 3
+    # (5.6 * 10^8); its count guard refuses them before building any
+    from symcsp.cut_solver import KQ_CUT_CANDIDATES
+
+    path = _long_odd_cycle(tmp_path)
+    proc = subprocess.run(
+        BASE + ["solve", "--input", str(path), "--q-override", "1"], capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr[-500:]
+    assert proc.stderr == f"guard: (k, q)-cut search guarded at {KQ_CUT_CANDIDATES} candidate cuts\n"
 
 
 def test_verify_cut_keeps_invariants_under_optimize():

@@ -27,8 +27,6 @@ from symcsp.cut_solver import (
     cut_value,
     edge_to_vertex_solution,
     find_kq_cut,
-    find_kq_cut_colorcoding,
-    find_kq_cut_enumeration,
     greedy_partition,
     kq_cut_conditions,
     literal_q,
@@ -42,7 +40,6 @@ from symcsp.cut_solver import (
     satisfied_edges,
     solve_2ae,
     solve_terminal,
-    solve_terminal_colorings,
     solve_terminal_direct,
     solve_terminal_no_kqcut,
     split_components,
@@ -55,6 +52,7 @@ from symcsp.generators import (
     gen_cut_instance,
 )
 from symcsp.oracle import brute_force_cut, brute_force_improve
+from terminal_colorings import solve_terminal_colorings
 
 EQ2 = SymmetricLanguage(2, frozenset({0, 2}))
 NE2 = SymmetricLanguage(2, frozenset({1}))
@@ -257,23 +255,6 @@ def test_find_kq_cut_single_edge():
     assert find_kq_cut(g, frozenset(), 1, 1, SolveContext()) is None
 
 
-def test_find_kq_cut_colorcoding_agrees_with_enumeration():
-    rng = random.Random(34)
-    found_some = 0
-    for _ in range(8):
-        g = _dumbbell_graph(rng, 4, 4, rng.randint(1, 2))
-        k, q = 2, rng.randint(2, 6)
-        enum = find_kq_cut_enumeration(g, frozenset(), k, q, SolveContext())
-        color = find_kq_cut_colorcoding(
-            g, frozenset(), k, q, SolveContext(mode="random", seed=1, delta=1e-6)
-        )
-        assert (enum is None) == (color is None)
-        if color is not None:
-            found_some += 1
-            assert kq_cut_conditions(g, frozenset(), color, k, q)
-    assert found_some > 0
-
-
 def test_terminal_instance_validation():
     g = graph(2, [(0, 1, 1), (0, 1, 1)])
     TerminalInstance(g, 0b01, 1, (), frozenset({0, 1}))  # parallel marked ok
@@ -360,12 +341,12 @@ def test_randomized_no_kqcut_matches_direct_on_smalls():
 
 
 def test_random_mode_cut_matches_exhaustive_within_enumeration_guard():
-    # up to ENUM_VERTEX_GUARD vertices random mode takes the exact terminal
-    # table, so it draws no coloring and gives the exhaustive answer; seed 9
-    # is an instance where the coloring procedure returned another optimum
+    # random mode takes the exact terminal table up to its guard, so it
+    # draws no coloring and gives the exhaustive answer; seed 9 is an
+    # instance where the coloring procedure returned another optimum
     cases = [(gen_cut_instance(seed), q) for seed in range(40) for q in (None, 2, 8)]
     rng = random.Random(45)
-    for n in (14, 17, 20):
+    for n in (14, 17, 20, 26):
         g = _random_connected_graph(rng, n, n)
         cases.append((CutInstance(g, satisfied_edges(g, rng.randrange(1 << n)), 1), None))
     assert any(ci.graph.num_vertices == cut_solver.ENUM_VERTEX_GUARD for ci, _ in cases)
@@ -375,29 +356,25 @@ def test_random_mode_cut_matches_exhaustive_within_enumeration_guard():
         assert run.colorings_tried == 0 and run.no_cut_solves > 0
 
 
-def test_no_kqcut_dispatches_to_colorings_only_in_random_mode_above_guard(monkeypatch):
-    calls = []
-
-    def colorings(ti, ctx):
-        calls.append(ti.graph.num_vertices)
-        return {}
-
+def test_no_kqcut_is_the_direct_table_in_both_modes():
+    # the table is exact, so random mode draws no family: the same table at
+    # the guard, and the same GuardError above it
     def path(n):
         return graph(n, [(v, v + 1, v % 2) for v in range(n - 1)])
 
-    monkeypatch.setattr(cut_solver, "solve_terminal_colorings", colorings)
     guard = cut_solver.ENUM_VERTEX_GUARD
+    small = TerminalInstance(path(12), 0b1010, 2, (3,), frozenset())
+    at_guard = TerminalInstance(path(guard), 0, 1, (), frozenset())
     big = TerminalInstance(path(guard + 1), 0, 1, (), frozenset())
-    small = TerminalInstance(path(guard), 0, 1, (), frozenset())
-
-    ctx = make_ctx(big.graph, 1, 8, mode="random")
-    assert solve_terminal_no_kqcut(big, ctx) == {}
-    assert calls == [guard + 1] and ctx.solve.no_cut_solves == 1
-    table = solve_terminal_no_kqcut(small, make_ctx(small.graph, 1, 8, mode="random"))
-    assert table == solve_terminal_direct(small, make_ctx(small.graph, 1, 8))
-    with pytest.raises(GuardError):
-        solve_terminal_no_kqcut(big, make_ctx(big.graph, 1, 8))
-    assert calls == [guard + 1]
+    for ti in (small, at_guard):
+        direct = solve_terminal_direct(ti, make_ctx(ti.graph, ti.k_prime, 8))
+        for mode in ("exhaustive", "random"):
+            ctx = make_ctx(ti.graph, ti.k_prime, 8, mode=mode)
+            assert solve_terminal_no_kqcut(ti, ctx) == direct
+            assert ctx.solve.no_cut_solves == 1 and ctx.solve.colorings_tried == 0
+    for mode in ("exhaustive", "random"):
+        with pytest.raises(GuardError, match=f"guarded at {guard} vertices"):
+            solve_terminal_no_kqcut(big, make_ctx(big.graph, 1, 8, mode=mode))
 
 
 def test_recursion_preserves_matching_and_matches_oracle():
@@ -789,7 +766,7 @@ def test_first_kq_cut_matches_per_mask_loop(case, k, q, mark):
     g, a_mask = case
     crossing = sorted(crossing_edges(g, a_mask))
     marked = frozenset(crossing[:1]) if mark else frozenset()
-    assert find_kq_cut_enumeration(g, marked, k, q, SolveContext()) == _ref_first_kq_cut(g, marked, k, q)
+    assert find_kq_cut(g, marked, k, q, SolveContext()) == _ref_first_kq_cut(g, marked, k, q)
 
 
 def _per_mask_first_kq_cut(g, marked, k, q):
@@ -809,6 +786,15 @@ def _unmarked_inside(g, marked, mask):
     return sides.count((1, 1)), sides.count((0, 0))
 
 
+def _ref_kq_cut_conditions(g, marked, mask, k, q):
+    sides = [[v for v in range(g.num_vertices) if (mask >> v) & 1 == s] for s in (0, 1)]
+    if not all(sides) or len(crossing_edges(g, mask)) > k:
+        return False
+    if any(len(_bfs_components(g, side)) != 1 for side in sides):
+        return False
+    return min(_unmarked_inside(g, marked, mask)) >= q
+
+
 @settings(max_examples=300, deadline=None)
 @given(_connected_multigraph(max_n=10), st.integers(0, 3), st.integers(0, 8), st.data())
 def test_kq_cut_screen_matches_per_mask_checks(case, k, q, data):
@@ -822,7 +808,7 @@ def test_kq_cut_screen_matches_per_mask_checks(case, k, q, data):
         return kq_cut_conditions(graph_, marked_, mask, k_, q_)
 
     with mock.patch.object(cut_solver, "kq_cut_conditions", spy):
-        found = find_kq_cut_enumeration(g, marked, k, q, SolveContext())
+        found = find_kq_cut(g, marked, k, q, SolveContext())
     assert found == _per_mask_first_kq_cut(g, marked, k, q)
     # the screen hands on only masks with both inside counts at least q
     assert all(min(_unmarked_inside(g, marked, mask)) >= q for mask in seen)
@@ -951,17 +937,34 @@ def test_terminal_table_returns_blocks_done_when_deadline_passes():
     assert not ctx12.solve.timed_out
 
 
+class _ExpiresAfter:
+    """A deadline that passes at its (polls + 1)-th poll."""
+
+    def __init__(self, polls):
+        self.polls = polls
+
+    def expired(self):
+        self.polls -= 1
+        return self.polls < 0
+
+
 def test_kq_cut_enumeration_stops_at_an_expired_deadline():
     # K8 on {0, 3..9} and K10 on {10..19} joined by one bridge, and pendants
-    # 1 and 2 on vertex 0 with a loop each.  With k = q = 2 the screen hands
-    # on mask {1, 2} (first block; its sides are not connected) and the
-    # bridge cut (a late block)
+    # 1 and 2 on vertex 0 with a loop each: 19 + 171 spanning-tree cuts at
+    # k = 2.  With q = 2 the screen hands on mask {1, 2} (its sides are not
+    # connected) and the bridge cut, in ascending order
     a, b = [0, *range(3, 10)], range(10, 20)
     rows = [(u, v, 0) for blob in (a, b) for u, v in combinations(blob, 2)]
     rows += [(3, 10, 1), (0, 1, 0), (0, 2, 1), (1, 1, 0), (2, 2, 0)]
     g = graph(20, rows)
     real = kq_cut_conditions
-    for deadline, found in ((None, 0xFFC00), (Deadline(0), None)):
+    cases = [
+        (1 << 14, Deadline(0), 0xFFC00, [0b110, 0xFFC00]),  # one chunk: never polled
+        (64, None, 0xFFC00, [0b110, 0xFFC00]),
+        (64, Deadline(0), None, []),  # polled before the second of three chunks
+        (1, _ExpiresAfter(189), None, [0b110]),  # 190 chunks, then the second check
+    ]
+    for block, deadline, found, checked in cases:
         seen = []
 
         def spy(graph_, marked_, mask, k_, q_):
@@ -969,10 +972,10 @@ def test_kq_cut_enumeration_stops_at_an_expired_deadline():
             return real(graph_, marked_, mask, k_, q_)
 
         run = SolveContext(deadline=deadline)
-        with mock.patch.object(cut_solver, "kq_cut_conditions", spy):
-            assert find_kq_cut_enumeration(g, frozenset(), 2, 2, run) == found
-        assert seen == ([0b110, found] if found else [0b110])
-        assert run.timed_out == (deadline is not None)
+        with mock.patch.object(cut_solver, "kq_cut_conditions", spy), \
+                mock.patch.object(cut_solver, "KERNEL_BLOCK", block):
+            assert find_kq_cut(g, frozenset(), 2, 2, run) == found
+        assert seen == checked and run.timed_out == (found is None)
 
 
 def _peak_bytes(ti):
@@ -1010,8 +1013,9 @@ def test_terminal_table_guards_its_int64_scores(monkeypatch):
     with pytest.raises(GuardError, match="exceed int64"):
         solve_terminal_direct(ti, make_ctx(ti.graph, 1, 8))
     # past the vertex guard the partition kernel's guard still fires first
-    path = graph(21, [(v, v + 1, 0) for v in range(20)])
-    with pytest.raises(GuardError, match="20 vertices"):
+    guard = cut_solver.ENUM_VERTEX_GUARD
+    path = graph(guard + 1, [(v, v + 1, 0) for v in range(guard)])
+    with pytest.raises(GuardError, match=f"guarded at {guard} vertices"):
         solve_terminal_direct(TerminalInstance(path, 0, 1, (), frozenset()), make_ctx(path, 1, 8))
 
 
@@ -1020,7 +1024,6 @@ def _no_mask_checks(monkeypatch):
         raise AssertionError("a cut mask was checked")
 
     monkeypatch.setattr(cut_solver, "kq_cut_conditions", fail)
-    monkeypatch.setattr(cut_solver, "build_coloring_family", fail)
 
 
 def test_find_kq_cut_exits_below_2q_unmarked_edges(monkeypatch):
@@ -1042,23 +1045,6 @@ def test_find_kq_cut_exits_for_k_zero_on_connected_graph(monkeypatch):
     for n in (5, 14, 17):
         g = _dumbbell_graph(rng, n // 2, n - n // 2, 1)
         assert find_kq_cut(g, frozenset(), 0, 1, SolveContext()) is None
-
-
-def test_colorcoding_search_stops_at_an_expired_deadline(monkeypatch):
-    # above the enumeration guard in random mode, a deadline that has passed
-    # ends the coloring search before its first minimum cut
-    calls = []
-
-    def mincut(num_vertices, arcs, *sides_and_bound):
-        calls.append(sides_and_bound)
-        return len(arcs) + 1, None  # above any bound
-
-    monkeypatch.setattr(cut_solver, "_mincut_between", mincut)
-    g = _dumbbell_graph(random.Random(45), 11, 11, 2)
-    assert g.num_vertices > 20
-    run = SolveContext(mode="random", seed=1, deadline=Deadline(0))
-    assert find_kq_cut_colorcoding(g, frozenset(), 2, 2, run) is None
-    assert run.timed_out and not calls
 
 
 def test_cut_improve_literal_q_matches_oracle_15_to_20_vertices():
@@ -1308,6 +1294,18 @@ def test_matching_conflict_matches_pairwise_scan(case):
         assert a != b and a & b and {a, b} <= ends
 
 
+@settings(max_examples=300, deadline=None)
+@given(_marked_multigraph(), st.integers(0, 4), st.integers(0, 4), st.integers(0, 511))
+# sides {0} and {1}, each with a loop, the one on side 1 marked
+@example((graph(2, [(0, 1, 0), (0, 0, 0), (1, 1, 0)]), frozenset({2})), 1, 1, 0b10)
+def test_kq_cut_conditions_match_definition(case, k, q, mask):
+    # the reference the search is diffed against reads the definition
+    # straight: loops count inside their side, marked edges never
+    g, marked = case
+    mask %= 1 << g.num_vertices
+    assert kq_cut_conditions(g, marked, mask, k, q) == _ref_kq_cut_conditions(g, marked, mask, k, q)
+
+
 @st.composite
 def _contraction_case(draw):
     """A loopless terminal instance, as every recursion level sees, whose
@@ -1359,8 +1357,9 @@ def test_recursion_steps_with_terminals_match_oracle(monkeypatch):
 
 
 def test_exhaustive_q_override_on_15_to_20_vertex_dumbbells():
-    # (k, q)-cuts are enumerated up to the partition kernel's 20-vertex guard;
-    # the coloring search over the edges would exceed its exhaustive cap here
+    # the spanning-tree (k, q)-cut search takes any size its count guard
+    # allows; the coloring search over the edges it replaced exceeded its
+    # exhaustive cap here
     rng = random.Random(45)
     for i in range(12):
         n = 15 + i // 2
@@ -1390,3 +1389,111 @@ def test_budget_beyond_the_edge_count_is_clamped():
         for q in (None, 1):
             same = cut_improve(CutInstance(g, p, m), q_override=q)
             assert cut_improve(CutInstance(g, p, m + 5), q_override=q)[:2] == same[:2]
+
+
+# ---------------------------------------------------------------------------
+# The spanning-tree (k, q)-cut search and the exact table past 20 vertices
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, k, seed", [(16, 3, 0), (16, 9, 1), (20, 3, 2), (20, 6, 3), (20, 9, 4)])
+def test_tree_cut_search_matches_per_mask_screen_to_20_vertices(n, k, seed):
+    # the tree cuts hold every mask with at most k crossing edges: the same
+    # cut, and the same masks checked, as screening all 2^(n-1) masks
+    rng = random.Random(seed)
+    g = _dumbbell_graph(rng, n // 2, n - n // 2, 2) if seed % 2 else _random_connected_graph(rng, n, n)
+    marked = frozenset(rng.sample([e.id for e in g.edges], 3))
+    for q in (1, 3, 6):
+        seen = []
+
+        def spy(graph_, marked_, mask, k_, q_):
+            seen.append(mask)
+            return kq_cut_conditions(graph_, marked_, mask, k_, q_)
+
+        with mock.patch.object(cut_solver, "kq_cut_conditions", spy):
+            found = find_kq_cut(g, marked, k, q, SolveContext())
+        assert found == _per_mask_first_kq_cut(g, marked, k, q), q
+        screened = []
+        for masks, crossing, _, _, _ in partition_blocks(g, range(2, (1 << n) - 1, 2)):
+            screened += [m for m in masks[crossing <= k].tolist() if min(_unmarked_inside(g, marked, m)) >= q]
+        assert seen == screened[:screened.index(found) + 1 if found else None]
+
+
+def test_tree_cut_search_reads_masks_past_64_vertices():
+    # ten K7 blobs on {7i..7i+6} in a row, joined by one bridge each: at k = 3
+    # only a single bridge leaves both sides connected, and the smallest such
+    # mask with q unmarked edges inside each side takes the last blobs,
+    # across the first 64-bit word's end
+    rows = [(u, v, 0) for i in range(10) for u, v in combinations(range(7 * i, 7 * i + 7), 2)]
+    rows += [(7 * i + 6, 7 * i + 7, 1) for i in range(9)]
+    g = graph(70, rows)
+    full = (1 << 70) - 1
+    for q, blobs in ((21, 1), (22, 2), (64, 3)):
+        found = find_kq_cut(g, frozenset(), 3, q, SolveContext())
+        assert found == full ^ ((1 << 7 * (10 - blobs)) - 1), q
+        assert kq_cut_conditions(g, frozenset(), found, 3, q)
+    # marking the last bridge and an edge inside blob 9 moves the cut one bridge left
+    assert find_kq_cut(g, frozenset({len(rows) - 1, 21 * 9}), 3, 21, SolveContext()) == full ^ ((1 << 56) - 1)
+
+
+def test_kq_cut_count_guard_fires_before_allocation(monkeypatch):
+    # C(1500, 1) + C(1500, 2) + C(1500, 3) spanning-tree cuts at k = 3
+    cycle = graph(1501, [(v, (v + 1) % 1501, 1) for v in range(1501)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match=f"guarded at {cut_solver.KQ_CUT_CANDIDATES} candidate cuts"):
+            find_kq_cut(cycle, frozenset(), 3, 1, SolveContext())
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
+    # a 6-vertex path with a loop at each vertex has C(5, 1) + C(5, 2) = 15
+    # tree cuts at k = 2; {4, 5} is the smallest side with 3 edges inside
+    path = graph(6, [(v, v + 1, 0) for v in range(5)] + [(v, v, 0) for v in range(6)])
+    monkeypatch.setattr(cut_solver, "KQ_CUT_CANDIDATES", 15)
+    assert find_kq_cut(path, frozenset(), 2, 3, SolveContext()) == 0b110000
+    monkeypatch.setattr(cut_solver, "KQ_CUT_CANDIDATES", 14)
+    with pytest.raises(GuardError):
+        find_kq_cut(path, frozenset(), 2, 3, SolveContext())
+
+
+@pytest.mark.parametrize("n", [21, 22])
+def test_literal_q_solve_past_20_vertices_matches_blocked_oracle_in_both_modes(n):
+    rng = random.Random(47 + n)
+    g = _random_connected_graph(rng, n, n)
+    rep0 = oracle_of(g, frozenset(), 10 ** 9)
+    p = set(satisfied_edges(g, rep0.global_witness[0]))
+    for eid in rng.sample([e.id for e in g.edges], 1):
+        p ^= {eid}
+    rep = oracle_of(g, frozenset(p), 1)
+    assert rep.promise_holds
+    for mode in ("exhaustive", "random"):
+        _, value, run = cut_improve(CutInstance(g, frozenset(p), 1), mode=mode, seed=1)
+        assert value == rep.neighborhood_value == rep.global_value, mode
+        assert run.no_cut_solves == 1 and run.colorings_tried == 0
+
+
+def test_q_override_dumbbells_at_26_and_30_vertices_agree_across_modes(monkeypatch):
+    # both modes take the one exact route; at the table's guard the value is
+    # the literal-q table's, and past it a stalled first cut (seed 2 at 30
+    # vertices, q = 2) gives way to the next cut instead of the table
+    real, stalled_past_guard = cut_solver.recurse_step, []
+
+    def spy(ti, cut_mask, ctx):
+        out = real(ti, cut_mask, ctx)
+        if out[1].stalled and ti.graph.num_vertices > cut_solver.ENUM_VERTEX_GUARD:
+            stalled_past_guard.append(ti.graph.num_vertices)
+        return out
+
+    monkeypatch.setattr(cut_solver, "recurse_step", spy)
+    for seed in range(3):
+        for n in (26, 30):
+            rng = random.Random(seed)
+            g = _dumbbell_graph(rng, n // 2, n - n // 2, 1)
+            ci = CutInstance(g, satisfied_edges(g, rng.randrange(1 << n)), 1)
+            literal = cut_improve(ci)[1] if n <= cut_solver.ENUM_VERTEX_GUARD else None
+            for q in (2, 4):
+                mask, value, run = cut_improve(ci, q_override=q)
+                assert cut_improve(ci, mode="random", seed=5, q_override=q)[:2] == (mask, value)
+                assert run.recurse_steps > 0 and value == cut_value(g, mask)
+                assert literal is None or value == literal, (seed, n, q)
+    assert stalled_past_guard

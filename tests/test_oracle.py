@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symcsp import oracle
+from symcsp import cut_solver, oracle
 from symcsp.core import (
     Clause,
     GuardError,
@@ -332,6 +332,54 @@ def test_cut_oracle_examples():
     triangle = [(0, 0, 1), (1, 1, 2), (2, 0, 2)]
     rep = brute_force_cut(3, triangle, [1, 1, 1], frozenset(), 3)
     assert rep.global_value == 2
+
+
+def _ref_brute_force_cut(n, edges, types, p_ids, k):
+    """Every mask scored one at a time, the first optimum kept."""
+    best = near = None
+    for mask in range(1 << n):
+        sat = [(((mask >> u) ^ (mask >> v)) & 1) == t for (_, u, v), t in zip(edges, types)]
+        value = sum(sat)
+        delta = sum(s != (eid in p_ids) for (eid, _, _), s in zip(edges, sat))
+        if best is None or value > best[0]:
+            best = (value, mask)
+        if delta <= k and (near is None or value > near[0]):
+            near = (value, mask)
+    if near is None:
+        return OracleReport(best[0], (best[1],), False, None, None)
+    return OracleReport(best[0], (best[1],), True, near[0], (near[1],))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)), st.integers(0, 1),
+                       st.booleans()), max_size=12 if n else 0),
+    st.integers(0, 4),
+    st.sampled_from([1, 3, 16, 1 << 14]),
+)))
+def test_cut_oracle_blocks_match_per_mask_loop(case):
+    # loops and parallel edges included; small blocks split every range,
+    # and the lex-min witnesses must survive the split
+    n, rows, k, block = case
+    edges = [(i, u, v) for i, (u, v, _, _) in enumerate(rows)]
+    types = [t for _, _, t, _ in rows]
+    p_ids = frozenset(i for i, row in enumerate(rows) if row[3])
+    with mock.patch.object(oracle, "CUT_BLOCK", block):
+        assert brute_force_cut(n, edges, types, p_ids, k) == _ref_brute_force_cut(n, edges, types, p_ids, k)
+
+
+def test_cut_oracle_guard_fires_before_allocating():
+    # the oracle covers every instance the terminal table answers
+    guard = oracle.CUT_GUARD_VERTICES
+    assert guard >= cut_solver.ENUM_VERTEX_GUARD
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match=f"guarded at {guard} vertices"):
+            brute_force_cut(guard + 1, [(0, 0, guard)], [1], frozenset(), 1)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
 
 
 def test_cut_oracle_agrees_with_improve_via_translation():
