@@ -50,6 +50,7 @@ ENUM_VERTEX_GUARD = 26
 BRUTE_FORCE_VERTICES = 12  # the minimum-cost pass enumerates below this
 KERNEL_BLOCK = 1 << 14
 KQ_CUT_CANDIDATES = 1 << 20  # vertex sets find_kq_cut screens at most
+KQ_FLOAT32_EDGES = 1 << 23  # below it find_kq_cut's sums (<= 2|E|) are exact in float32
 TABLE_SCORE_GUARD = 1 << 63  # solve_terminal_direct's scores are int64
 WINDOW_BITS = 14
 
@@ -553,8 +554,7 @@ def _subtree_masks(graph: CutGraph) -> list:
 
 
 def _tree_cuts(sub: np.ndarray, k: int) -> np.ndarray:
-    """The XORs of every set of 1..k rows of `sub`, a set of i rows
-    extending one of i - 1 by each later row."""
+    """The XORs of every set of 1..k rows of `sub`, each of i rows extending one of i - 1."""
     levels, last = [sub], np.arange(len(sub))
     for _ in range(1, min(k, len(sub))):
         more = len(sub) - 1 - last
@@ -564,10 +564,10 @@ def _tree_cuts(sub: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate(levels)
 
 
-def _pair_counts(ends: np.ndarray, n: int) -> tuple:
-    """(M, d) in float64: M[u, v] counts the rows (u, v) of `ends`, d[v] the ends at v."""
+def _pair_counts(ends: np.ndarray, n: int, real) -> tuple:
+    """(M, d) as `real`: M[u, v] counts the rows (u, v) of `ends`, d[v] the ends at v."""
     pairs = np.bincount(ends[:, 0] * n + ends[:, 1], minlength=n * n).reshape(n, n)
-    return pairs.astype(np.float64), np.bincount(ends.ravel(), minlength=n).astype(np.float64)
+    return pairs.astype(real), np.bincount(ends.ravel(), minlength=n).astype(real)
 
 
 def find_kq_cut(graph: CutGraph, marked, k: int, q: int, run: SolveContext, after: int = 0):
@@ -599,18 +599,18 @@ def find_kq_cut(graph: CutGraph, marked, k: int, q: int, run: SolveContext, afte
         width = (n + 63) >> 6
         sub = [[m >> 64 * w & (1 << 64) - 1 for w in range(width)] for m in _subtree_masks(graph)]
         cuts = _tree_cuts(np.array(sub, dtype=np.uint64).reshape(-1, width), k)
-    # with b_v = 1 for side 1, an edge uv crosses iff b_u + b_v - 2 b_u b_v = 1
-    # and lies inside side 1 iff b_u b_v = 1: sums of exact float64 products
+    # b_v = 1 on side 1: uv crosses iff b_u + b_v - 2 b_u b_v = 1, lies in side 1 iff b_u b_v = 1
+    real = np.float32 if len(graph.edges) < KQ_FLOAT32_EDGES else np.float64
     ends = np.array([(e.u, e.v) for e in graph.edges], dtype=np.intp).reshape(-1, 2)
-    pairs, deg = _pair_counts(ends, n)
-    un_pairs, un_deg = _pair_counts(ends[[e.id not in marked for e in graph.edges]], n)
+    pairs, deg = _pair_counts(ends, n, real)
+    un_pairs, un_deg = _pair_counts(ends[[e.id not in marked for e in graph.edges]], n, real)
     found = []
     for lo in range(0, len(cuts), KERNEL_BLOCK):
         if lo and run.expired():
             return None
         words = cuts[lo:lo + KERNEL_BLOCK]
-        side = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :n]
-        side = side.astype(np.float64)
+        octets = words.astype("<u8").view(np.uint8)[:, :(n + 7) >> 3]
+        side = np.unpackbits(octets, axis=1, bitorder="little")[:, :n].astype(real)
         cross = side @ deg - 2 * np.einsum("ij,ij->i", side @ pairs, side)
         left = np.einsum("ij,ij->i", side @ un_pairs, side)
         ok = (cross <= k) & (left >= q) & (n_un - side @ un_deg + left >= q)

@@ -1419,6 +1419,16 @@ def test_tree_cut_search_matches_per_mask_screen_to_20_vertices(n, k, seed):
         assert seen == screened[:screened.index(found) + 1 if found else None]
 
 
+def test_tree_cut_search_screens_alike_in_float64(monkeypatch):
+    # past KQ_FLOAT32_EDGES edges the screen's sums leave float32's exact range
+    cases = [(_dumbbell_graph(random.Random(seed), 7, 7 + seed % 3, 2), 3 * (1 + seed % 3), 2 + seed % 4)
+             for seed in range(12)]
+    expected = [find_kq_cut(g, frozenset(), k, q, SolveContext()) for g, k, q in cases]
+    assert any(expected)
+    monkeypatch.setattr(cut_solver, "KQ_FLOAT32_EDGES", 0)
+    assert [find_kq_cut(g, frozenset(), k, q, SolveContext()) for g, k, q in cases] == expected
+
+
 def test_tree_cut_search_reads_masks_past_64_vertices():
     # ten K7 blobs on {7i..7i+6} in a row, joined by one bridge each: at k = 3
     # only a single bridge leaves both sides connected, and the smallest such
