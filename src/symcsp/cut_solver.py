@@ -49,7 +49,7 @@ from .flow import FlowNetwork, max_flow_min_cut
 ENUM_VERTEX_GUARD = 26
 BRUTE_FORCE_VERTICES = 12  # the minimum-cost pass enumerates below this
 KERNEL_BLOCK = 1 << 14
-KQ_CUT_CANDIDATES = 1 << 20  # vertex sets find_kq_cut screens at most
+KQ_CUT_CANDIDATES = 1 << 20  # candidate masks find_kq_cut builds at most, in 64-bit words
 KQ_FLOAT32_EDGES = 1 << 23  # below it find_kq_cut's sums (<= 2|E|) are exact in float32
 TABLE_SCORE_GUARD = 1 << 63  # solve_terminal_direct's scores are int64
 WINDOW_BITS = 14
@@ -579,7 +579,8 @@ def find_kq_cut(graph: CutGraph, marked, k: int, q: int, run: SolveContext, afte
     edges) and for k = 0.  Otherwise: a mask is the XOR of the subtree
     masks of the spanning-tree edges it cuts, which are crossing edges, so
     the XORs of at most k of them hold every mask of <= k crossing edges.
-    More than KQ_CUT_CANDIDATES raise `GuardError` before any is built.
+    More than KQ_CUT_CANDIDATES words of them raise `GuardError` before any
+    is built.
     Chunks of KERNEL_BLOCK are screened as wholes (<= k crossing edges and
     >= q unmarked edges inside each side), and the survivors checked in
     ascending order.  None once `run`'s deadline, polled before each
@@ -587,16 +588,15 @@ def find_kq_cut(graph: CutGraph, marked, k: int, q: int, run: SolveContext, afte
     n_un = sum(e.id not in marked for e in graph.edges)
     if n_un < 2 * q or (k == 0 and graph.is_connected):
         return None
-    n, count, sets = graph.num_vertices, 0, 1
+    n, count, sets, width = graph.num_vertices, 0, 1, (graph.num_vertices + 63) >> 6
     for i in range(1, min(k, n - 1) + 1):
         sets = sets * (n - i) // i  # C(n - 1, i)
         count += sets
-        if count > KQ_CUT_CANDIDATES:
-            raise GuardError(f"(k, q)-cut search guarded at {KQ_CUT_CANDIDATES} candidate cuts")
-    if 2 * count >= 1 << (n - 1):  # at least half of all masks: screen them all, in fewer calls
+        if count * width > KQ_CUT_CANDIDATES:
+            raise GuardError(f"(k, q)-cut search guarded at {KQ_CUT_CANDIDATES} candidate mask words")
+    if 2 * count >= (1 << n) >> 1:  # at least half of all masks: screen them all, in fewer calls
         cuts = np.arange(2, 1 << n, 2, dtype=np.uint64)[:, None]
     else:  # masks as little-endian uint64 words
-        width = (n + 63) >> 6
         sub = [[m >> 64 * w & (1 << 64) - 1 for w in range(width)] for m in _subtree_masks(graph)]
         cuts = _tree_cuts(np.array(sub, dtype=np.uint64).reshape(-1, width), k)
     # b_v = 1 on side 1: uv crosses iff b_u + b_v - 2 b_u b_v = 1, lies in side 1 iff b_u b_v = 1

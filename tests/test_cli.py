@@ -279,7 +279,7 @@ def test_long_odd_cycle_with_small_q_exits_on_the_cut_count_guard(tmp_path):
         BASE + ["solve", "--input", str(path), "--q-override", "1"], capture_output=True, text=True
     )
     assert proc.returncode == 3, proc.stderr[-500:]
-    assert proc.stderr == f"guard: (k, q)-cut search guarded at {KQ_CUT_CANDIDATES} candidate cuts\n"
+    assert proc.stderr == f"guard: (k, q)-cut search guarded at {KQ_CUT_CANDIDATES} candidate mask words\n"
 
 
 def test_verify_cut_keeps_invariants_under_optimize():

@@ -253,6 +253,8 @@ def test_find_kq_cut_none_on_clique():
 def test_find_kq_cut_single_edge():
     g = graph(2, [(0, 1, 0)])
     assert find_kq_cut(g, frozenset(), 1, 1, SolveContext()) is None
+    # no vertex at all: no mask to screen, even at q = 0
+    assert find_kq_cut(graph(0, []), frozenset(), 1, 0, SolveContext()) is None
 
 
 def test_terminal_instance_validation():
@@ -1447,15 +1449,18 @@ def test_tree_cut_search_reads_masks_past_64_vertices():
 
 
 def test_kq_cut_count_guard_fires_before_allocation(monkeypatch):
-    # C(1500, 1) + C(1500, 2) + C(1500, 3) spanning-tree cuts at k = 3
+    # C(1500, 1) + C(1500, 2) + C(1500, 3) spanning-tree cuts at k = 3, and
+    # at k = 1 the 2^15 - 1 cuts of a 2^15-vertex path, 512 words each
     cycle = graph(1501, [(v, (v + 1) % 1501, 1) for v in range(1501)])
-    tracemalloc.start()
-    try:
-        with pytest.raises(GuardError, match=f"guarded at {cut_solver.KQ_CUT_CANDIDATES} candidate cuts"):
-            find_kq_cut(cycle, frozenset(), 3, 1, SolveContext())
-        assert tracemalloc.get_traced_memory()[1] < 1 << 16
-    finally:
-        tracemalloc.stop()
+    path = graph(1 << 15, [(v, v + 1, 0) for v in range((1 << 15) - 1)])
+    for g, k in ((cycle, 3), (path, 1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match=f"guarded at {cut_solver.KQ_CUT_CANDIDATES} candidate mask words"):
+                find_kq_cut(g, frozenset(), k, 1, SolveContext())
+            assert tracemalloc.get_traced_memory()[1] < 1 << 16
+        finally:
+            tracemalloc.stop()
     # a 6-vertex path with a loop at each vertex has C(5, 1) + C(5, 2) = 15
     # tree cuts at k = 2; {4, 5} is the smallest side with 3 edges inside
     path = graph(6, [(v, v + 1, 0) for v in range(5)] + [(v, v, 0) for v in range(6)])
