@@ -580,11 +580,10 @@ def find_kq_cut(graph: CutGraph, marked, k: int, q: int, run: SolveContext, afte
     masks of the spanning-tree edges it cuts, which are crossing edges, so
     the XORs of at most k of them hold every mask of <= k crossing edges.
     More than KQ_CUT_CANDIDATES words of them raise `GuardError` before any
-    is built.
-    Chunks of KERNEL_BLOCK are screened as wholes (<= k crossing edges and
-    >= q unmarked edges inside each side), and the survivors checked in
-    ascending order.  None once `run`'s deadline, polled before each
-    chunk screened or checked but the first of each, has passed."""
+    is built.  Chunks of KERNEL_BLOCK are screened as wholes (<= k crossing
+    edges and >= q unmarked edges inside each side), and the survivors
+    checked in ascending order.  None once `run`'s deadline, polled before
+    each chunk screened or checked but the first of each, has passed."""
     n_un = sum(e.id not in marked for e in graph.edges)
     if n_un < 2 * q or (k == 0 and graph.is_connected):
         return None
