@@ -148,6 +148,8 @@ def _note_fallbacks(run) -> None:
 
 def cmd_solve(args):
     obj = _read_json(args.input)
+    if not isinstance(obj, dict):
+        raise SchemaError("instance JSON must be an object")
     # no limit, no deadline: the solvers then never poll a clock
     deadline = None if args.time_limit_ms is None else Deadline(args.time_limit_ms)
     if "edges" in obj and "clauses" not in obj:
@@ -155,9 +157,6 @@ def cmd_solve(args):
         # each connected component is solved on its own, keeping its sides
         solved, run = solve_components(
             split_components(graph, range(graph.num_vertices), p_ids, k),
-            mode=args.coloring,
-            seed=args.seed,
-            delta=args.delta,
             q_override=args.q_override,
             deadline=deadline,
         )
@@ -214,10 +213,7 @@ def cmd_solve(args):
         out["timeout"] = run.timed_out
         out["colorings_tried"] = run.colorings_tried
     elif algo == "cut":
-        assignment, run = solve_2ae(
-            instance, proposed, mode=args.coloring, seed=args.seed,
-            delta=args.delta, q_override=args.q_override, deadline=deadline,
-        )
+        assignment, run = solve_2ae(instance, proposed, q_override=args.q_override, deadline=deadline)
         _note_fallbacks(run)
         out["timeout"] = run.timed_out
         out["recurse_steps"] = run.recurse_steps

@@ -378,7 +378,8 @@ class SolveContext:
     """Settings and counters of one solve, shared by both pipelines.
 
     ``mode``, ``seed`` (None means 0) and ``delta`` select the AND flip
-    search's coloring families; the exact cut pipeline only records them.
+    search's coloring families; the exact cut pipeline takes none of them,
+    and ``cut_improve`` only records the ``mode`` it is given.
     ``expired`` is the one deadline poll.
     """
 

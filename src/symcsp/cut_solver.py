@@ -17,8 +17,8 @@ C(A,B).  Solving proceeds in three layers:
      complete partition table, the exhaustive-coloring form of the paper's
      coloring step.
 
-Both steps are exact and deterministic, so the answer does not depend on
-the coloring mode, which only the AND pipeline reads.
+Every step is exact and deterministic, so the pipeline takes no coloring
+setting (mode, seed, delta); only the AND pipeline reads them.
 
 The terminal subproblem answers, for every labeling of the terminal
 vertices and every closeness bound, with a partition consistent with the
@@ -34,7 +34,6 @@ from itertools import product
 import numpy as np
 
 from .core import (
-    DEFAULT_DELTA,
     DisjointSets,
     GuardError,
     Instance,
@@ -48,7 +47,7 @@ from .flow import FlowNetwork, max_flow_min_cut
 
 ENUM_VERTEX_GUARD = 26
 BRUTE_FORCE_VERTICES = 12  # the minimum-cost pass enumerates below this
-KERNEL_BLOCK = 1 << 14
+KERNEL_BLOCK = 1 << 14  # divides 2^WINDOW_BITS, so each partition block lies in one window
 KQ_CUT_CANDIDATES = 1 << 20  # candidate masks find_kq_cut builds at most, in 64-bit words
 KQ_FLOAT32_EDGES = 1 << 23  # below it find_kq_cut's sums (<= 2|E|) are exact in float32
 TABLE_SCORE_GUARD = 1 << 63  # solve_terminal_direct's scores are int64
@@ -135,28 +134,18 @@ def _window_rows():
                      for v in range(WINDOW_BITS)])
 
 
-def _bit_rows(part: range, block, n: int) -> list:
-    """Bit v of every mask in `part` (`block` as an array), v < n, as uint8
-    rows.  A part inside one aligned window slices the window table, and
-    its bits from WINDOW_BITS on are constants; any other part shifts."""
-    base = part.start >> WINDOW_BITS << WINDOW_BITS
-    if part.step > 0 and part[-1] >> WINDOW_BITS == part.start >> WINDOW_BITS:
-        window = slice(part.start - base, part[-1] - base + 1, part.step)
-        rows = _window_rows()
-        return [rows[v, window] if v < WINDOW_BITS else np.uint8((base >> v) & 1) for v in range(n)]
-    return [((block >> v) & 1).astype(np.uint8) for v in range(n)]
-
-
-def partition_blocks(graph: CutGraph, masks: range, a_mask: int = 0, marked=frozenset()):
-    """Score the partitions in `masks` in ascending numpy blocks of at most
-    KERNEL_BLOCK.  Yields per block the masks, their crossing counts, `cut_value`s,
+def partition_blocks(graph: CutGraph, count: int, a_mask: int = 0, marked=frozenset()):
+    """Score the partitions 0 .. count - 1 in ascending numpy blocks of at
+    most KERNEL_BLOCK.  Yields per block the masks, their crossing counts, `cut_value`s,
     distances to `a_mask` (satisfied-set symmetric difference sizes) and
     whether they cut every marked edge.  Guarded at ENUM_VERTEX_GUARD vertices.
 
     Crossing an edge satisfies it iff it wants to be cut, and moves it away
     from `a_mask` iff `a_mask` leaves it uncut, so each block only counts the
     crossed edges of each class 2 * etype + (a_mask cuts it), and the crossed
-    marked edges, in counters wide enough for the edge count."""
+    marked edges, in counters wide enough for the edge count.  KERNEL_BLOCK
+    divides 2^WINDOW_BITS, so a block lies in one aligned window: its bit
+    rows below WINDOW_BITS slice the window table, and the rest are constants."""
     if graph.num_vertices > ENUM_VERTEX_GUARD:
         raise GuardError(f"partition enumeration guarded at {ENUM_VERTEX_GUARD} vertices")
     edges = graph.edges
@@ -165,10 +154,12 @@ def partition_blocks(graph: CutGraph, masks: range, a_mask: int = 0, marked=froz
     n_a_cut = sum(c & 1 for c in classes)
     n_marked = sum(e.id in marked for e in edges)
     width = np.min_scalar_type(len(edges))
-    for lo in range(0, len(masks), KERNEL_BLOCK):
-        part = masks[lo:lo + KERNEL_BLOCK]
-        block = np.arange(part.start, part.stop, part.step, dtype=np.int64)
-        bits = _bit_rows(part, block, graph.num_vertices)
+    rows = _window_rows()
+    for lo in range(0, count, KERNEL_BLOCK):
+        block = np.arange(lo, min(lo + KERNEL_BLOCK, count), dtype=np.int64)
+        start = lo % (1 << WINDOW_BITS)
+        bits = [rows[v, start:start + len(block)] if v < WINDOW_BITS else np.uint8((lo >> v) & 1)
+                for v in range(graph.num_vertices)]
         counts = np.zeros((5, len(block)), dtype=width)
         crossed = np.empty(len(block), dtype=np.uint8)
         for e, c in zip(edges, classes):
@@ -289,7 +280,7 @@ def assemble_assignment(num_vars: int, solved_components) -> tuple:
 
 def mincsp_2ae_bruteforce(graph: CutGraph, k: int):
     # the first mask of the highest value: (value, -mask) is largest
-    blocks = partition_blocks(graph, range(1 << max(graph.num_vertices - 1, 0)))
+    blocks = partition_blocks(graph, 1 << max(graph.num_vertices - 1, 0))
     value, neg_mask = max((int(v.max()), -int(m[v.argmax()])) for m, _, v, _, _ in blocks)
     cost = len(graph.edges) - value
     return (-neg_mask, cost) if cost <= k else None
@@ -310,14 +301,6 @@ def _parity_coloring(sets: DisjointSets, n: int) -> list:
     """The 2-coloring a parity union-find over 0..2n-1 holds, the smallest
     vertex of each component on side 0 (the root of its set)."""
     return [int(sets.find(v) > sets.find(n + v)) for v in range(n)]
-
-
-def _two_coloring(num_vertices: int, arcs) -> list | None:
-    """`_parity_coloring` of an undirected unit multigraph; None if odd cycle."""
-    n, sets = num_vertices, DisjointSets(range(2 * num_vertices))
-    if not all(_join_opposite(sets, n, u, v) for u, v in arcs):
-        return None
-    return _parity_coloring(sets, n)
 
 
 def _mincut_between(num_vertices: int, arcs, side_a, side_b, bound: int):
@@ -344,15 +327,13 @@ def _mincut_between(num_vertices: int, arcs, side_a, side_b, bound: int):
     return value, None if side is None else frozenset(v for v in side if v < num_vertices)
 
 
-def _bipartization_compress(num_vertices: int, arcs, removed, k: int, run: SolveContext | None = None):
+def _bipartization_compress(num_vertices: int, arcs, removed, psi, k: int, run: SolveContext | None = None):
     """One compression step: given arc-id set `removed` with the rest
-    bipartite, find a solution of size <= k or report None; also None once
-    `run`'s deadline, polled before each terminal split, has passed."""
+    bipartite and 2-colored by `psi`, find a solution of size <= k or report
+    None; also None once `run`'s deadline, polled before each terminal
+    split, has passed."""
     keep = [arcs[i] for i in range(len(arcs)) if i not in removed]
-    psi = _two_coloring(num_vertices, keep)
-    _require(psi is not None, "arcs kept by a compression step are not bipartite")
     terminals = sorted({v for i in removed for v in arcs[i]})
-    tpos = {v: i for i, v in enumerate(terminals)}
     removed_list = sorted(removed)
     best = None
     for bits in product((0, 1), repeat=len(terminals)):
@@ -362,34 +343,27 @@ def _bipartization_compress(num_vertices: int, arcs, removed, k: int, run: Solve
             break
         if run is not None and run.expired():
             return None
-        flip_in = {v for v in terminals if bits[tpos[v]]}
-        cost_x = 0
+        side_a = [v for v, b in zip(terminals, bits) if b]
+        side_b = [v for v, b in zip(terminals, bits) if not b]
+        flip_in = set(side_a)
+        stay = []
         for i in removed_list:
             u, v = arcs[i]
-            split = ((u in flip_in) != (v in flip_in)) ^ (psi[u] != psi[v])
             # removed arc becomes proper iff parity-flip makes endpoints differ
-            if not split:
-                cost_x += 1
+            if ((u in flip_in) != (v in flip_in)) == (psi[u] != psi[v]):
+                stay.append(i)
+        cost_x = len(stay)
         if cost_x > k:
             continue
         # kept arcs are coloring-proper; a parity flip breaks exactly the
         # ones it splits, so the cheapest completion is a minimum cut
-        # between the flipped and unflipped terminal sides
-        side_a = [v for v in terminals if v in flip_in]
-        side_b = [v for v in terminals if v not in flip_in]
+        # between the flipped and unflipped terminal sides, whose source
+        # side agrees with flip_in on every terminal
         value, reach = _mincut_between(num_vertices, keep, side_a, side_b, k - cost_x)
         if cost_x + value <= k and (best is None or cost_x + value < best[0]):
-            flip = set(reach)
-            new_removed = set()
-            for i in removed_list:
-                u, v = arcs[i]
-                split = ((u in flip) != (v in flip)) ^ (psi[u] != psi[v])
-                if not split:
-                    new_removed.add(i)
+            new_removed = set(stay)
             for j, (u, v) in enumerate(arcs):
-                if j in removed:
-                    continue
-                if (u in flip) != (v in flip):
+                if j not in removed and (u in reach) != (v in reach):
                     new_removed.add(j)
             best = (cost_x + value, new_removed)
     if best is None:
@@ -410,7 +384,9 @@ def edge_bipartization(num_vertices: int, arcs, k: int, run: SolveContext | None
             continue
         removed.add(i)
         if len(removed) > k:
-            removed = _bipartization_compress(num_vertices, arcs[: i + 1], removed, k, run)
+            # the union-find has joined exactly the prefix's kept arcs
+            psi = _parity_coloring(sets, num_vertices)
+            removed = _bipartization_compress(num_vertices, arcs[: i + 1], removed, psi, k, run)
             if removed is None:
                 return None
             sets = DisjointSets(range(2 * num_vertices))
@@ -692,7 +668,7 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
     tmask = sum(1 << v for v in ti.terminals)
     slots = np.full(span, -1, dtype=np.int64)
     keys = scores = np.zeros(0, dtype=np.int64)
-    blocks = partition_blocks(ti.graph, range(half), ti.a_mask, ti.marked)
+    blocks = partition_blocks(ti.graph, half, ti.a_mask, ti.marked)
     for b, (masks, _, value, delta, marked_cut) in enumerate(blocks):
         if b and ctx.solve.expired():
             break
@@ -729,7 +705,7 @@ def solve_terminal_direct(ti: TerminalInstance, ctx: _Ctx) -> dict:
 
 def solve_terminal_no_kqcut(ti: TerminalInstance, ctx: _Ctx) -> dict:
     """Terminal table when no (k, q)-cut exists: the complete partition
-    table, exact in both modes."""
+    table."""
     ctx.solve.no_cut_solves += 1
     return solve_terminal_direct(ti, ctx)
 
@@ -887,20 +863,14 @@ def solve_terminal(ti: TerminalInstance, ctx: _Ctx) -> dict:
     return solve_terminal_no_kqcut(ti, ctx)
 
 
-def cut_improve(
-    ci: CutInstance,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    delta: float = DEFAULT_DELTA,
-    q_override: int | None = None,
-    deadline=None,
-):
+def cut_improve(ci: CutInstance, mode: str = "exhaustive", q_override: int | None = None, deadline=None):
     """Best partition for one connected cut-improvement instance.
 
     Returns (mask, value, SolveContext).  On promise-satisfying inputs the
-    mask maximizes the satisfied edge set, whatever the `mode`.
+    mask maximizes the satisfied edge set; the context records `mode`,
+    which no step reads.
     """
-    run = SolveContext(mode, seed, delta, deadline)
+    run = SolveContext(mode, deadline=deadline)
     core_edges = tuple(e for e in ci.graph.edges if e.u != e.v)
     if not core_edges:
         return 0, cut_value(ci.graph, 0), run
@@ -927,40 +897,25 @@ def cut_improve(
     return best_mask, best_value, run
 
 
-def solve_components(
-    components,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    delta: float = DEFAULT_DELTA,
-    q_override: int | None = None,
-    deadline=None,
-):
+def solve_components(components, q_override: int | None = None, deadline=None):
     """`cut_improve` on each (CutInstance, vertex_list) pair.
 
     Returns ([(mask, vertex_list)], SolveContext summed over the components).
     """
-    total = SolveContext(mode, seed, delta, deadline)
+    total = SolveContext(deadline=deadline)
     solved = []
     for ci, verts in components:
-        mask, _, run = cut_improve(ci, mode, seed, delta, q_override, deadline)
+        mask, _, run = cut_improve(ci, q_override=q_override, deadline=deadline)
         solved.append((mask, verts))
         total.add(run)
     return solved, total
 
 
-def solve_2ae(
-    instance: Instance,
-    proposed: ProposedSolution,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    delta: float = DEFAULT_DELTA,
-    q_override: int | None = None,
-    deadline=None,
-):
+def solve_2ae(instance: Instance, proposed: ProposedSolution, q_override: int | None = None, deadline=None):
     """Library entry point for homogeneous two-variable all-equal instances.
 
     Returns (assignment, SolveContext summed over the components).
     """
     components, _ = csp_to_cut(instance, proposed)
-    solved, run = solve_components(components, mode, seed, delta, q_override, deadline)
+    solved, run = solve_components(components, q_override, deadline)
     return assemble_assignment(instance.num_vars, solved), run

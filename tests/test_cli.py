@@ -83,6 +83,9 @@ def test_schema_error_exit_code(tmp_path):
     path2 = tmp_path / "worse.json"
     path2.write_text("not json")
     run_cli("solve", "--input", str(path2), expect=2)
+    for text in ("5", "true", "null"):  # JSON, but not an object
+        path2.write_text(text)
+        run_cli("solve", "--input", str(path2), expect=2)
 
 
 def test_misvw_subcommand(tmp_path):
@@ -291,8 +294,8 @@ def test_verify_cut_keeps_invariants_under_optimize():
     assert proc.returncode == 0, proc.stderr[-500:]
     broken = (
         "import symcsp.cut_solver as cs\n"
-        "cs._two_coloring = lambda n, arcs: None\n"
-        "cs._bipartization_compress(3, [(0, 1), (1, 2), (0, 2)], {2}, 0)\n"
+        "cs._mincut_between = lambda *args: (0, frozenset({1}))\n"
+        "cs._bipartization_compress(3, [(0, 1), (1, 2), (0, 2)], {2}, [0, 1, 0], 0)\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", broken], capture_output=True, text=True)
     assert "VerificationError: cut solver invariant violated" in proc.stderr, proc.stderr[-500:]

@@ -353,7 +353,7 @@ def test_random_mode_cut_matches_exhaustive_within_enumeration_guard():
         cases.append((CutInstance(g, satisfied_edges(g, rng.randrange(1 << n)), 1), None))
     assert any(ci.graph.num_vertices == cut_solver.ENUM_VERTEX_GUARD for ci, _ in cases)
     for ci, q in cases:
-        mask, value, run = cut_improve(ci, mode="random", seed=1, q_override=q)
+        mask, value, run = cut_improve(ci, mode="random", q_override=q)
         assert (mask, value) == cut_improve(ci, q_override=q)[:2], (ci.graph.num_vertices, q)
         assert run.colorings_tried == 0 and run.no_cut_solves > 0
 
@@ -478,16 +478,6 @@ def test_solve_2ae_end_to_end():
         assert len(satisfied_set(inst, a)) >= rep.neighborhood_value, seed
 
 
-def test_solve_2ae_randomized_mode():
-    for seed in range(20):
-        inst, prop = gen_2ae_instance(seed, max_vertices=8)
-        rep = brute_force_improve(inst, prop.k, prop.clause_ids)
-        a, _ = solve_2ae(
-            inst, prop, mode="random", seed=seed, delta=1e-6, q_override=8
-        )
-        assert len(satisfied_set(inst, a)) >= rep.neighborhood_value, seed
-
-
 def test_cut_improve_with_forced_compression_preprocessing(monkeypatch):
     # from 12 vertices on the minimum-cost pass takes the iterative
     # compression path by itself; brute force is made unreachable to show it
@@ -600,18 +590,25 @@ def test_components_match_bfs_reference(case):
     assert g.is_connected == (len(sets.groups()) <= 1)
 
 
-def test_solve_2ae_random_mode_seed_none_means_zero():
-    for seed in range(6):
-        inst, prop = gen_2ae_instance(seed)
-        a0, run0 = solve_2ae(inst, prop, mode="random", seed=0, q_override=2)
-        a_none, run_none = solve_2ae(inst, prop, mode="random", seed=None, q_override=2)
-        assert a_none == a0 and run_none == run0
-
-
 def test_zero_deadline_marks_summed_context_timed_out():
     inst, prop = gen_2ae_instance(4)
     a, run = solve_2ae(inst, prop, deadline=Deadline(0))
     assert run.timed_out and len(a) == inst.num_vars
+
+
+def test_solve_components_calls_cut_improve_once_per_component():
+    # the bench tracer counts cut_improve calls, so each component is one
+    # call, and the summed context is the fold of the components' own
+    components = [(gen_cut_instance(seed), [seed]) for seed in range(6)]
+    with mock.patch.object(cut_solver, "cut_improve", wraps=cut_improve) as spy:
+        solved, run = cut_solver.solve_components(components, q_override=2)
+    assert spy.call_count == len(components)
+    total = SolveContext()
+    for (ci, verts), (mask, out_verts) in zip(components, solved):
+        got_mask, _, one = cut_improve(ci, q_override=2)
+        assert (mask, out_verts) == (got_mask, verts)
+        total.add(one)
+    assert run == total and run.recurse_steps > 0
 
 
 # ---------------------------------------------------------------------------
@@ -775,9 +772,9 @@ def _per_mask_first_kq_cut(g, marked, k, q):
     """The (k, q)-cut search without the inside-edge count screen: every
     mask with at most k crossing edges goes to `kq_cut_conditions`."""
     n = g.num_vertices
-    for masks, crossing, _, _, _ in partition_blocks(g, range(2, (1 << n) - 1, 2)):
+    for masks, crossing, _, _, _ in partition_blocks(g, 1 << n):
         for mask in masks[crossing <= k].tolist():
-            if kq_cut_conditions(g, marked, mask, k, q):
+            if mask % 2 == 0 and 2 <= mask <= (1 << n) - 2 and kq_cut_conditions(g, marked, mask, k, q):
                 return mask
     return None
 
@@ -825,16 +822,18 @@ def test_bruteforce_minimum_matches_per_mask_loop(case, k):
     assert mincsp_2ae_minimum(g, len(g.edges), SolveContext()) == _ref_bruteforce(g, len(g.edges))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+_arcs_and_budget = st.integers(1, 9).flatmap(lambda n: st.tuples(
     st.just(n),
     st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16),
     st.integers(0, 3),
-)))
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_arcs_and_budget)
 @example((5, [(0, 1), (1, 2), (0, 2), (3, 4)], 1))  # two components, arc 2 removed
 def test_edge_bipartization_matches_quadratic_reference(case):
     n, arcs, k = case
-    assert cut_solver._two_coloring(n, arcs) == _ref_two_coloring(n, arcs)
     removed = _ref_edge_bipartization(n, arcs, k)
     found = cut_solver.edge_bipartization(n, arcs, k)
     if removed is None:
@@ -845,8 +844,31 @@ def test_edge_bipartization_matches_quadratic_reference(case):
     assert found == (removed, _ref_two_coloring(n, kept))
 
 
-def _ref_partition_blocks(g, masks, a_mask, marked):
+@settings(max_examples=300, deadline=None)
+@given(_arcs_and_budget)
+@example((4, list(combinations(range(4), 2)), 1))  # K4: arc 3 starts the first step
+def test_compression_steps_get_the_kept_arcs_coloring(case):
+    # each step's coloring is read from the union-find of the pass, which
+    # has joined exactly the kept arcs of the step's prefix
+    n, arcs, k = case
+    real, colorings = cut_solver._bipartization_compress, []
+
+    def spy(num_vertices, prefix, removed, psi, k_, run=None):
+        kept = [a for i, a in enumerate(prefix) if i not in removed]
+        colorings.append((psi, _ref_two_coloring(num_vertices, kept)))
+        return real(num_vertices, prefix, removed, psi, k_, run)
+
+    with mock.patch.object(cut_solver, "_bipartization_compress", spy):
+        cut_solver.edge_bipartization(n, arcs, k)
+    assert all(psi == ref for psi, ref in colorings)
+    # a budget of every arc never compresses: the pass before the first step
+    greedy, _ = cut_solver.edge_bipartization(n, arcs, len(arcs))
+    assert bool(colorings) == (len(greedy) > k)
+
+
+def _ref_partition_blocks(g, count, a_mask, marked):
     p = satisfied_edges(g, a_mask)
+    masks = range(count)
     return [
         list(masks),
         [len(crossing_edges(g, m)) for m in masks],
@@ -856,11 +878,11 @@ def _ref_partition_blocks(g, masks, a_mask, marked):
     ]
 
 
-def _assert_blocks_match(g, masks, a_mask, marked):
-    blocks = list(partition_blocks(g, masks, a_mask, marked))
-    assert [b[0][0] for b in blocks] == list(masks[::cut_solver.KERNEL_BLOCK])
+def _assert_blocks_match(g, count, a_mask, marked):
+    blocks = list(partition_blocks(g, count, a_mask, marked))
+    assert [b[0][0] for b in blocks] == list(range(0, count, cut_solver.KERNEL_BLOCK))
     got = [[x for b in blocks for x in b[i].tolist()] for i in range(5)]
-    assert got == _ref_partition_blocks(g, masks, a_mask, marked)
+    assert got == _ref_partition_blocks(g, count, a_mask, marked)
     dtypes = (np.int64, np.int32, np.int32, np.int32, np.bool_)
     assert all(b[i].dtype == t for b in blocks for i, t in enumerate(dtypes))
 
@@ -869,19 +891,15 @@ def _assert_blocks_match(g, masks, a_mask, marked):
 @given(_connected_multigraph(), st.data())
 def test_partition_blocks_match_per_mask_loop(case, data):
     # loops and parallel edges come from the strategy; marked edges need not
-    # be cut by a_mask here, and small blocks split every range
+    # be cut by a_mask here, and small blocks split every count
     g, a_mask = case
     n = g.num_vertices
     ids = [e.id for e in g.edges]
     marked = frozenset(data.draw(st.sets(st.sampled_from(ids), max_size=3))) if ids else frozenset()
-    masks = data.draw(st.sampled_from([
-        range(1 << n),  # the full range
-        range(1 << max(n - 1, 0)),  # the terminal table's half range
-        range(2, (1 << n) - 1, 2),  # the (k, q)-cut enumeration
-        range(1, 1 << n, 3),
-    ]))
+    # every mask, the terminal table's half, or any prefix
+    count = data.draw(st.sampled_from([1 << n, 1 << max(n - 1, 0)]) | st.integers(1, 1 << n))
     with mock.patch.object(cut_solver, "KERNEL_BLOCK", data.draw(st.sampled_from([1, 4, 16, 1 << 14]))):
-        _assert_blocks_match(g, masks, a_mask, marked)
+        _assert_blocks_match(g, count, a_mask, marked)
 
 
 @pytest.mark.parametrize("copies", [300, (1 << 15) + 3, (1 << 16) + 3])
@@ -890,8 +908,8 @@ def test_partition_blocks_counters_do_not_overflow(copies):
     # unsigned ranges, next to a marked edge and a loop
     rows = [(0, 1, 1)] * copies + [(1, 2, 0), (2, 2, 0)]
     g = graph(3, rows)
-    _assert_blocks_match(g, range(8), 0b010, frozenset({copies}))
-    _assert_blocks_match(g, range(4), 0b011, frozenset())
+    _assert_blocks_match(g, 8, 0b010, frozenset({copies}))
+    _assert_blocks_match(g, 4, 0b011, frozenset())
 
 
 def _window_test_graph(n, seed):
@@ -904,19 +922,19 @@ def _window_test_graph(n, seed):
     return graph(n, rows), frozenset({1, n, len(rows) - 1})
 
 
-@pytest.mark.parametrize("n, masks, block", [
-    (16, range(1 << 16), 5000),  # four whole windows; every fourth block crosses
-    (17, range((1 << 14) - 7, (1 << 14) + 9), 7),  # across the first window's end
-    (17, range((1 << 16) + 5, (1 << 16) + 3000, 3), 5000),  # above the table, bit 16 set
+@pytest.mark.parametrize("n, count, block", [
+    (16, 1 << 16, 1 << 12),  # four whole windows of four blocks each
+    (17, (1 << 14) + 9, 8),  # just past the first window's end
+    (17, (1 << 16) + 3000, 1 << 10),  # above the table, bit 16 set
 ])
-def test_partition_blocks_past_the_window(n, masks, block):
+def test_partition_blocks_past_the_window(n, count, block):
     # the rows of vertices from WINDOW_BITS on are constants inside a
-    # window and shifts across one; the patched block size gives both
+    # window, whatever the block size that divides it
     assert cut_solver.WINDOW_BITS == 14
-    g, marked = _window_test_graph(n, n + masks.start)
-    _assert_blocks_match(g, masks, 0b1010_0110_0101_1001, marked)
+    g, marked = _window_test_graph(n, n + count)
+    _assert_blocks_match(g, count, 0b1010_0110_0101_1001, marked)
     with mock.patch.object(cut_solver, "KERNEL_BLOCK", block):
-        _assert_blocks_match(g, masks, 0b1_0110_0110_0110_0110, marked)
+        _assert_blocks_match(g, count, 0b1_0110_0110_0110_0110, marked)
 
 
 def test_terminal_table_returns_blocks_done_when_deadline_passes():
@@ -1118,9 +1136,9 @@ def test_deadline_stops_a_long_minimum_cost_decision():
     assert run.fallbacks == 1 and run.timed_out
     # a compression step polls before every terminal split, the first too
     k4 = list(combinations(range(4), 2))
-    assert len(cut_solver._bipartization_compress(4, k4, {3, 4, 5}, 2)) == 2
+    assert len(cut_solver._bipartization_compress(4, k4, {3, 4, 5}, [0, 1, 1, 1], 2)) == 2
     for step in (lambda run: cut_solver.edge_bipartization(4, k4, 2, run),
-                 lambda run: cut_solver._bipartization_compress(4, k4, {3, 4, 5}, 2, run)):
+                 lambda run: cut_solver._bipartization_compress(4, k4, {3, 4, 5}, [0, 1, 1, 1], 2, run)):
         run = SolveContext(deadline=Deadline(0))
         assert step(run) is None and run.timed_out
 
@@ -1416,8 +1434,9 @@ def test_tree_cut_search_matches_per_mask_screen_to_20_vertices(n, k, seed):
             found = find_kq_cut(g, marked, k, q, SolveContext())
         assert found == _per_mask_first_kq_cut(g, marked, k, q), q
         screened = []
-        for masks, crossing, _, _, _ in partition_blocks(g, range(2, (1 << n) - 1, 2)):
-            screened += [m for m in masks[crossing <= k].tolist() if min(_unmarked_inside(g, marked, m)) >= q]
+        for masks, crossing, _, _, _ in partition_blocks(g, 1 << n):
+            screened += [m for m in masks[crossing <= k].tolist()
+                         if m % 2 == 0 and 2 <= m <= (1 << n) - 2 and min(_unmarked_inside(g, marked, m)) >= q]
         assert seen == screened[:screened.index(found) + 1 if found else None]
 
 
@@ -1482,7 +1501,7 @@ def test_literal_q_solve_past_20_vertices_matches_blocked_oracle_in_both_modes(n
     rep = oracle_of(g, frozenset(p), 1)
     assert rep.promise_holds
     for mode in ("exhaustive", "random"):
-        _, value, run = cut_improve(CutInstance(g, frozenset(p), 1), mode=mode, seed=1)
+        _, value, run = cut_improve(CutInstance(g, frozenset(p), 1), mode=mode)
         assert value == rep.neighborhood_value == rep.global_value, mode
         assert run.no_cut_solves == 1 and run.colorings_tried == 0
 
@@ -1508,7 +1527,7 @@ def test_q_override_dumbbells_at_26_and_30_vertices_agree_across_modes(monkeypat
             literal = cut_improve(ci)[1] if n <= cut_solver.ENUM_VERTEX_GUARD else None
             for q in (2, 4):
                 mask, value, run = cut_improve(ci, q_override=q)
-                assert cut_improve(ci, mode="random", seed=5, q_override=q)[:2] == (mask, value)
+                assert cut_improve(ci, mode="random", q_override=q)[:2] == (mask, value)
                 assert run.recurse_steps > 0 and value == cut_value(g, mask)
                 assert literal is None or value == literal, (seed, n, q)
     assert stalled_past_guard
