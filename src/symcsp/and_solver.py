@@ -8,8 +8,8 @@ around the satisfier.  For each coloring of a separating family that gains
 enough non-proposed clauses, the label-1 parts of the proposed clauses
 merge into groups, each costing its proposed clauses; each gained clause,
 worth 1, needs the groups it meets.  A group sharing no gained clause with
-another is kept or dropped by a count, a pair sharing them only with each
-other by four, and three or more groups by a closure selection.
+another is kept or dropped by a count, up to six groups sharing them by
+the values of all their dead sets, and more by a closure selection.
 
 Clauses, variable sets and assignments are bitmasks over the variables
 (bit v stands for variable v) from normalization on; only `solve_and`
@@ -195,10 +195,10 @@ class FlipTable:
     clauses whose N_c holds b, and `spanned` the variables of the proposed
     clauses.  `stack` carries the proposed-clause groups from key to key:
     entry i holds the top i set bits of the last key built (restricted to
-    `spanned`) and their groups, as four parallel lists: the groups'
-    variable masks, their caps, their proposed-clause bitsets (a cap is the
-    bitset's popcount) and their `touching` bitsets, each the OR over the
-    group's bits.  It never holds more than R + 1 entries."""
+    `spanned`), their groups as four parallel lists (the variable masks, the
+    caps, and the proposed-clause and `touching` bitsets, each the OR over
+    the group's bits; a cap is a popcount) and the OR of the clause bitsets.
+    It never holds more than R + 1 entries."""
 
     proposed: tuple  # (V_c, N_c) of every proposed clause
     outside: tuple  # (V_c, N_c) of every other clause
@@ -210,10 +210,6 @@ class FlipTable:
     touching: dict
     spanned: int
     stack: list
-
-    def hits(self, flip: int) -> int:
-        """Bitset of the outside clauses that flipping `flip` satisfies."""
-        return self.low[flip & self.low.mask] & self.high[flip & self.high.mask]
 
 
 def flip_table(inst: AndInstance, alpha: int) -> FlipTable:
@@ -232,7 +228,7 @@ def flip_table(inst: AndInstance, alpha: int) -> FlipTable:
     return FlipTable(
         tuple(proposed), outside, relevant,
         _HalfTable(relevant ^ high, outside), _HalfTable(high, outside), nothing,
-        through, _bit_index(n for _, n in outside), sum(through), [(0, [], [], [], [])],
+        through, _bit_index(n for _, n in outside), sum(through), [(0, [], [], [], [], 0)],
     )
 
 
@@ -259,9 +255,11 @@ def build_flip_class_hypergraph(table: FlipTable, key: int, need: int):
     The groups are carried over from the last key built (union-find with
     rollback, Westbrook-Tarjan 1989): the table's stack keeps the entries
     of the high bits the two keys share and pushes one merge per remaining
-    bit, from high to low.  A merge fuses the bit with every group whose
-    proposed clauses pass through it, and ORs their `touching` bitsets."""
-    hits = table.hits(key)
+    bit, from high to low: the bit fuses with every group whose proposed
+    clauses pass through it, ORing their `touching` bitsets, and when no
+    group's do, it opens a group of its own without scanning them."""
+    low, high = table.low, table.high
+    hits = low[key & low.mask] & high[key & high.mask]
     if hits & table.nothing:
         raise StructureError(
             "clause outside the proposal satisfied by flipping nothing; "
@@ -275,7 +273,7 @@ def build_flip_class_hypergraph(table: FlipTable, key: int, need: int):
     if key != entry[0]:
         top = (key ^ entry[0]).bit_length()  # the bits from `top` up are shared
         del stack[(entry[0] >> top).bit_count() + 1:]
-        prefix, groups, _, clauses, touches = stack[-1]
+        prefix, groups, caps, clauses, touches, covered = stack[-1]
         rest = key & ((1 << top) - 1)
         through, touching = table.through, table.touching
         while rest:
@@ -284,21 +282,27 @@ def build_flip_class_hypergraph(table: FlipTable, key: int, need: int):
             prefix |= bit
             meets = through[bit]
             part, joined, touch = bit, meets, touching.get(bit, 0)
-            kept, kept_clauses, kept_touches = [], [], []
-            for g, c, t in zip(groups, clauses, touches):
-                if c & meets:
-                    part |= g
-                    joined |= c
-                    touch |= t
-                else:
-                    kept.append(g)
-                    kept_clauses.append(c)
-                    kept_touches.append(t)
-            kept.append(part)
-            kept_clauses.append(joined)
-            kept_touches.append(touch)
-            groups, clauses, touches = kept, kept_clauses, kept_touches
-            stack.append((prefix, groups, [c.bit_count() for c in clauses], clauses, touches))
+            if meets & covered:
+                kept, kept_caps, kept_clauses, kept_touches = [], [], [], []
+                for g, n, c, t in zip(groups, caps, clauses, touches):
+                    if c & meets:
+                        part |= g
+                        joined |= c
+                        touch |= t
+                    else:
+                        kept.append(g)
+                        kept_caps.append(n)
+                        kept_clauses.append(c)
+                        kept_touches.append(t)
+                groups, caps, clauses, touches = kept, kept_caps, kept_clauses, kept_touches
+            else:  # no group to merge: copy the lists, as the new entry's own
+                groups, caps, clauses, touches = groups[:], caps[:], clauses[:], touches[:]
+            groups.append(part)
+            caps.append(joined.bit_count())
+            clauses.append(joined)
+            touches.append(touch)
+            covered |= meets
+            stack.append((prefix, groups, caps, clauses, touches, covered))
         entry = stack[-1]
     return entry[1], entry[2], [t & hits for t in entry[4]], hits
 
@@ -310,11 +314,10 @@ def select_flip(table: FlipTable, key: int, sub) -> tuple:
     every optimum (the optima form a lattice, Picard-Queyranne 1980), and
     they split over the parts of the clause-group incidence: a solo group,
     meeting no gained clause another group meets, is dead iff it meets more
-    than its cap (a tie stays alive).  Of a tied pair i, j meeting a and b,
-    the dead are those in every set of {}, {i}, {j}, {i, j} whose value
-    (0, |a & ~b| - cap_i, |b & ~a| - cap_j, |a | b| - cap_i - cap_j) is the
-    largest; three or more tied groups go to `closure_assignment`, with all
-    their gained clauses."""
+    than its cap (a tie stays alive).  Of up to six tied groups, the dead
+    are those in every set d of them of the largest value (the empty set's
+    is 0): the gained clauses meeting d and no other tied group, less the
+    caps in d.  More tied groups go to `closure_assignment`."""
     groups, caps, meets, hits = sub
     seen = shared = 0
     for m in meets:
@@ -323,23 +326,25 @@ def select_flip(table: FlipTable, key: int, sub) -> tuple:
     dead = ()
     if shared:
         tied = [i for i, m in enumerate(meets) if m & shared]
-        if len(tied) == 2:
-            i, j = tied
-            a, b, ci, cj = meets[i], meets[j], caps[i], caps[j]
-            top = both = 0  # the best value so far, and the AND of its dead sets (i = 1, j = 2)
-            for d, value in enumerate(((a & ~b).bit_count() - ci, (b & ~a).bit_count() - cj,
-                                       (a | b).bit_count() - ci - cj), 1):
+        if len(tied) <= 6:
+            ors, cost = [0], [0]  # per dead set d (bit t for tied[t]): OR of meets, sum of caps
+            for i in tied:
+                m, c = meets[i], caps[i]
+                for d in range(len(ors)):
+                    ors.append(ors[d] | m)
+                    cost.append(cost[d] + c)
+            top = both = 0  # the best value so far, and the AND of its dead sets
+            for d, c in enumerate(cost):
+                value = (ors[d] & ~ors[-1 - d]).bit_count() - c
                 if value == top:
                     both &= d
                 elif value > top:
                     top, both = value, d
-            dead = [g for g, d in zip(tied, (1, 2)) if both & d]
+            dead = [i for t, i in enumerate(tied) if both >> t & 1]
         else:
-            rest, edges = seen ^ sum(m for m in meets if not m & shared), []
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                edges.append([t for t, i in enumerate(tied) if meets[i] & bit])
+            rest = seen ^ sum(m for m in meets if not m & shared)
+            edges = [[t for t, i in enumerate(tied) if meets[i] >> c & 1]
+                     for c in range(rest.bit_length()) if rest >> c & 1]
             dead = {tied[t] for t in closure_assignment([caps[i] for i in tied], edges)[0]}
     flip = lost = live = 0
     for i, m in enumerate(meets):
@@ -428,16 +433,18 @@ def solve_satisfiable_p(inst: AndInstance, alpha: int, ctx: SolveContext) -> int
 
     # renormalized: alpha satisfies exactly the proposed clauses
     base_value = len(table.proposed)
+    low, high = table.low, table.high
     best_value = base_value
     best = alpha
     need = 1  # a key must gain at least max(1, best_value - base_value)
-    for key in _coloring_keys(family, table.relevant, inst.fixed, ctx):
+    tried = 0
+    for tried, key in enumerate(_coloring_keys(family, table.relevant, inst.fixed, ctx), 1):
         sub = build_flip_class_hypergraph(table, key, need)
-        ctx.colorings_tried += 1
         if sub is None:
             continue
         flip, lost = select_flip(table, key, sub)
-        value = base_value - lost + table.hits(flip).bit_count()  # flip is within key
+        # flip is within key; the half tables give the clauses it satisfies
+        value = base_value - lost + (low[flip & low.mask] & high[flip & high.mask]).bit_count()
         if value < best_value:
             continue
         cand = alpha ^ flip
@@ -446,6 +453,7 @@ def solve_satisfiable_p(inst: AndInstance, alpha: int, ctx: SolveContext) -> int
             need = max(1, value - base_value)
         elif _precedes(cand, best):
             best = cand
+    ctx.colorings_tried += tried
     return best
 
 

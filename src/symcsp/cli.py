@@ -88,6 +88,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return value
+
+
 def _probability(text):
     value = float(text)
     if not 0.0 < value < 1.0:  # NaN fails every comparison
@@ -153,6 +160,8 @@ def cmd_solve(args):
     # no limit, no deadline: the solvers then never poll a clock
     deadline = None if args.time_limit_ms is None else Deadline(args.time_limit_ms)
     if "edges" in obj and "clauses" not in obj:
+        if args.algo not in ("auto", "cut"):
+            raise SchemaError(f"--algo {args.algo} needs a CSP instance, not a graph")
         graph, p_ids, k = _graph_from_json(obj)
         # each connected component is solved on its own, keeping its sides
         solved, run = solve_components(
@@ -217,7 +226,7 @@ def cmd_solve(args):
         _note_fallbacks(run)
         out["timeout"] = run.timed_out
         out["recurse_steps"] = run.recurse_steps
-    elif algo == "oracle":
+    else:  # the oracle
         if not args.force_oracle and "W1_Hard" in verdicts:
             raise GuardError(
                 "refusing exhaustive search on a hard language without "
@@ -231,8 +240,6 @@ def cmd_solve(args):
             if report.neighborhood_witness is not None
             else report.global_witness
         )
-    else:
-        raise SchemaError(f"unknown algorithm {algo!r}")
     sat = satisfied_set(instance, assignment)
     out.update(
         {
@@ -451,7 +458,7 @@ def build_parser():
         "--input": dict(default="-"),
         "--output": dict(default="-"),
         "--seed": dict(type=int, default=0),
-        "--q-override": dict(type=int, default=None,
+        "--q-override": dict(type=_nonnegative_int, default=None,
                              help="override the balanced-cut size threshold; "
                              "correctness then rests on the oracle checks"),
     }
@@ -475,7 +482,7 @@ def build_parser():
                    "(the cut pipeline is exact in both modes)")
     p.add_argument("--delta", type=_probability, default=DEFAULT_DELTA,
                    help="per-pair failure probability of a random AND family")
-    p.add_argument("--time-limit-ms", type=int, default=None)
+    p.add_argument("--time-limit-ms", type=_nonnegative_int, default=None)
     p.add_argument("--force-oracle", action="store_true")
     p.add_argument("--algo", choices=("auto", "and", "cut", "oracle"),
                    default="auto",

@@ -9,8 +9,8 @@ positive-weight vertices, and vertex v takes at most w(v) of them.
 by augmenting paths and reads the optimum off the residual side reachable
 from the unassigned hyperedges, the same for every maximum assignment, so
 no search or hyperedge order changes the answer.  Its callers are
-`solve_mis_vw` (a `WeightedHypergraph`) and the AND flip search, on three
-or more groups of a key tied by shared gained clauses.
+`solve_mis_vw` (a `WeightedHypergraph`) and the AND flip search, on more
+than six groups of a key tied by shared gained clauses.
 
 `max_flow_min_cut` serves the cut pipeline, which only asks whether a
 minimum cut is within a budget and, if so, for its source side.

@@ -741,23 +741,28 @@ def test_flip_matches_reference_selection(case):
 
 
 @st.composite
-def _tied_pair_sub(draw):
-    """A synthetic (groups, caps, meets, hits) with exactly two tied groups,
-    sharing at least one gained clause, next to up to three solo groups,
-    and the outside clauses' N_c.  Group g is variable bit g; clause c's N_c
-    is one bit above every group, so a flip shows both which groups died and
-    which clauses were reached.  Gained clause kinds: -1 meets no group, 0
-    the first tied group only, 1 the second only, 2 both, 3 + s solo s."""
+def _tied_sub(draw):
+    """A synthetic (groups, caps, meets, hits) with t = 2..8 tied groups,
+    each sharing a gained clause with another, next to up to three solo
+    groups, and the outside clauses' N_c.  Group g is variable bit g;
+    clause c's N_c is one bit above every group, so a flip shows both which
+    groups died and which clauses were reached.  Each gained clause meets a
+    set of groups: a link from every tied group to another, then any sets
+    of tied groups (the empty one included) and single solo groups."""
+    t = draw(st.integers(2, 8))
     solo = draw(st.integers(0, 3))
-    num_groups = solo + 2
-    kinds = [2] + draw(st.lists(st.integers(-1, 2 + solo), max_size=11))
+    num_groups = t + solo
+    kinds = [{g, draw(st.sampled_from([h for h in range(t) if h != g]))} for g in range(t)]
+    kinds += draw(st.lists(st.sets(st.integers(0, t - 1)), max_size=8))
+    if solo:
+        kinds += draw(st.lists(st.integers(t, num_groups - 1).map(lambda g: {g}), max_size=4))
     m = len(kinds) + draw(st.integers(0, 3))  # some outside clauses not gained
     place = draw(st.permutations(range(num_groups)))  # the slot of each group
     slot = draw(st.permutations(range(m)))  # the bit of each clause
     caps = draw(st.lists(st.integers(1, 4), min_size=num_groups, max_size=num_groups))
     meets = [0] * num_groups
     for c, kind in enumerate(kinds):
-        for g in {0: (0,), 1: (1,), 2: (0, 1)}.get(kind, () if kind < 0 else (kind - 1,)):
+        for g in kind:
             meets[place[g]] |= 1 << slot[c]
     groups = [1 << g for g in range(num_groups)]
     outside = [(0, 1 << (num_groups + c)) for c in range(m)]
@@ -766,11 +771,15 @@ def _tied_pair_sub(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_tied_pair_sub())
-def test_tied_pair_matches_the_closure_assignment(case):
-    # a tied pair is decided by its four dead sets, without a flow: its
-    # (flip, lost) is that of closure_assignment run on every group and
-    # every gained clause
+@given(_tied_sub())
+# three tied groups of cap 1: {0, 1} meets two clauses of its own, so it
+# ties with the empty set and every group stays alive
+@example((([1, 2, 4], [1, 1, 1], [0b011, 0b111, 0b100], 0b111),
+          [(0, 1 << 3), (0, 1 << 4), (0, 1 << 5)]))
+def test_tied_groups_match_the_closure_assignment(case):
+    # up to six tied groups are decided by their dead sets, without a flow,
+    # and more go to closure_assignment: either way (flip, lost) is that of
+    # closure_assignment run on every group and every gained clause
     sub, outside = case
     groups, caps, meets, hits = sub
     gained = [c for c in range(len(outside)) if hits >> c & 1]
@@ -779,8 +788,34 @@ def test_tied_pair_matches_the_closure_assignment(case):
     )
     want = (sum(groups[g] for g in dead) | sum(outside[gained[j]][1] for j in reached),
             sum(caps[g] for g in dead))
-    with mock.patch.object(and_solver, "closure_assignment", side_effect=AssertionError):
+    seen = shared = 0
+    for m in meets:
+        shared |= seen & m
+        seen |= m
+    tied = sum(1 for m in meets if m & shared)
+    with mock.patch.object(and_solver, "closure_assignment", wraps=closure_assignment) as flow:
         assert select_flip(SimpleNamespace(outside=outside), 0, sub) == want
+    assert flow.called == (tied > 6)
+
+
+def test_flip_search_sends_seven_tied_groups_to_the_flow():
+    # seven unit clauses wanting x0..x6 at 0 make seven groups of cap 1, and
+    # two copies of x_i = x_{i+1} = 1 for each i < 6 tie them in a chain:
+    # only the key of all seven reaches closure_assignment, and flipping
+    # everything gains 12 clauses for 7
+    rows = [((1,), (v,)) for v in range(7)]
+    rows += [((0, 0), (v, v + 1)) for v in range(6) for _ in range(2)]
+    inst, prop = and_inst(7, rows, set(range(7)), 19)
+    calls = []
+
+    def spy(caps, edges):
+        calls.append(len(caps))
+        return closure_assignment(caps, edges)
+
+    with mock.patch.object(and_solver, "closure_assignment", spy):
+        out, run = solve_and(inst, prop)
+    assert calls == [7] and run.colorings_tried == (1 << 7) - 1
+    assert out == (1,) * 7 and len(satisfied_set(inst, out)) == 12
 
 
 def _ref_groups(table, key):
@@ -831,6 +866,38 @@ def test_carried_groups_match_the_per_key_merge(case, rng):
                 sorted(g for g in ref_groups if g & n) for n in gained
             ]
             assert len(table.stack) <= relevant.bit_count() + 1
+
+
+@pytest.mark.parametrize("polls", [0, 1, 40])
+def test_deadline_stopped_walk_counts_every_built_key(polls):
+    # a deadline that passes before the walk, at its first key or in its
+    # middle: colorings_tried is still one per build call
+    inst, prop = _sparse_inst(10, list(range(8)), 3)
+    calls = []
+    real_build = and_solver.build_flip_class_hypergraph
+
+    def build(*args):
+        calls.append(args)
+        return real_build(*args)
+
+    class Polls:
+        """Expires at poll number `polls` (0 = the first)."""
+
+        def __init__(self):
+            self.left = polls
+
+        def expired(self):
+            self.left -= 1
+            return self.left < 0
+
+    ren = renormalize(and_instance_from(inst, prop), 0)  # all zeros satisfies the proposal
+    for deadline in (Deadline(0), Polls()):
+        calls.clear()
+        ctx = SolveContext(deadline=deadline)
+        with mock.patch.object(and_solver, "build_flip_class_hypergraph", build):
+            solve_satisfiable_p(ren, 0, ctx)
+        assert ctx.timed_out and ctx.colorings_tried == len(calls)
+    assert len(calls) == polls < (1 << 8) - 1
 
 
 def test_pruned_keys_count_but_run_no_selection():
@@ -913,7 +980,8 @@ def test_half_tables_match_the_direct_scan(case):
     assert table.high.mask == relevant ^ table.low.mask
     for key in _submasks(relevant):
         direct = [j for j, (v, n) in enumerate(outside) if key & v == n]
-        assert table.hits(key) == sum(1 << j for j in direct)
+        low, high = table.low, table.high
+        assert low[key & low.mask] & high[key & high.mask] == sum(1 << j for j in direct)
         gained = [outside[j][1] for j in direct]
         if 0 in gained:
             for need in (0, len(gained) + 1):

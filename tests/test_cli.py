@@ -440,6 +440,42 @@ def test_delta_outside_the_open_unit_interval_is_a_usage_error(what, delta, tmp_
     assert "must lie in (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--time-limit-ms", "-5"],
+    ["solve", "--q-override", "-1"],
+    ["verify", "--q-override", "-1"],
+])
+def test_negative_limits_are_usage_errors(argv, tmp_path, capsys):
+    # a negative time limit would read as a passed deadline and a negative q
+    # as 0; 0 itself stays valid for both
+    from symcsp.cli import main
+
+    path = tmp_path / "i.json"
+    assert main(["gen", "--what", "and", "--seed", "4", "--output", str(path)]) == 0
+    if argv[0] == "solve":
+        argv = argv + ["--input", str(path)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "must be a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["and", "oracle"])
+def test_graph_instance_rejects_a_csp_algorithm(algo, tmp_path, capsys):
+    # a graph instance runs the cut pipeline only, so asking for another
+    # solver is a schema error, as --algo cut is on a CSP AND instance
+    from symcsp.cli import main
+
+    path = tmp_path / "g.json"
+    assert main(["gen", "--what", "cut", "--seed", "9", "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--input", str(path), "--algo", algo]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"schema error: --algo {algo}" in err
+    for accepted in ("auto", "cut"):
+        assert main(["solve", "--input", str(path), "--algo", accepted]) == 0
+
+
 @pytest.mark.parametrize("graph", [
     {"num_vertices": 10 ** 8, "k": 1, "edges": [{"u": 0, "v": 1, "type": 1, "in_P": True}]},
     {"k": 1, "edges": [{"u": 0, "v": 10 ** 9, "type": 1, "in_P": True}]},
