@@ -767,7 +767,7 @@ def _tied_sub(draw):
     groups = [1 << g for g in range(num_groups)]
     outside = [(0, 1 << (num_groups + c)) for c in range(m)]
     hits = sum(1 << slot[c] for c in range(len(kinds)))
-    return (groups, caps, meets, hits), outside
+    return (groups, caps, meets, hits), outside, t
 
 
 @settings(max_examples=500, deadline=None)
@@ -775,12 +775,12 @@ def _tied_sub(draw):
 # three tied groups of cap 1: {0, 1} meets two clauses of its own, so it
 # ties with the empty set and every group stays alive
 @example((([1, 2, 4], [1, 1, 1], [0b011, 0b111, 0b100], 0b111),
-          [(0, 1 << 3), (0, 1 << 4), (0, 1 << 5)]))
+          [(0, 1 << 3), (0, 1 << 4), (0, 1 << 5)], 3))
 def test_tied_groups_match_the_closure_assignment(case):
     # up to six tied groups are decided by their dead sets, without a flow,
     # and more go to closure_assignment: either way (flip, lost) is that of
     # closure_assignment run on every group and every gained clause
-    sub, outside = case
+    sub, outside, t = case
     groups, caps, meets, hits = sub
     gained = [c for c in range(len(outside)) if hits >> c & 1]
     dead, reached = closure_assignment(
@@ -788,14 +788,9 @@ def test_tied_groups_match_the_closure_assignment(case):
     )
     want = (sum(groups[g] for g in dead) | sum(outside[gained[j]][1] for j in reached),
             sum(caps[g] for g in dead))
-    seen = shared = 0
-    for m in meets:
-        shared |= seen & m
-        seen |= m
-    tied = sum(1 for m in meets if m & shared)
     with mock.patch.object(and_solver, "closure_assignment", wraps=closure_assignment) as flow:
         assert select_flip(SimpleNamespace(outside=outside), 0, sub) == want
-    assert flow.called == (tied > 6)
+    assert flow.called == (t > 6)
 
 
 def test_flip_search_sends_seven_tied_groups_to_the_flow():
