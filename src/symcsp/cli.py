@@ -28,6 +28,7 @@ from .core import (
     dumps_canonical,
     instance_from_json,
     instance_to_json,
+    json_bool,
     json_int,
     json_ints,
     require_ints,
@@ -133,7 +134,7 @@ def _graph_from_json(obj):
             for i, r in enumerate(rows)
         )
         n = json_int(obj.get("num_vertices", max((max(e.u, e.v) for e in edges), default=-1) + 1))
-        p = frozenset(i for i, r in enumerate(rows) if r["in_P"])
+        p = frozenset(i for i, r in enumerate(rows) if json_bool(r["in_P"]))
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad graph object: {e}")
     if k < 0:

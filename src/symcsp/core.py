@@ -152,10 +152,6 @@ class Instance:
                         f"clause {c.id}: scope var {v} out of range 0..{self.num_vars - 1}"
                     )
 
-    @property
-    def size(self) -> int:
-        return max(self.num_vars, len(self.clauses))
-
     def is_and_family(self) -> bool:
         return all(c.language.is_and_family() for c in self.clauses)
 
@@ -229,6 +225,13 @@ def json_int(x) -> int:
     return x
 
 
+def json_bool(x) -> bool:
+    """`x` if it is a JSON boolean; any other value raises TypeError."""
+    if type(x) is not bool:
+        raise TypeError(f"{x!r} is not a boolean")
+    return x
+
+
 def json_ints(xs) -> tuple:
     """The items of the JSON list `xs` as a tuple, checked by `require_ints`."""
     xs = tuple(xs)
@@ -245,6 +248,8 @@ def instance_from_json(obj) -> tuple:
         num_vars = json_int(obj["num_vars"])
         k = json_int(obj["k"])
         raw_clauses = obj["clauses"]
+        if type(raw_clauses) is not list:
+            raise TypeError(f"clauses {raw_clauses!r} is not a list")
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad instance object: {e}")
     if mode not in ("sym", "and", "multi"):
@@ -265,7 +270,7 @@ def instance_from_json(obj) -> tuple:
         try:
             neg = json_ints(rc["neg"])
             scope = json_ints(rc["scope"])
-            in_p = bool(rc["in_P"])
+            in_p = json_bool(rc["in_P"])
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad clause {i}: {e}")
         if mode == "sym":

@@ -46,7 +46,6 @@ from .core import (
 from .flow import FlowNetwork, max_flow_min_cut
 
 ENUM_VERTEX_GUARD = 26
-BRUTE_FORCE_VERTICES = 12  # the minimum-cost pass enumerates below this
 KERNEL_BLOCK = 1 << 14  # divides 2^WINDOW_BITS, so each partition block lies in one window
 KQ_CUT_CANDIDATES = 1 << 20  # candidate masks find_kq_cut builds at most, in 64-bit words
 KQ_FLOAT32_EDGES = 1 << 23  # below it find_kq_cut's sums (<= 2|E|) are exact in float32
@@ -271,19 +270,11 @@ def assemble_assignment(num_vars: int, solved_components) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Exact minimum-cost pass (decision form): a partition violating at most k
-# edges, if one exists.  Gadget: each type-0 edge becomes two type-1 edges
-# through a fresh vertex, reducing to edge bipartization, solved by
-# iterative compression; below 12 vertices a brute-force pass decides.
+# Exact minimum-cost pass: a partition violating the fewest edges, if that
+# is at most a bound.  Gadget: each type-0 edge becomes two type-1 edges
+# through a fresh vertex, reducing to edge bipartization, solved by one
+# minimizing pass of iterative compression (Guo et al. 2006).
 # ---------------------------------------------------------------------------
-
-
-def mincsp_2ae_bruteforce(graph: CutGraph, k: int):
-    # the first mask of the highest value: (value, -mask) is largest
-    blocks = partition_blocks(graph, 1 << max(graph.num_vertices - 1, 0))
-    value, neg_mask = max((int(v.max()), -int(m[v.argmax()])) for m, _, v, _, _ in blocks)
-    cost = len(graph.edges) - value
-    return (-neg_mask, cost) if cost <= k else None
 
 
 def _join_opposite(sets: DisjointSets, n: int, u: int, v: int) -> bool:
@@ -373,25 +364,32 @@ def _bipartization_compress(num_vertices: int, arcs, removed, psi, k: int, run: 
 
 
 def edge_bipartization(num_vertices: int, arcs, k: int, run: SolveContext | None = None):
-    """Iterative compression: (arc-id deletion set of size <= k, coloring of
-    the kept arcs, read from the parity union-find they stay joined in, so
-    testing an arc is one union-find step) or None.  Each compression step
-    polls `run`'s deadline before its first split; once it has passed, None."""
-    removed = set()
+    """One minimizing pass of iterative compression: (arc-id deletion set,
+    coloring of the kept arcs, read from the parity union-find they stay
+    joined in, so testing an arc is one union-find step).  Up to k the
+    set's size `budget` is the minimum for the prefix seen: an arc closing
+    an odd cycle joins the set, which is then compressed to `budget` or
+    else raises it by one.  Past k, or once `run`'s deadline (polled
+    before each terminal split) has passed, an odd arc just joins the set;
+    k = -1 never compresses."""
+    removed, budget = set(), 0
     sets = DisjointSets(range(2 * num_vertices))
     for i, (u, v) in enumerate(arcs):
         if _join_opposite(sets, num_vertices, u, v):
             continue
         removed.add(i)
-        if len(removed) > k:
-            # the union-find has joined exactly the prefix's kept arcs
-            psi = _parity_coloring(sets, num_vertices)
-            removed = _bipartization_compress(num_vertices, arcs[: i + 1], removed, psi, k, run)
-            if removed is None:
-                return None
-            sets = DisjointSets(range(2 * num_vertices))
-            kept = [arcs[j] for j in range(i + 1) if j not in removed]
-            _require(all(_join_opposite(sets, num_vertices, *a) for a in kept), "odd cycle kept")
+        if budget > k or (run is not None and run.timed_out):
+            continue
+        # the union-find has joined exactly the prefix's kept arcs
+        psi = _parity_coloring(sets, num_vertices)
+        smaller = _bipartization_compress(num_vertices, arcs[: i + 1], removed, psi, budget, run)
+        if smaller is None:
+            budget += 1
+            continue
+        removed = smaller
+        sets = DisjointSets(range(2 * num_vertices))
+        kept = [arcs[j] for j in range(i + 1) if j not in removed]
+        _require(all(_join_opposite(sets, num_vertices, *a) for a in kept), "odd cycle kept")
     return removed, _parity_coloring(sets, num_vertices)
 
 
@@ -416,56 +414,25 @@ def _gadget_arcs(graph: CutGraph) -> tuple:
     return gadget_n, arcs, loop_cost
 
 
-def mincsp_2ae_compression(graph: CutGraph, k: int, run: SolveContext | None = None):
-    """(mask, cost) of a partition violating <= k edges, or None; also None
-    once `run`'s deadline has passed (see `edge_bipartization`)."""
+def mincsp_2ae(graph: CutGraph, bound: int, run: SolveContext | None = None):
+    """(mask, minimum cost) if the minimum is at most `bound`, else None;
+    also None once `run`'s deadline has passed, since a compression it cut
+    short proves no minimum."""
     gadget_n, arcs, loop_cost = _gadget_arcs(graph)
-    if loop_cost > k:
+    removed, coloring = edge_bipartization(gadget_n, arcs, bound - loop_cost, run)
+    cost = loop_cost + len(removed)
+    if cost > bound or (run is not None and run.timed_out):
         return None
-    found = edge_bipartization(gadget_n, arcs, k - loop_cost, run)
-    if found is None:
-        return None
-    mask = sum(found[1][v] << v for v in range(graph.num_vertices))
-    cost = len(graph.edges) - cut_value(graph, mask)
-    if cost > k:
-        return None
-    return mask, cost
-
-
-def mincsp_2ae(graph: CutGraph, k: int, run: SolveContext | None = None):
-    """Exact decision solver; brute force below BRUTE_FORCE_VERTICES, and
-    from there compression, which `run`'s deadline stops with None."""
-    if graph.num_vertices < BRUTE_FORCE_VERTICES:
-        return mincsp_2ae_bruteforce(graph, k)
-    return mincsp_2ae_compression(graph, k, run)
+    return sum(coloring[v] << v for v in range(graph.num_vertices)), cost
 
 
 def greedy_partition(graph: CutGraph) -> int:
-    """The fallback start: the first pass of `edge_bipartization`, keeping
-    each gadget arc in turn unless it closes an odd cycle with the arcs kept
-    before it, then the 2-coloring of the kept arcs: a budget of 2|E| is at
-    least the gadget arc count, so `edge_bipartization` never compresses."""
-    return mincsp_2ae_compression(graph, 2 * len(graph.edges))[0]
-
-
-def mincsp_2ae_minimum(graph: CutGraph, bound: int, run: SolveContext):
-    """(mask, minimum cost) if the minimum is at most `bound`, else None.
-    Below BRUTE_FORCE_VERTICES one brute-force pass finds the minimum
-    whatever the bound; from there compression decides k = 0, 1, ..., bound
-    in turn, and gives None once `run`'s deadline, polled between decisions
-    and inside them, has passed."""
-    if graph.num_vertices < BRUTE_FORCE_VERTICES:
-        return mincsp_2ae(graph, len(graph.edges))
-    top = min(bound, len(graph.edges))
-    for k in range(top + 1):
-        if k and run.expired():
-            return None
-        out = mincsp_2ae(graph, k, run)
-        if out is not None:
-            return out
-    _require(top < len(graph.edges) or run.timed_out,
-             "minimum-cost pass found no partition within |edges| violations")
-    return None
+    """The fallback start: `edge_bipartization` with k = -1, keeping each
+    gadget arc in turn unless it closes an odd cycle with the arcs kept
+    before it, then the 2-coloring of the kept arcs."""
+    gadget_n, arcs, _ = _gadget_arcs(graph)
+    coloring = edge_bipartization(gadget_n, arcs, -1)[1]
+    return sum(coloring[v] << v for v in range(graph.num_vertices))
 
 
 def edge_to_vertex_solution(ci: CutInstance, run: SolveContext) -> tuple:
@@ -480,7 +447,7 @@ def edge_to_vertex_solution(ci: CutInstance, run: SolveContext) -> tuple:
     """
     sub_edges = tuple(e for e in ci.graph.edges if e.id in ci.p_ids)
     sub = CutGraph(ci.graph.num_vertices, sub_edges)
-    out = mincsp_2ae_minimum(sub, ci.k, run)
+    out = mincsp_2ae(sub, ci.k, run)
     if out is None:
         run.fallbacks += 1
         return greedy_partition(sub), 3 * ci.k

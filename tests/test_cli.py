@@ -1,11 +1,15 @@
+import io
 import json
 import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 BASE = [sys.executable, "-m", "symcsp.cli"]
 
@@ -616,6 +620,90 @@ def test_integer_fields_reject_bools_floats_and_strings(name, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("schema error: ")
     assert "is not an integer" in out.err and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["no", 1, 0, None, [True]])
+@pytest.mark.parametrize("form", ["csp", "graph"])
+def test_in_p_accepts_only_json_booleans(form, value, tmp_path, capsys):
+    # any truthy value once counted as proposed
+    from symcsp.cli import main
+
+    row = {"neg": [0, 0], "scope": [0, 1]} if form == "csp" else {"u": 0, "v": 1, "type": 1}
+    doc = {"num_vertices": 2, "k": 0, "edges": [{**row, "in_P": value}]}
+    if form == "csp":
+        doc = {"mode": "sym", "r": 2, "S": [0, 2], "num_vars": 2, "k": 0,
+               "clauses": [{**row, "in_P": value}]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("schema error: ") and "is not a boolean" in out.err
+
+
+# one valid document per JSON reader, each read by the subcommands listed
+FUZZ_BASES = [
+    ([["solve"], ["reduce", "--source", "2sat", "--r", "3"], ["reduce", "--source", "mincsp"],
+      ["reduce", "--source", "pad-ae"]],
+     {"mode": "sym", "r": 2, "S": [0, 2], "num_vars": 3, "k": 1, "clauses": [
+         {"neg": [0, 0], "scope": [0, 1], "in_P": True},
+         {"neg": [0, 1], "scope": [1, 2], "in_P": False}]}),
+    ([["solve"], ["reduce", "--source", "2sat", "--r", "3"]],
+     {"mode": "and", "num_vars": 3, "k": 1, "clauses": [
+         {"neg": [0, 1], "scope": [0, 1], "in_P": True},
+         {"neg": [1], "scope": [2], "in_P": False}]}),
+    ([["solve"], ["reduce", "--source", "pad-ae"]],
+     {"mode": "multi", "num_vars": 3, "k": 1, "clauses": [
+         {"neg": [0, 0, 1], "scope": [0, 1, 2], "S": [0, 3], "in_P": True},
+         {"neg": [0, 1], "scope": [1, 2], "S": [0, 2], "in_P": False}]}),
+    ([["solve"]],
+     {"num_vertices": 3, "k": 1, "edges": [
+         {"u": 0, "v": 1, "type": 1, "in_P": True},
+         {"u": 1, "v": 2, "type": 0, "in_P": False},
+         {"u": 0, "v": 2, "type": 1, "in_P": True}]}),
+    ([["misvw"]], {"num_vertices": 3, "hyperedges": [[0, 1], [1, 2]], "weights": [1, -2, 1]}),
+]
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _fuzzed(draw, base):
+    """`base` with some of its values, at any depth, replaced by JSON values,
+    and some of its object keys dropped."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(_json_values)
+    if isinstance(base, dict):
+        return {key: draw(_fuzzed(v)) for key, v in base.items() if draw(st.integers(0, 9))}
+    if isinstance(base, list):
+        return [draw(_fuzzed(v)) for v in base]
+    return base
+
+
+_fuzz_cases = st.sampled_from(FUZZ_BASES).flatmap(
+    lambda base: st.tuples(st.sampled_from(base[0]), _fuzzed(base[1])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fuzz_cases)
+# "clauses" that is not a list was once iterated outside the schema check
+@example((["solve"], {**FUZZ_BASES[0][1], "clauses": 5}))
+@example((["reduce", "--source", "mincsp"], {**FUZZ_BASES[0][1], "clauses": None}))
+def test_no_json_value_makes_a_subcommand_raise(tmp_path_factory, case):
+    # every failure maps to a schema, guard or verification exit code
+    from symcsp.cli import main
+
+    argv, doc = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--input", str(path)])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert (code == 0) == (out.getvalue() != "")
 
 
 @pytest.mark.parametrize("argv, doc, message", [

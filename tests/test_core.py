@@ -152,16 +152,6 @@ def test_normalize_language_matches_characteristic_vector_definition():
             assert normalize_language(r, counts).counts == expected, (r, sorted(counts))
 
 
-def test_instance_size():
-    assert make_instance(2, [((0, 0), (0, 1), EQ2)]).size == 2
-    assert Instance(1, ()).size == 1
-    many = make_instance(
-        2,
-        [((0, 0), (0, 1), EQ2), ((0, 1), (0, 1), EQ2), ((1, 1), (0, 1), EQ2)],
-    )
-    assert many.size == 3
-
-
 def test_and_family_accepts_both_count_forms():
     # conjunction relations written as all-zero counts: neg gives the
     # satisfying pattern directly
@@ -315,6 +305,9 @@ def test_json_round_trip_modes():
             "k": 0,
             "clauses": [{"neg": [0, 0], "scope": [0, 4], "in_P": False}],
         },
+        {"mode": "and", "num_vars": 1, "k": 0, "clauses": 5},
+        {"mode": "and", "num_vars": 1, "k": 0, "clauses": None},
+        {"mode": "and", "num_vars": 1, "k": 0, "clauses": [{"neg": [0], "scope": [0], "in_P": "no"}]},
     ],
 )
 def test_json_schema_errors(obj):

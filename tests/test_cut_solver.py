@@ -32,9 +32,6 @@ from symcsp.cut_solver import (
     literal_q,
     matching_conflict,
     mincsp_2ae,
-    mincsp_2ae_bruteforce,
-    mincsp_2ae_compression,
-    mincsp_2ae_minimum,
     partition_blocks,
     recurse_step,
     satisfied_edges,
@@ -171,35 +168,12 @@ def _mask_of(assignment, verts):
 
 def test_mincsp_examples():
     even_cycle = graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
-    mask, cost = mincsp_2ae_minimum(even_cycle, 4, SolveContext())
+    mask, cost = mincsp_2ae(even_cycle, 4, SolveContext())
     assert cost == 0
 
     triangle = graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    assert mincsp_2ae_minimum(triangle, 3, SolveContext())[1] == 1
+    assert mincsp_2ae(triangle, 3, SolveContext())[1] == 1
     assert mincsp_2ae(triangle, 0) is None
-
-
-def test_mincsp_compression_matches_bruteforce():
-    rng = random.Random(32)
-    for _ in range(100):
-        g = _random_connected_graph(rng, rng.randint(2, 8), rng.randint(0, 7))
-        k = rng.randint(0, 4)
-        a = mincsp_2ae_bruteforce(g, k)
-        b = mincsp_2ae_compression(g, k)
-        # decision agreement; the compression certificate need not be minimum
-        assert (a is None) == (b is None), (g, k)
-        if b is not None:
-            mask, cost = b
-            assert len(g.edges) - cut_value(g, mask) == cost <= k
-
-
-def test_mincsp_minimum_agrees_across_solvers():
-    rng = random.Random(38)
-    for _ in range(40):
-        g = _random_connected_graph(rng, rng.randint(2, 7), rng.randint(0, 6))
-        _, brute_min = mincsp_2ae_minimum(g, len(g.edges), SolveContext())
-        comp_min = next(k for k in range(len(g.edges) + 1) if mincsp_2ae_compression(g, k))
-        assert brute_min == comp_min
 
 
 def test_edge_to_vertex_examples():
@@ -478,13 +452,9 @@ def test_solve_2ae_end_to_end():
         assert len(satisfied_set(inst, a)) >= rep.neighborhood_value, seed
 
 
-def test_cut_improve_with_forced_compression_preprocessing(monkeypatch):
-    # from 12 vertices on the minimum-cost pass takes the iterative
-    # compression path by itself; brute force is made unreachable to show it
-    def no_brute(graph, k):
-        raise AssertionError("brute-force minimum-cost pass used")
-
-    monkeypatch.setattr(cut_solver, "mincsp_2ae_bruteforce", no_brute)
+def test_cut_improve_with_forced_compression_preprocessing():
+    # proposals within k of an optimum's satisfied set: the minimum-cost
+    # pass and the recursion reach the optimum
     rng = random.Random(40)
     checked = 0
     for trial in range(10):
@@ -696,16 +666,20 @@ def _ref_bipartization_compress(num_vertices, arcs, removed, k):
 
 
 def _ref_edge_bipartization(num_vertices, arcs, k):
-    removed = set()
+    """The minimizing pass, testing each prefix's kept arcs by a fresh
+    2-coloring and compressing by `_ref_bipartization_compress`."""
+    removed, budget = set(), 0
     for i in range(len(arcs)):
         current = [arcs[j] for j in sorted(set(range(i + 1)) - removed)]
         if _ref_two_coloring(num_vertices, current) is not None:
             continue
         removed.add(i)
-        if len(removed) > k:
-            removed = _ref_bipartization_compress(num_vertices, arcs[: i + 1], removed, k)
-            if removed is None:
-                return None
+        if len(removed) > budget and budget <= k:
+            smaller = _ref_bipartization_compress(num_vertices, arcs[: i + 1], removed, budget)
+            if smaller is None:
+                budget += 1
+            else:
+                removed = smaller
     return removed
 
 
@@ -815,11 +789,20 @@ def test_kq_cut_screen_matches_per_mask_checks(case, k, q, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_connected_multigraph(), st.integers(0, 6))
-def test_bruteforce_minimum_matches_per_mask_loop(case, k):
+@given(_connected_multigraph(), st.integers(0, 6), st.sets(st.integers(0, 26)))
+@example((graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]), 0), 0, set())  # an odd triangle
+def test_minimum_cost_pass_matches_per_mask_loop(case, k, dropped):
+    # dropping edges, as the proposal's subgraph does, disconnects some graphs
     g, _ = case
-    assert mincsp_2ae_bruteforce(g, k) == _ref_bruteforce(g, k)
-    assert mincsp_2ae_minimum(g, len(g.edges), SolveContext()) == _ref_bruteforce(g, len(g.edges))
+    g = CutGraph(g.num_vertices, tuple(e for e in g.edges if e.id not in dropped))
+    for bound in (k, len(g.edges)):
+        ref = _ref_bruteforce(g, bound)
+        found = mincsp_2ae(g, bound, SolveContext())
+        assert (found is None) == (ref is None), bound
+        if found is not None:
+            # the minimum cost, witnessed by the mask; the per-mask loop's
+            # first minimum need not be the pass's
+            assert found[1] == ref[1] == len(g.edges) - cut_value(g, found[0])
 
 
 _arcs_and_budget = st.integers(1, 9).flatmap(lambda n: st.tuples(
@@ -832,16 +815,16 @@ _arcs_and_budget = st.integers(1, 9).flatmap(lambda n: st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(_arcs_and_budget)
 @example((5, [(0, 1), (1, 2), (0, 2), (3, 4)], 1))  # two components, arc 2 removed
+@example((4, list(combinations(range(4), 2)) * 2, 1))  # doubled K4: the budget passes k
 def test_edge_bipartization_matches_quadratic_reference(case):
     n, arcs, k = case
     removed = _ref_edge_bipartization(n, arcs, k)
-    found = cut_solver.edge_bipartization(n, arcs, k)
-    if removed is None:
-        assert found is None
-        return
+    # a minimum deletion set while the minimum is at most k, larger after
+    least = min(sum((c >> u & 1) == (c >> v & 1) for u, v in arcs) for c in range(1 << n))
+    assert len(removed) == least if least <= k else len(removed) > k
     # the coloring is read from the union-find the kept arcs stay joined in
     kept = [a for i, a in enumerate(arcs) if i not in removed]
-    assert found == (removed, _ref_two_coloring(n, kept))
+    assert cut_solver.edge_bipartization(n, arcs, k) == (removed, _ref_two_coloring(n, kept))
 
 
 @settings(max_examples=300, deadline=None)
@@ -861,9 +844,10 @@ def test_compression_steps_get_the_kept_arcs_coloring(case):
     with mock.patch.object(cut_solver, "_bipartization_compress", spy):
         cut_solver.edge_bipartization(n, arcs, k)
     assert all(psi == ref for psi, ref in colorings)
-    # a budget of every arc never compresses: the pass before the first step
-    greedy, _ = cut_solver.edge_bipartization(n, arcs, len(arcs))
-    assert bool(colorings) == (len(greedy) > k)
+    # k = -1 never compresses: the pass before the first step, which the
+    # first arc closing an odd cycle starts
+    greedy, _ = cut_solver.edge_bipartization(n, arcs, -1)
+    assert bool(colorings) == bool(greedy)
 
 
 def _ref_partition_blocks(g, count, a_mask, marked):
@@ -1085,45 +1069,29 @@ def test_cut_improve_literal_q_matches_oracle_15_to_20_vertices():
         assert stats.recurse_steps == 0 and not stats.timed_out
 
 
-def test_minimum_cost_pass_raises_verification_error(monkeypatch):
-    from symcsp.core import VerificationError
-
-    monkeypatch.setattr(cut_solver, "mincsp_2ae", lambda graph, k, run: None)
-    # from 12 vertices on the minimum is the compression loop over k
-    cycle = graph(12, [(v, (v + 1) % 12, 1) for v in range(12)])
-    with pytest.raises(VerificationError):
-        mincsp_2ae_minimum(cycle, 12, SolveContext())
-
-    # a decision the deadline cut short is no evidence against the invariant
-    def out_of_time_at_the_last(graph, k, run):
-        run.timed_out = k == 12
-        return None
-
-    monkeypatch.setattr(cut_solver, "mincsp_2ae", out_of_time_at_the_last)
-    assert mincsp_2ae_minimum(cycle, 12, SolveContext()) is None
-
-
 def _complete_graph(n):
     return graph(n, [(u, v, 1) for u, v in combinations(range(n), 2)])
 
 
 def test_minimum_cost_step_decides_only_up_to_the_bound():
     k12 = _complete_graph(12)  # minimum cost 30
-    assert mincsp_2ae_minimum(k12, 2, SolveContext()) is None
+    assert mincsp_2ae(k12, 2, SolveContext()) is None
     star = CutGraph(12, k12.edges[:13])  # the star at 0 and two triangles through it
-    mask, cost = mincsp_2ae_minimum(star, 2, SolveContext())
+    mask, cost = mincsp_2ae(star, 2, SolveContext())
     assert cost == 1 == 13 - cut_value(star, mask)
-    # the deadline is polled between decisions; the first always runs
+    # the deadline is polled before each terminal split, the first too
     run = SolveContext(deadline=Deadline(0))
-    assert mincsp_2ae_minimum(k12, 5, run) is None and run.timed_out
-    # below the compression threshold one brute-force pass finds the
-    # minimum whatever the bound
-    assert mincsp_2ae_minimum(_complete_graph(5), 0, SolveContext())[1] == 4
+    assert mincsp_2ae(k12, 5, run) is None and run.timed_out
+    # at every size the pass gives the minimum only up to the bound
+    k5 = _complete_graph(5)  # minimum cost 4
+    assert mincsp_2ae(k5, 0, SolveContext()) is None
+    mask, cost = mincsp_2ae(k5, 4, SolveContext())
+    assert cost == 4 == 10 - cut_value(k5, mask)
 
 
 def test_deadline_stops_a_long_minimum_cost_decision():
-    # the decision at k = 8 alone runs for seconds, so the deadline must be
-    # polled inside it; the solve then starts from the greedy partition
+    # the pass at bound 9 runs for seconds, so the deadline must be polled
+    # inside its compressions; the solve then starts from the greedy partition
     rng = random.Random(5)
     rows = []
     for _ in range(90):
@@ -1137,7 +1105,7 @@ def test_deadline_stops_a_long_minimum_cost_decision():
     # a compression step polls before every terminal split, the first too
     k4 = list(combinations(range(4), 2))
     assert len(cut_solver._bipartization_compress(4, k4, {3, 4, 5}, [0, 1, 1, 1], 2)) == 2
-    for step in (lambda run: cut_solver.edge_bipartization(4, k4, 2, run),
+    for step in (lambda run: mincsp_2ae(graph(4, [(u, v, 1) for u, v in k4]), 2, run),
                  lambda run: cut_solver._bipartization_compress(4, k4, {3, 4, 5}, [0, 1, 1, 1], 2, run)):
         run = SolveContext(deadline=Deadline(0))
         assert step(run) is None and run.timed_out
@@ -1171,8 +1139,9 @@ def test_cut_improve_does_not_recheck_a_built_instance(loop):
 
 def test_promise_violating_minimum_cost_step_falls_back(tmp_path, capsys):
     # K13 with every edge proposed as type 1 has minimum cost 36 > k = 1:
-    # the minimum-cost step stops after deciding costs 0 and 1 and starts
-    # from the greedy partition (vertex 0 against the rest), counted
+    # the minimum-cost pass stops compressing once its budget passes 1, and
+    # the solve starts from the greedy partition (vertex 0 against the
+    # rest), counted
     k13 = _complete_graph(13)
     mask, value, run = cut_improve(CutInstance(k13, frozenset(range(78)), 1))
     assert run.fallbacks == 1 and not run.timed_out
@@ -1204,6 +1173,27 @@ def test_promise_violating_minimum_cost_step_falls_back(tmp_path, capsys):
     path.write_text(json.dumps({"num_vertices": 13, "k": 1, "edges": path_rows}))
     assert cli.main(["solve", "--input", str(path)]) == 0
     assert "note:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [3, 11, 12])
+def test_promise_signal_does_not_depend_on_size(n, tmp_path, capsys):
+    # an odd triangle (two equal edges, one unequal) proposed whole at k = 0,
+    # padded with a path of proposed equal edges: minimum cost 1 > k at
+    # every size, so every size notes the fallback; the answer keeps every
+    # edge but the unequal one, as before the note appeared at 3 and 11
+    rows = [(0, 1, 0), (1, 2, 0), (0, 2, 1)] + [(v, v + 1, 0) for v in range(2, n - 1)]
+    g = graph(n, rows)
+    _, run = cut_solver.solve_components(split_components(g, range(n), frozenset(range(len(rows))), 0))
+    assert run.fallbacks == 1 and not run.timed_out
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"num_vertices": n, "k": 0, "edges": [
+        {"u": u, "v": v, "type": t, "in_P": True} for u, v, t in rows]}))
+    assert cli.main(["solve", "--input", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.err.startswith("note: the minimum-cost step gave up on 1 component(s)")
+    satisfied = [i for i in range(len(rows)) if i != 2]
+    assert json.loads(out.out) == {"recurse_steps": 0, "satisfied": satisfied, "side": [0] * n,
+                                   "timeout": False, "value": n - 1}
 
 
 # ---------------------------------------------------------------------------
