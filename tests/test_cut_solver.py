@@ -176,6 +176,30 @@ def test_mincsp_examples():
     assert mincsp_2ae(triangle, 0) is None
 
 
+def test_mincsp_compression_matches_bruteforce():
+    rng = random.Random(32)
+    for _ in range(100):
+        g = _random_connected_graph(rng, rng.randint(2, 8), rng.randint(0, 7))
+        k = rng.randint(0, 4)
+        ref = _ref_bruteforce(g, k)
+        found = mincsp_2ae(g, k, SolveContext())
+        assert (found is None) == (ref is None), (g, k)
+        if found is not None:
+            mask, cost = found
+            assert len(g.edges) - cut_value(g, mask) == cost == ref[1] <= k
+
+
+def test_mincsp_minimum_agrees_across_solvers():
+    # the minimum at bound |E| is the least bound the pass decides yes at
+    rng = random.Random(38)
+    for _ in range(40):
+        g = _random_connected_graph(rng, rng.randint(2, 7), rng.randint(0, 6))
+        _, least = mincsp_2ae(g, len(g.edges), SolveContext())
+        decided = [mincsp_2ae(g, k, SolveContext()) for k in range(len(g.edges) + 1)]
+        assert next(k for k, found in enumerate(decided) if found) == least
+        assert all(found[1] == least for found in decided[least:])
+
+
 def test_edge_to_vertex_examples():
     # proposal already realizable: returned partition satisfies it exactly
     g = graph(3, [(0, 1, 1), (1, 2, 0)])
@@ -791,7 +815,7 @@ def test_kq_cut_screen_matches_per_mask_checks(case, k, q, data):
 @settings(max_examples=200, deadline=None)
 @given(_connected_multigraph(), st.integers(0, 6), st.sets(st.integers(0, 26)))
 @example((graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]), 0), 0, set())  # an odd triangle
-def test_minimum_cost_pass_matches_per_mask_loop(case, k, dropped):
+def test_bruteforce_minimum_matches_per_mask_loop(case, k, dropped):
     # dropping edges, as the proposal's subgraph does, disconnects some graphs
     g, _ = case
     g = CutGraph(g.num_vertices, tuple(e for e in g.edges if e.id not in dropped))
